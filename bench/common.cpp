@@ -16,7 +16,7 @@ namespace {
 
 [[noreturn]] void usage_error(const char* argv0, const std::string& msg) {
     std::fprintf(stderr,
-                 "%s: %s\nusage: %s [--threads N] [--json PATH] [--serial] "
+                 "%s: %s\nusage: %s [--threads N] [--json PATH] "
                  "[--seed N] [--core reference|event-horizon|regional] "
                  "[--trace-out PATH] [--metrics-out PATH] [args...]\n",
                  argv0, msg.c_str(), argv0);
@@ -58,8 +58,8 @@ Options Options::parse(int argc, char** argv) {
                 usage_error(argv[0], "--core expects reference, event-horizon "
                                      "or regional, got " + value);
             // The process-wide env override is the one switch every
-            // simulation (and every forked shard worker) already honors;
-            // the CLI just sets it before the first Simulator is built.
+            // simulation already honors; the CLI just sets it before the
+            // first Simulator is built.
             setenv("FLORETSIM_SIM_CORE", value.c_str(), 1);
             opt.core = value;
         } else if (arg == "--trace-out") {
@@ -68,8 +68,6 @@ Options Options::parse(int argc, char** argv) {
         } else if (arg == "--metrics-out") {
             if (i + 1 >= argc) usage_error(argv[0], "--metrics-out needs a path");
             opt.metrics_out = argv[++i];
-        } else if (arg == "--serial") {
-            opt.serial = true;
         } else if (arg == "--help" || arg == "-h") {
             usage_error(argv[0], "help");
         } else if (arg.rfind("--", 0) == 0) {
@@ -84,27 +82,6 @@ Options Options::parse(int argc, char** argv) {
     if (!opt.trace_out.empty()) obs::Tracer::global().enable();
     if (!opt.metrics_out.empty()) obs::MetricsRegistry::global().enable();
     return opt;
-}
-
-int run_registered_scenario(
-    const std::string& name, const Options& opt,
-    const std::function<void(scenario::SpecVariant&)>& tweak) {
-    try {
-        const scenario::Scenario& sc = scenario::Registry::builtin().at(name);
-        scenario::SpecVariant spec = sc.spec;
-        if (opt.has_seed) scenario::set_seed(spec, opt.seed);
-        if (tweak) tweak(spec);
-        core::SweepEngine engine(opt.threads);
-        scenario::RunContext ctx{engine, std::cout};
-        JsonReport report = sc.report(spec, ctx);
-        report.set_run_info("seed", static_cast<std::int64_t>(
-                                        scenario::effective_seed(spec)));
-        report.set_run_info("threads", engine.thread_count());
-        return finish(opt, report);
-    } catch (const std::exception& e) {
-        std::fprintf(stderr, "scenario %s failed: %s\n", name.c_str(), e.what());
-        return 1;
-    }
 }
 
 int finish(const Options& opt, const JsonReport& report) {

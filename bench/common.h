@@ -1,58 +1,47 @@
 #pragma once
 
-/// Shared harness for the paper-reproduction benches. The experiment
+/// Shared harness for the benches and examples that are not paper
+/// figures (the figures and tables are scenarios of the floretsim_run
+/// driver: `floretsim_run --only <scenario>`). The experiment
 /// infrastructure (architecture builders, dynamic multi-tenant runner),
-/// the parallel sweep engine, and the scenario layer (declarative specs,
-/// registry, JSON reports) are library code in src/ — tested like
-/// everything else; this header aliases them into the bench namespace and
-/// adds the thin command-line layer every bench shares:
+/// the parallel sweep engine, and the JSON report are library code in
+/// src/ — tested like everything else; this header aliases them into the
+/// bench namespace and adds the thin command-line layer every bench
+/// shares:
 ///
 ///   --threads N     worker threads for the SweepEngine (0 = hardware)
 ///   --json PATH     machine-readable report alongside the printed tables
-///   --serial        run the pre-engine serial path (benches that have one)
 ///   --seed N        override the bench's built-in experiment seed, so
-///                   stochastic benches (scheduler, serving) are replayable
+///                   stochastic benches (scheduler) are replayable
 ///   --core NAME     select the simulator core (reference | event-horizon |
 ///                   regional) for every simulation of the run; implemented
-///                   by setting FLORETSIM_SIM_CORE before first use, so it
-///                   also reaches forked shard workers
+///                   by setting FLORETSIM_SIM_CORE before first use
 ///   --trace-out F   enable span tracing, write Chrome trace-event JSON to F
 ///   --metrics-out F enable the metrics registry, write its snapshot to F
 ///
 /// Remaining non-flag arguments stay positional (each bench documents its
 /// own); unrecognized --flags are a usage error so typos cannot silently
 /// select the wrong code path.
-///
-/// Figure benches that exist in the scenario registry are one-liners over
-/// run_registered_scenario(): the registry's report function is the only
-/// implementation, so the standalone binary and the floretsim_run driver
-/// are bit-identical by construction.
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "src/core/experiment.h"
 #include "src/core/sweep.h"
-#include "src/scenario/registry.h"
 #include "src/scenario/report.h"
 #include "src/util/table.h"
 
 namespace floretsim::bench {
 using namespace floretsim::core::experiment;  // NOLINT: intentional alias
 using core::SweepEngine;
-using core::SweepPoint;
-using core::SweepResult;
 using core::SweepSpec;
-using scenario::add_point_timing;
 using scenario::JsonReport;
 
 /// Parsed command-line options shared by every bench binary.
 struct Options {
     std::int32_t threads = 0;  ///< SweepEngine worker count (0 = hardware).
     std::string json_path;     ///< Empty = no JSON report.
-    bool serial = false;       ///< Use the pre-engine serial path.
     std::uint64_t seed = 0;    ///< Only meaningful when has_seed.
     bool has_seed = false;     ///< --seed was given on the command line.
     std::string core;          ///< --core name; empty = config/env default.
@@ -68,15 +57,6 @@ struct Options {
     /// Parses argv; exits with a usage message on malformed flags.
     static Options parse(int argc, char** argv);
 };
-
-/// Runs one registered scenario the way a standalone bench binary does:
-/// copies the registry spec, applies --seed and the optional tweak (the
-/// bench's positional arguments), executes on a fresh engine with
-/// opt.threads workers, and writes the JSON report to --json. Returns the
-/// process exit code.
-int run_registered_scenario(
-    const std::string& name, const Options& opt,
-    const std::function<void(scenario::SpecVariant&)>& tweak = {});
 
 /// The uniform bench epilogue: writes the JSON report to --json and the
 /// enabled observability outputs to --trace-out/--metrics-out. Returns

@@ -8,15 +8,13 @@
 # default, the reference cycle loop, and the per-region-clock regional
 # core — via FLORETSIM_SIM_CORE for the bench binaries and the --core
 # flag for the driver, so the flag path itself is smoke-tested). The
-# figure benches that live in the scenario registry (all thirteen:
-# fig2-7, table2, serving, cluster, m3d_vs_tsv, hetero_transformer,
+# paper figures and tables (all thirteen registered scenarios: fig2-7,
+# table2, serving, cluster, m3d_vs_tsv, hetero_transformer,
 # transformer_storage, ablation_scaling) are covered by ONE floretsim_run
-# invocation per core:
-# one process, one shared SweepEngine/fabric cache, so the registered
-# scenarios cost one sweep's worth of fabric builds instead of five
-# processes' — and the driver's own CLI (--set overrides, merged report)
-# is smoke-tested for free. The remaining bench binaries keep their
-# per-binary loop, also once per core.
+# invocation per core: one process, one shared SweepEngine/fabric cache
+# — and the driver's own CLI (--set overrides, merged report) is
+# smoke-tested for free. The bench binaries (the non-figure benches) run
+# in a per-binary loop, also once per core.
 #
 #   usage: scripts/bench_smoke.sh [build-dir]   (default: build)
 set -u
@@ -38,13 +36,6 @@ if [ ! -x "$driver" ]; then
     echo "bench_smoke: $driver not found" >&2
     exit 2
 fi
-
-# Figure benches covered by the driver (thin registry mains — running the
-# binary would repeat the identical scenario code the driver just ran).
-registered="bench_fig3_latency bench_fig4_utilization bench_fig5_energy \
-bench_table2_mixes bench_serving_sla bench_fig2_ports_links \
-bench_fig6_3d_edp_temp_acc bench_fig7_thermal_map bench_m3d_vs_tsv \
-bench_hetero_transformer bench_transformer_storage bench_ablation_scaling"
 
 smoke_one() {  # smoke_one <label> <log/json stem> <cmd...>
     local label=$1 stem=$2
@@ -80,15 +71,12 @@ for core in event-horizon reference regional; do
         "$driver" --threads 2 --core "$core" \
         --set max_requests=24 --set replications=1
 
-    # Unregistered benches: the per-binary loop. bench_micro_kernels is
+    # The bench binaries: the per-binary loop. bench_micro_kernels is
     # google-benchmark-driven and has no --json contract, so it is skipped.
     for bench in "$build_dir"/bench_*; do
         [ -x "$bench" ] || continue
         name=$(basename "$bench")
         [ "$name" = "bench_micro_kernels" ] && continue
-        case " $registered " in
-            *" $name "*) continue ;;
-        esac
         smoke_one "$name ($core)" "$name.$core" "$bench" --threads 2
     done
 done
@@ -138,8 +126,9 @@ fi
 #      are stripped — observability can describe a run, never change it.
 #   2. --trace-out writes valid Chrome trace JSON with events; the
 #      --metrics-out snapshot carries the instrumented counters.
-#   3. A sharded run streams live per-shard heartbeat lines to stderr and
-#      merges every worker's trace into the coordinator's file.
+#   3. A --pool run streams live per-worker progress lines to stderr, ends
+#      with the fleet summary, and merges every worker's trace into the
+#      coordinator's file.
 #   4. Unwritable output paths exit nonzero (driver and bench binaries).
 obs_args=(--only fig3 --set traffic_scale=1/128 --threads 2)
 obs_ok=1
@@ -149,14 +138,14 @@ obs_ok=1
     --trace-out "$out_dir/obs.trace.json" \
     --metrics-out "$out_dir/obs.metrics.json" \
     > "$out_dir/obs_on.log" 2>&1 || obs_ok=0
-"$driver" "${obs_args[@]}" --shards 2 --json "$out_dir/obs_shard.json" \
-    --trace-out "$out_dir/obs_shard.trace.json" \
-    > "$out_dir/obs_shard.log" 2> "$out_dir/obs_shard.err" || obs_ok=0
+"$driver" "${obs_args[@]}" --pool 2 --json "$out_dir/obs_pool.json" \
+    --trace-out "$out_dir/obs_pool.trace.json" \
+    > "$out_dir/obs_pool.log" 2> "$out_dir/obs_pool.err" || obs_ok=0
 if [ "$obs_ok" = 1 ] && python3 - "$out_dir" <<'EOF'
 import json, sys
 out = sys.argv[1]
 
-VOLATILE = ("seconds", "wall", "imbalance", "cache", "threads", "shards")
+VOLATILE = ("seconds", "wall", "imbalance", "cache", "threads")
 def strip(o):
     if isinstance(o, dict):
         return {k: strip(v) for k, v in o.items()
@@ -167,11 +156,11 @@ def strip(o):
 
 off = json.load(open(f"{out}/obs_off.json"))
 on = json.load(open(f"{out}/obs_on.json"))
-shard = json.load(open(f"{out}/obs_shard.json"))
+pool = json.load(open(f"{out}/obs_pool.json"))
 assert strip(off["scenarios"]) == strip(on["scenarios"]), (
     "report changed with tracing/metrics enabled")
-assert strip(off["scenarios"]) == strip(shard["scenarios"]), (
-    "report changed under --shards with tracing enabled")
+assert strip(off["scenarios"]) == strip(pool["scenarios"]), (
+    "report changed under --pool with tracing enabled")
 
 trace = json.load(open(f"{out}/obs.trace.json"))
 assert trace["traceEvents"], "trace has no events"
@@ -181,7 +170,7 @@ names = {e.get("name") for e in trace["traceEvents"]}
 assert {"sweep_point", "evaluate_noi", "fig3"} <= names, (
     f"expected spans missing: {sorted(names)}")
 
-merged = json.load(open(f"{out}/obs_shard.trace.json"))
+merged = json.load(open(f"{out}/obs_pool.trace.json"))
 pids = {e.get("pid") for e in merged["traceEvents"]}
 assert len(pids) >= 3, (
     f"merged trace should span coordinator + 2 workers, got pids {pids}")
@@ -190,10 +179,11 @@ metrics = json.load(open(f"{out}/obs.metrics.json"))
 assert metrics["counters"].get("sweep.points", 0) > 0, "no sweep.points"
 assert "sim.run_cycles" in metrics["histograms"], "no sim.run_cycles histogram"
 
-hb_lines = [l for l in open(f"{out}/obs_shard.err") if l.startswith("[shard ")]
-assert hb_lines, "no live per-shard heartbeat lines on coordinator stderr"
-assert any(l.startswith("[shards]") for l in open(f"{out}/obs_shard.err")), (
-    "no end-of-sweep straggler summary")
+err = open(f"{out}/obs_pool.err").read().splitlines()
+hb_lines = [l for l in err if l.startswith("[fleet ") and "leased points" in l]
+assert hb_lines, "no live per-worker progress lines on coordinator stderr"
+assert any(l.startswith("[fleet] 2 workers") for l in err), (
+    "no end-of-run fleet summary")
 print(f"obs smoke ok: parity held, {len(trace['traceEvents'])} trace events, "
       f"{len(pids)} processes merged, {len(hb_lines)} heartbeat lines")
 EOF
@@ -203,7 +193,7 @@ then
 else
     echo "FAIL observability smoke" >&2
     tail -5 "$out_dir/obs_off.log" "$out_dir/obs_on.log" \
-        "$out_dir/obs_shard.err" >&2
+        "$out_dir/obs_pool.err" >&2
     fail=1
 fi
 

@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Result-cache differential (run by ctest as `cache_parity`, and by CI):
 #
-#   1. Cold/warm/sharded-warm parity: the full registry run three times
+#   1. Cold/warm/fleet-warm parity: the full registry run three times
 #      against one --cache-dir — cold (every sweep point evaluated and
 #      stored), warm (every point served from the cache), and warm under
-#      --shards 2 (the coordinator partitions the hits out BEFORE
-#      dispatch, so no worker is ever forked) — must produce bit-identical
-#      merged reports once wall-clock-derived keys are stripped.
+#      --pool 2 (the coordinator partitions the hits out BEFORE
+#      dispatch, so no worker is ever spawned) — must produce
+#      bit-identical merged reports once wall-clock-derived keys are
+#      stripped.
 #   2. Zero warm evaluations: the warm run's --metrics-out snapshot must
 #      show result_cache.hits > 0, result_cache.misses == 0, and NO
 #      sweep.points evaluations at all — rows came from disk, not
@@ -14,11 +15,11 @@
 #   3. Warm is faster: a second cache dir, cold then warm on the fig3
 #      sweep alone; the warm wall time must beat the cold one (the sweep
 #      does no simulation on the warm pass).
-#   4. Partial warm under shards: prime only fig3's floret+kite points,
-#      then run the full fig3 arch set with --shards 2 — the merged
-#      report must equal an uncached reference run even though half the
-#      rows came from the cache and half from worker processes (pins the
-#      hit/miss interleave order through the sharded merge).
+#   4. Partial warm under a fleet: prime only fig3's floret+kite points,
+#      then run the full fig3 arch set with --pool 2 — the merged report
+#      must equal an uncached reference run even though half the rows
+#      came from the cache and half from worker processes (pins the
+#      hit/miss interleave order through the fleet merge).
 #
 #   usage: scripts/cache_parity.sh <floretsim_run> [extra driver args...]
 set -eu
@@ -41,19 +42,20 @@ cache_a="$out_dir/cache_a"
     --json "$out_dir/warm.json" --metrics-out "$out_dir/warm.metrics.json" \
     > "$out_dir/warm.log"
 # shellcheck disable=SC2086
-"$driver" $common --threads 1 --shards 2 --cache-dir "$cache_a" "$@" \
-    --json "$out_dir/warm_s2.json" > "$out_dir/warm_s2.log"
+"$driver" $common --threads 1 --pool 2 --cache-dir "$cache_a" "$@" \
+    --json "$out_dir/warm_p2.json" > "$out_dir/warm_p2.log" \
+    2> "$out_dir/warm_p2.err"
 
-python3 - "$out_dir/cold.json" "$out_dir/warm.json" "$out_dir/warm_s2.json" \
+python3 - "$out_dir/cold.json" "$out_dir/warm.json" "$out_dir/warm_p2.json" \
     "$out_dir/warm.metrics.json" <<'EOF'
 import json, sys
 
-cold, warm, warm_s2 = (json.load(open(p)) for p in sys.argv[1:4])
+cold, warm, warm_p2 = (json.load(open(p)) for p in sys.argv[1:4])
 metrics = json.load(open(sys.argv[4]))
 
-# Same volatile-key strip as shard_parity: wall-clock timings, imbalance,
-# cache counters, thread/shard counts are allowed to differ; nothing else.
-VOLATILE = ("seconds", "wall", "imbalance", "cache", "threads", "shards")
+# Same volatile-key strip as fleet_parity: wall-clock timings, imbalance,
+# cache counters, thread counts are allowed to differ; nothing else.
+VOLATILE = ("seconds", "wall", "imbalance", "cache", "threads")
 
 def strip(x):
     if isinstance(x, dict):
@@ -63,11 +65,11 @@ def strip(x):
         return [strip(v) for v in x]
     return x
 
-for name, doc in (("cold", cold), ("warm", warm), ("warm_s2", warm_s2)):
+for name, doc in (("cold", cold), ("warm", warm), ("warm_p2", warm_p2)):
     assert doc["driver"]["scenarios_failed"] == 0, f"{name}: scenario failed"
 
 base = strip(cold["scenarios"])
-for name, doc in (("warm", warm), ("warm_s2", warm_s2)):
+for name, doc in (("warm", warm), ("warm_p2", warm_p2)):
     got = strip(doc["scenarios"])
     for scen in base:
         assert got[scen] == base[scen], (
@@ -77,7 +79,7 @@ for name, doc in (("warm", warm), ("warm_s2", warm_s2)):
 
 # The cold run stored, the warm runs only hit.
 assert cold["driver"]["result_cache_misses"] > 0, "cold run missed nothing?"
-for name, doc in (("warm", warm), ("warm_s2", warm_s2)):
+for name, doc in (("warm", warm), ("warm_p2", warm_p2)):
     d = doc["driver"]
     assert d["result_cache_hits"] > 0, f"{name}: no cache hits"
     assert d["result_cache_misses"] == 0, (
@@ -97,7 +99,12 @@ assert counters.get("sweep.points", 0) == 0, (
 assert counters.get("result_cache.hits", 0) > 0
 assert counters.get("result_cache.misses", 0) == 0
 
-print("cache parity ok: cold/warm/--shards 2 warm bit-identical, "
+# A fully warm fleet run dispatches nothing: no worker ever acks a row.
+assert warm_p2["driver"]["fleet"]["rows"] == 0, (
+    "fully warm --pool run dispatched points: "
+    + json.dumps(warm_p2["driver"]["fleet"]))
+
+print("cache parity ok: cold/warm/--pool 2 warm bit-identical, "
       f"{warm['driver']['result_cache_hits']} hits, 0 warm evaluations")
 EOF
 
@@ -112,17 +119,18 @@ cache_b="$out_dir/cache_b"
 "$driver" --only fig3 --threads 2 --cache-dir "$cache_b" "$@" \
     --json "$out_dir/fig3_warm.json" > "$out_dir/fig3_warm.log"
 
-# Partial warm under shards: prime two of fig3's four archs in a fresh
-# cache, then run the full arch set sharded against it, and compare to an
-# uncached reference.
+# Partial warm under a fleet: prime two of fig3's four archs in a fresh
+# cache, then run the full arch set on a fleet against it, and compare to
+# an uncached reference.
 cache_c="$out_dir/cache_c"
 # shellcheck disable=SC2086
 "$driver" --only fig3 --set archs=floret,kite --threads 2 \
     --cache-dir "$cache_c" "$@" --json "$out_dir/prime.json" \
     > "$out_dir/prime.log"
 # shellcheck disable=SC2086
-"$driver" --only fig3 --threads 1 --shards 2 --cache-dir "$cache_c" "$@" \
-    --json "$out_dir/partial.json" > "$out_dir/partial.log"
+"$driver" --only fig3 --threads 1 --pool 2 --cache-dir "$cache_c" "$@" \
+    --json "$out_dir/partial.json" > "$out_dir/partial.log" \
+    2> "$out_dir/partial.err"
 # shellcheck disable=SC2086
 "$driver" --only fig3 --threads 2 "$@" --json "$out_dir/ref.json" \
     > "$out_dir/ref.log"
@@ -140,7 +148,7 @@ assert f3_warm["driver"]["result_cache_misses"] == 0
 assert warm_wall < cold_wall, (
     f"warm fig3 ({warm_wall:.3f}s) not faster than cold ({cold_wall:.3f}s)")
 
-VOLATILE = ("seconds", "wall", "imbalance", "cache", "threads", "shards")
+VOLATILE = ("seconds", "wall", "imbalance", "cache", "threads")
 
 def strip(x):
     if isinstance(x, dict):
@@ -153,10 +161,13 @@ def strip(x):
 d = partial["driver"]
 assert d["result_cache_hits"] > 0, "partial run hit nothing"
 assert d["result_cache_misses"] > 0, "partial run missed nothing"
+assert d["fleet"]["rows"] == d["result_cache_misses"], (
+    "the fleet did not compute exactly the cache misses: "
+    + json.dumps(d["fleet"]))
 assert strip(partial["scenarios"]) == strip(ref["scenarios"]), (
-    "partially-warm sharded fig3 differs from the uncached reference run")
+    "partially-warm fleet fig3 differs from the uncached reference run")
 
 print(f"cache timing ok: warm {warm_wall:.3f}s < cold {cold_wall:.3f}s; "
-      f"partial-warm sharded merge ({d['result_cache_hits']} hits + "
+      f"partial-warm fleet merge ({d['result_cache_hits']} hits + "
       f"{d['result_cache_misses']} misses) matches the uncached reference")
 EOF

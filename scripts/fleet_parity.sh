@@ -1,14 +1,17 @@
 #!/usr/bin/env bash
 # Persistent-fleet differential (run by ctest as `fleet_parity`, and by
-# CI on both simulator cores via FLORETSIM_SIM_CORE):
+# CI on all three simulator cores):
 #
 #   the full registry's merged report must be bit-identical whether the
-#   sweeps run in 1 process, across --shards 4 (PR 5 one-shot workers),
-#   or on a --pool 4 persistent fleet — and it must STAY bit-identical
-#   when one fleet worker is SIGKILLed mid-run (the coordinator restarts
-#   it and reassigns its un-acked lease). Only wall-clock-derived
-#   metrics (point timings, cache counters, thread/shard counts) may
-#   differ; every table cell and derived metric must match byte for byte.
+#   sweeps run in 1 process or on a --pool 4 persistent fleet — and it
+#   must STAY bit-identical when one fleet worker is SIGKILLed mid-run
+#   (the coordinator restarts it and reassigns its un-acked lease). Only
+#   wall-clock-derived metrics (point timings, cache counters, thread
+#   counts) may differ; every table cell and derived metric must match
+#   byte for byte. The full registry runs, so the fleet path is exercised
+#   against spec-driven sweeps (fig3/fig5/table2/ablation_scaling:
+#   distributed) AND map()-driven scenarios (fig4/serving/fig6:
+#   coordinator-local) in the same document.
 #
 # A second, smaller pass pins the whole point of a *persistent* fleet:
 # two scenarios sharing an arch grid, run on a warm pool with stealing
@@ -35,9 +38,6 @@ common="--set grid=8x8 --set traffic_scale=1/128 \
 "$driver" $common --threads 2            "$@" --json "$out_dir/p1.json" \
     > "$out_dir/p1.log"
 # shellcheck disable=SC2086
-"$driver" $common --threads 1 --shards 4 "$@" --json "$out_dir/s4.json" \
-    > "$out_dir/s4.log"
-# shellcheck disable=SC2086
 "$driver" $common --threads 1 --pool 4   "$@" --json "$out_dir/f4.json" \
     > "$out_dir/f4.log" 2> "$out_dir/f4.err"
 # Same fleet run, but worker 1's first incarnation SIGKILLs itself after
@@ -56,17 +56,17 @@ FLORETSIM_FLEET_STEAL_AFTER=1000000000 \
     --threads 1 --pool 2 "$@" --json "$out_dir/warm.json" \
     > "$out_dir/warm.log" 2> "$out_dir/warm.err"
 
-python3 - "$out_dir/p1.json" "$out_dir/s4.json" "$out_dir/f4.json" \
-    "$out_dir/f4k.json" "$out_dir/warm.json" <<'EOF'
+python3 - "$out_dir/p1.json" "$out_dir/f4.json" "$out_dir/f4k.json" \
+    "$out_dir/warm.json" <<'EOF'
 import json, sys
 
-p1_path, s4_path, f4_path, f4k_path, warm_path = sys.argv[1:6]
-docs = {path: json.load(open(path)) for path in sys.argv[1:5]}
+p1_path, f4_path, f4k_path, warm_path = sys.argv[1:5]
+docs = {path: json.load(open(path)) for path in sys.argv[1:4]}
 
 # Volatile-by-construction keys: wall-clock timings, the load-imbalance
 # ratio derived from them, cache counters (distributed sweeps run on
-# worker caches, not the coordinator's), and the topology knobs.
-VOLATILE = ("seconds", "wall", "imbalance", "cache", "threads", "shards")
+# worker caches, not the coordinator's), and thread counts.
+VOLATILE = ("seconds", "wall", "imbalance", "cache", "threads")
 
 def strip(x):
     if isinstance(x, dict):
@@ -124,6 +124,6 @@ assert per["fig5"]["fabric_hits"] > 0, json.dumps(per)
 
 names = ", ".join(sorted(base))
 print(f"fleet parity ok: {names} bit-identical across 1 process, "
-      "--shards 4, --pool 4, and --pool 4 with an injected worker kill; "
+      "--pool 4, and --pool 4 with an injected worker kill; "
       "warm pool re-ran fig5 with zero fabric misses")
 EOF

@@ -26,7 +26,7 @@ doc = json.load(open(sys.argv[1]))
 
 assert set(doc) == {"driver", "scenarios"}, f"top-level keys: {set(doc)}"
 
-DRIVER_KEYS = {"run_info", "threads", "shards", "pool", "sim_core",
+DRIVER_KEYS = {"run_info", "threads", "pool", "sim_core",
                "scenarios_run", "scenarios_failed", "wall_seconds",
                "fabric_cache_hits", "fabric_cache_misses",
                "result_cache_hits", "result_cache_misses"}
@@ -43,7 +43,7 @@ assert doc["driver"]["pool"] == 0
 assert "fleet" not in doc["driver"], "fleet block present without --pool"
 
 DRIVER_RUN_INFO_KEYS = {"build_type", "compiler", "git_sha", "sim_core",
-                        "threads", "shards", "seed", "executor"}
+                        "threads", "seed", "executor"}
 driver_info = doc["driver"]["run_info"]
 assert set(driver_info) == DRIVER_RUN_INFO_KEYS, (
     f"driver run_info keys: {sorted(set(driver_info) ^ DRIVER_RUN_INFO_KEYS)}")

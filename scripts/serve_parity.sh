@@ -1,14 +1,13 @@
 #!/usr/bin/env bash
 # Serving-cluster differential (run by ctest as `serve_parity`, and by CI
-# on both simulator cores via FLORETSIM_SIM_CORE):
+# on the default and regional simulator cores):
 #
 #   the `cluster` capacity-planning scenario must be bit-identical whether
-#   the driver runs in 1 process, across --shards 2 one-shot workers, or
-#   on a --pool 2 persistent fleet. The serving replications are a
-#   discrete-event simulation fanned out on the shared SweepEngine, so
-#   every K x batch x load cell — latency percentiles, knee loads,
-#   preemption/eviction/batching totals — must match byte for byte; only
-#   wall-clock-derived metrics may differ.
+#   the driver runs in 1 process or on a --pool 2 persistent fleet. The
+#   serving replications are a discrete-event simulation fanned out on
+#   the shared SweepEngine, so every K x batch x load cell — latency
+#   percentiles, knee loads, preemption/eviction/batching totals — must
+#   match byte for byte; only wall-clock-derived metrics may differ.
 #
 #   usage: scripts/serve_parity.sh <floretsim_run> [extra driver args...]
 #
@@ -29,21 +28,18 @@ common="--only cluster --set max_requests=24 --set replications=2"
 "$driver" $common --threads 2            "$@" --json "$out_dir/p1.json" \
     > "$out_dir/p1.log"
 # shellcheck disable=SC2086
-"$driver" $common --threads 1 --shards 2 "$@" --json "$out_dir/s2.json" \
-    > "$out_dir/s2.log"
-# shellcheck disable=SC2086
 "$driver" $common --threads 1 --pool 2   "$@" --json "$out_dir/f2.json" \
     > "$out_dir/f2.log" 2> "$out_dir/f2.err"
 
-python3 - "$out_dir/p1.json" "$out_dir/s2.json" "$out_dir/f2.json" <<'EOF'
+python3 - "$out_dir/p1.json" "$out_dir/f2.json" <<'EOF'
 import json, sys
 
-p1_path, s2_path, f2_path = sys.argv[1:4]
-docs = {path: json.load(open(path)) for path in sys.argv[1:4]}
+p1_path, f2_path = sys.argv[1:3]
+docs = {path: json.load(open(path)) for path in sys.argv[1:3]}
 
 # Volatile-by-construction keys: wall-clock timings, the load-imbalance
-# ratio derived from them, cache counters, and the topology knobs.
-VOLATILE = ("seconds", "wall", "imbalance", "cache", "threads", "shards")
+# ratio derived from them, cache counters, and thread counts.
+VOLATILE = ("seconds", "wall", "imbalance", "cache", "threads")
 
 def strip(x):
     if isinstance(x, dict):
@@ -74,7 +70,7 @@ assert metrics["serve_batched_requests"] > 0, metrics
 assert any(k.endswith("_knee_load") for k in metrics), metrics
 
 print("serve parity ok: cluster capacity plan bit-identical across "
-      "1 process, --shards 2, and --pool 2 "
+      "1 process and --pool 2 "
       f"(preemptions={metrics['serve_preemptions']}, "
       f"batched={metrics['serve_batched_requests']})")
 EOF

@@ -159,7 +159,7 @@ struct DynamicResult {
     std::int64_t sim_region_stepped_max = 0;
     std::int64_t sim_region_stepped_min = 0;
 
-    /// Field-wise equality: results travel back from sharded workers as
+    /// Field-wise equality: results travel back from fleet workers as
     /// JSON (scenario::dynamic_result_from_json(to_json(r)) == r).
     [[nodiscard]] bool operator==(const DynamicResult&) const = default;
 };

@@ -134,13 +134,6 @@ std::unique_ptr<RowStream> SweepEngine::run_stream(
                 "stream executor returned " +
                 std::to_string(miss_stream ? miss_stream->size() : 0) +
                 " rows for " + std::to_string(misses.size()) + " points");
-    } else if (executor_ && !misses.empty()) {
-        auto rows = executor_(misses);
-        if (rows.size() != misses.size())
-            throw std::runtime_error(
-                "point-list executor returned " + std::to_string(rows.size()) +
-                " rows for " + std::to_string(misses.size()) + " points");
-        miss_stream = std::make_unique<VectorRowStream>(std::move(rows));
     } else {
         std::vector<SweepRow> rows(misses.size());
         pool_.parallel_for(misses.size(), [&](std::size_t i) {

@@ -70,7 +70,7 @@ struct SweepRow {
     /// the load-balance signal benches surface in their --json reports.
     double seconds = 0.0;
 
-    /// Field-wise equality: rows are the return wire format of sharded
+    /// Field-wise equality: rows are the return wire format of fleet
     /// sweeps (scenario::sweep_row_from_json(to_json(r)) == r); `seconds`
     /// participates because JSON doubles round-trip bit-exactly.
     [[nodiscard]] bool operator==(const SweepRow&) const = default;
@@ -78,7 +78,7 @@ struct SweepRow {
 
 /// Evaluates one sweep point — fabric from (or into) `cache`, fresh
 /// mapper, run_mix_dynamic — and stamps the row's wall-clock. The single
-/// per-point implementation shared by SweepEngine::run and the sharded
+/// per-point implementation shared by SweepEngine::run and the fleet
 /// worker loop, so a row is bit-identical (seconds aside) no matter which
 /// process computed it.
 [[nodiscard]] SweepRow evaluate_point(experiment::ArchCache& cache,
@@ -88,7 +88,7 @@ struct SweepRow {
 /// exhausted. The streaming seam that bounds coordinator memory — a
 /// consumer that folds rows as they arrive never holds more than one row,
 /// no matter how many points the sweep has. Implementations may compute
-/// lazily (the sharded NDJSON merge reads one row per next()) or wrap an
+/// lazily (the fleet's NDJSON merge reads one row per next()) or wrap an
 /// already-materialized vector (the local in-process path).
 class RowStream {
 public:
@@ -167,42 +167,31 @@ public:
 
     /// Streaming execution: evaluates `points` (through the result cache
     /// and the installed executor, exactly like run()) but returns the
-    /// rows as an ordered stream instead of a vector. With the sharded
-    /// stream executor installed, rows are read one at a time from the
-    /// per-shard NDJSON files — coordinator memory stays O(1) in the row
-    /// count. run(points) is collect(run_stream(points)).
+    /// rows as an ordered stream instead of a vector. With the fleet
+    /// executor installed, rows are read one at a time from the sweep's
+    /// NDJSON rows file — coordinator memory stays O(1) in the row count.
+    /// run(points) is collect(run_stream(points)).
     [[nodiscard]] std::unique_ptr<RowStream> run_stream(
         const std::vector<SweepPoint>& points);
 
     /// Pluggable transport for point lists: when set, run() hands the
-    /// expanded points to the executor (which must return one row per
-    /// point, in point order) instead of evaluating them on the local
-    /// pool. This is the process-distribution seam — the floretsim_run
-    /// coordinator installs a fork-N-workers executor here, and every
-    /// report function distributes without knowing it. map()/timed_map()
+    /// expanded points to the executor (which must return a stream of one
+    /// row per point, in point order) instead of evaluating them on the
+    /// local pool. This is the process-distribution seam — the
+    /// floretsim_run coordinator installs the worker fleet here, and
+    /// every report function distributes without knowing it. Returning a
+    /// stream rather than a vector means a distributed backend never
+    /// materializes every row in the coordinator. map()/timed_map()
     /// fan-outs are bespoke local work and always stay in-process.
-    using PointListExecutor =
-        std::function<std::vector<SweepRow>(const std::vector<SweepPoint>&)>;
-    void set_point_executor(PointListExecutor executor) {
-        executor_ = std::move(executor);
-        stream_executor_ = nullptr;
-    }
-
-    /// Streaming variant of the executor seam: returns the rows as an
-    /// ordered stream rather than a vector, so a distributed backend
-    /// never needs to materialize every row in the coordinator. Takes
-    /// precedence over set_point_executor; the two are mutually exclusive
-    /// (installing either clears the other).
     using StreamExecutor = std::function<std::unique_ptr<RowStream>(
         const std::vector<SweepPoint>&)>;
     void set_stream_executor(StreamExecutor executor) {
         stream_executor_ = std::move(executor);
-        executor_ = nullptr;
     }
 
     /// Human-readable name of the installed transport, surfaced in report
-    /// provenance ("in-process" locally; installers of the executor seams
-    /// set "shards"/"fleet"). Must point at a string literal.
+    /// provenance ("in-process" locally; the fleet installer sets
+    /// "fleet"). Must point at a string literal.
     void set_executor_label(const char* label) { executor_label_ = label; }
     [[nodiscard]] const char* executor_label() const { return executor_label_; }
 
@@ -253,7 +242,6 @@ public:
 private:
     util::ThreadPool pool_;
     experiment::ArchCache cache_;
-    PointListExecutor executor_;
     StreamExecutor stream_executor_;
     PointResultCache* result_cache_ = nullptr;
     const char* executor_label_ = "in-process";

@@ -14,6 +14,7 @@
 #include <map>
 #include <ostream>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <system_error>
@@ -22,7 +23,6 @@
 #include "src/fleet/protocol.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
-#include "src/scenario/shard.h"
 #include "src/scenario/spec_json.h"
 #include "src/util/json.h"
 
@@ -48,7 +48,150 @@ double seconds_since(Clock::time_point t0) {
     return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
+/// Absorbs one worker's --trace-out / --metrics-out file into the
+/// process-global obs sinks. Lenient by design: observability must never
+/// fail a sweep that produced correct rows, so a missing or corrupt file
+/// is a warning on `warn` (null = silent), not an error. Empty paths are
+/// skipped.
+void absorb_worker_obs(const std::string& trace_path,
+                       const std::string& metrics_path, std::int32_t worker,
+                       std::ostream* warn) {
+    const auto read_all = [](const std::string& path,
+                             std::string& out) -> bool {
+        std::ifstream f(path);
+        if (!f) return false;
+        std::ostringstream ss;
+        ss << f.rdbuf();
+        out = ss.str();
+        return true;
+    };
+    const auto complain = [&](const char* what, const std::string& detail) {
+        if (warn)
+            *warn << "worker " << worker << ": cannot absorb worker " << what
+                  << " (" << detail << "); sweep results are unaffected\n";
+    };
+    if (!trace_path.empty()) {
+        std::string text;
+        if (!read_all(trace_path, text)) {
+            complain("trace", "file unreadable");
+        } else {
+            try {
+                obs::Tracer::global().absorb(util::json_parse(text));
+            } catch (const std::exception& e) {
+                complain("trace", e.what());
+            }
+        }
+    }
+    if (!metrics_path.empty()) {
+        std::string text;
+        if (!read_all(metrics_path, text)) {
+            complain("metrics", "file unreadable");
+        } else {
+            try {
+                obs::MetricsRegistry::global().absorb(util::json_parse(text));
+            } catch (const std::exception& e) {
+                complain("metrics", e.what());
+            }
+        }
+    }
+}
+
 }  // namespace
+
+// ---- The streaming row merge ------------------------------------------------
+
+MergedRowFileStream::MergedRowFileStream(std::string row_path,
+                                         std::size_t n_points,
+                                         std::function<void()> cleanup)
+    : row_path_(std::move(row_path)), cleanup_(std::move(cleanup)) {
+    offsets_.assign(n_points, 0);
+    std::vector<char> seen(n_points, 0);
+    // One indexing pass: record where every point's row starts, so next()
+    // can seek straight to it. Rows land in completion order — the
+    // offsets are what turn that back into point order without holding
+    // any parsed row.
+    auto f = std::make_unique<std::ifstream>(row_path_);
+    if (!*f) throw std::runtime_error("fleet: rows file missing: " + row_path_);
+    std::string line;
+    std::uint64_t offset = 0;
+    while (std::getline(*f, line)) {
+        const std::uint64_t line_start = offset;
+        offset += line.size() + 1;  // +1: the '\n' getline consumed
+        std::string_view text(line);
+        while (!text.empty() && text.back() == '\r') text.remove_suffix(1);
+        if (text.empty()) continue;
+        try {
+            // Index-only parse: pull out the point index, defer the
+            // (allocation-heavy) row conversion to next().
+            const util::Json j = util::json_parse(text);
+            if (j.kind() != util::Json::Kind::kObject)
+                throw std::invalid_argument("row line: expected an object, got " +
+                                            std::string(j.kind_name()));
+            for (const auto& [key, value] : j.as_object()) {
+                (void)value;
+                if (key != "index" && key != "row")
+                    throw std::invalid_argument("row line: unknown key \"" +
+                                                key + "\"");
+            }
+            const util::Json* index = j.find("index");
+            if (!index || !j.find("row"))
+                throw std::invalid_argument(
+                    "row line: need both \"index\" and \"row\"");
+            const std::size_t i = static_cast<std::size_t>(index->as_uint());
+            if (i >= n_points)
+                throw std::invalid_argument("row index " + std::to_string(i) +
+                                            " out of range for " +
+                                            std::to_string(n_points) + " points");
+            if (seen[i])
+                throw std::invalid_argument("duplicate row for point " +
+                                            std::to_string(i));
+            seen[i] = 1;
+            offsets_[i] = line_start;
+        } catch (const std::invalid_argument& e) {
+            throw std::runtime_error("fleet: " + row_path_ + ": " + e.what());
+        }
+    }
+    f->clear();  // getline hit EOF; next() seeks on this same stream
+    file_ = std::move(f);
+    for (std::size_t i = 0; i < seen.size(); ++i)
+        if (!seen[i])
+            throw std::runtime_error(
+                "fleet: no worker returned a row for point " + std::to_string(i));
+    // On any throw above, the already-constructed cleanup_ member is
+    // destroyed during unwinding — scratch never outlives a failed merge.
+}
+
+MergedRowFileStream::~MergedRowFileStream() {
+    file_.reset();  // close the reader before releasing its scratch
+    cleanup_ = nullptr;
+}
+
+std::optional<core::SweepRow> MergedRowFileStream::next() {
+    if (pos_ >= offsets_.size()) return std::nullopt;
+    file_->clear();
+    file_->seekg(static_cast<std::streamoff>(offsets_[pos_]));
+    std::string line;
+    if (!std::getline(*file_, line))
+        throw std::runtime_error("fleet: " + row_path_ +
+                                 ": rows file shrank under point " +
+                                 std::to_string(pos_));
+    try {
+        // Exactly one parsed row resident at a time — the streaming-merge
+        // memory contract (see peak_resident_rows).
+        peak_resident_ = std::max<std::size_t>(peak_resident_, 1);
+        IndexedRow r = worker_row_from_line(line);
+        if (r.index != pos_)
+            throw std::invalid_argument("row index changed from " +
+                                        std::to_string(pos_) + " to " +
+                                        std::to_string(r.index) +
+                                        " between indexing and read");
+        ++pos_;
+        obs::MetricsRegistry::global().add("fleet.rows_merged");
+        return std::move(r.row);
+    } catch (const std::invalid_argument& e) {
+        throw std::runtime_error("fleet: " + row_path_ + ": " + e.what());
+    }
+}
 
 struct Coordinator::WorkerState {
     bool ready = false;
@@ -67,7 +210,7 @@ struct Coordinator::WorkerState {
     /// generations.
     std::int64_t gen_fabric_hits = 0, gen_fabric_misses = 0;
     std::int64_t prev_fabric_hits = 0, prev_fabric_misses = 0;
-    scenario::Heartbeat last_hb;
+    Heartbeat last_hb;
     bool saw_hb = false, printed = false;
     Clock::time_point last_print = Clock::now();
     std::string trace_path, metrics_path;
@@ -117,7 +260,7 @@ void Coordinator::ensure_started() {
     if (pool_) return;
     if (shut_down_)
         throw std::logic_error("fleet: coordinator already shut down");
-    scenario::ensure_sigpipe_ignored();
+    ensure_sigpipe_ignored();
     std::string templ =
         (std::filesystem::temp_directory_path() / "floretsim-fleet-XXXXXX")
             .string();
@@ -196,7 +339,7 @@ void Coordinator::drain_stderr(std::size_t w) {
 
 void Coordinator::absorb_worker_files(std::size_t w) {
     WorkerState& ws = workers_[w];
-    scenario::absorb_worker_obs(
+    absorb_worker_obs(
         std::filesystem::exists(ws.trace_path) ? ws.trace_path : "",
         std::filesystem::exists(ws.metrics_path) ? ws.metrics_path : "",
         static_cast<std::int32_t>(w), opt_.progress);
@@ -215,7 +358,7 @@ void Coordinator::handle_death(std::size_t w, SweepRun* run) {
                                          obs::Tracer::now_us());
     if (opt_.progress) {
         *opt_.progress << "[fleet] worker " << w << " "
-                       << scenario::describe_wait_status(status);
+                       << describe_wait_status(status);
         if (ws.stderr_tail.empty()) {
             *opt_.progress << "; its stderr was empty\n";
         } else {
@@ -438,8 +581,8 @@ void Coordinator::handle_stdout_line(std::size_t w, std::string_view line,
         frame = coordinator_bound_from_line(line);
     } catch (const std::exception& e) {
         // A persistent worker emitting garbage on the row channel is a
-        // protocol violation — unlike the one-shot shard path, tolerating
-        // it would desynchronize every later sweep. Kill and restart.
+        // protocol violation — tolerating it would desynchronize every
+        // later sweep. Kill and restart.
         if (opt_.progress)
             *opt_.progress << "[fleet] worker " << w
                            << " protocol violation: " << e.what() << "\n"
@@ -491,10 +634,9 @@ void Coordinator::handle_stdout_line(std::size_t w, std::string_view line,
         ++run.n_acked;
         ++stats_.rows;
         obs::MetricsRegistry::global().add("fleet.rows");
-        // Re-serialize as the canonical shard row line: the merge layer
-        // (MergedRowFileStream) then treats fleet output exactly like a
-        // shard worker file — one row per point, any order.
-        run.rows_out << scenario::worker_row_line(i, frame.row->row) << "\n";
+        // Re-serialize as a rows-file line for MergedRowFileStream: one
+        // row per point, in completion order.
+        run.rows_out << worker_row_line(i, frame.row->row) << "\n";
         for (auto& other : workers_) other.outstanding.erase(i);
         return;
     }
@@ -677,14 +819,16 @@ std::unique_ptr<core::RowStream> Coordinator::run_sweep(
                                     ws.gen_fabric_misses));
         }
 
-    const std::string rows_path = run.rows_path;
-    const std::string points_path = run.points_path;
-    return std::make_unique<scenario::MergedRowFileStream>(
-        std::vector<std::string>{rows_path}, points.size(),
-        [rows_path, points_path] {
+    // The stream releases its cleanup hook without calling it, so the
+    // sweep's files are removed by an owner the hook captures: the
+    // deleter runs when the stream is destroyed or fails to construct.
+    const std::shared_ptr<void> sweep_files(
+        nullptr, [rows_path = run.rows_path, points_path = run.points_path](void*) {
             (void)std::remove(rows_path.c_str());
             (void)std::remove(points_path.c_str());
         });
+    return std::make_unique<MergedRowFileStream>(run.rows_path, points.size(),
+                                                 [sweep_files] {});
 }
 
 util::Json Coordinator::stats_json() const {

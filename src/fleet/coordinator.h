@@ -4,8 +4,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -15,9 +17,49 @@
 
 namespace floretsim::fleet {
 
+/// Streaming merge over one sweep's NDJSON rows file ({"index","row"}
+/// lines in completion order): one up-front indexing scan records each
+/// point's byte offset — validating that every point has exactly one row
+/// — and next() then seeks and parses ONE line per call, yielding rows in
+/// point order. Coordinator memory is O(points) small fixed-size offsets
+/// plus a single resident row, never O(rows) of parsed results — the
+/// property that lets a million-point sweep merge in constant memory,
+/// pinned by peak_resident_rows(). The indexing scan throws
+/// std::runtime_error on an unreadable file, an unparseable line, an
+/// unknown key, an out-of-range index, or a duplicate/missing point.
+/// `cleanup` is an opaque owner of whatever must stay alive while rows
+/// are being read (the sweep's scratch files): it is released — running
+/// its captured destructors — when the stream is destroyed or its
+/// construction fails, so scratch never outlives the stream, even when
+/// the consumer abandons it mid-iteration.
+class MergedRowFileStream final : public core::RowStream {
+public:
+    MergedRowFileStream(std::string row_path, std::size_t n_points,
+                        std::function<void()> cleanup = {});
+    ~MergedRowFileStream() override;
+    MergedRowFileStream(const MergedRowFileStream&) = delete;
+    MergedRowFileStream& operator=(const MergedRowFileStream&) = delete;
+
+    [[nodiscard]] std::optional<core::SweepRow> next() override;
+    [[nodiscard]] std::size_t size() const override { return offsets_.size(); }
+
+    /// The most parsed rows this stream ever held at once — 1 by
+    /// construction; a regression back to materialize-then-merge would
+    /// make it the row count.
+    [[nodiscard]] std::size_t peak_resident_rows() const { return peak_resident_; }
+
+private:
+    std::string row_path_;
+    std::unique_ptr<std::istream> file_;
+    std::vector<std::uint64_t> offsets_;  ///< Per point, in point order.
+    std::function<void()> cleanup_;
+    std::size_t pos_ = 0;
+    std::size_t peak_resident_ = 0;
+};
+
 /// Tuning for the fleet coordinator.
 struct FleetOptions {
-    /// Worker executable (normally scenario::self_exe_path(argv[0])).
+    /// Worker executable (normally self_exe_path(argv[0])).
     std::string worker_exe;
     /// Arguments after argv[0], e.g. {"--worker", "--serve", "--threads",
     /// "1"}. The coordinator appends per-worker --trace-out/--metrics-out
@@ -69,20 +111,20 @@ struct FleetStats {
 /// The persistent-fleet coordinator: spawns opt.n_workers long-lived
 /// `--worker --serve` processes once (lazily, on the first sweep) and
 /// dispatches every subsequent sweep to them over the fleet protocol.
-/// Replaces PR 5's static shard slices with small leases handed out as
-/// workers drain them, steals outstanding leases from stragglers, and
-/// survives worker deaths by restarting the process and reassigning its
-/// un-acked points (bounded per-point retry). Workers keep their
-/// ArchCache across sweeps, and the coordinator keeps per-worker fabric
-/// *affinity* — a lease prefers points whose fabric its worker has
-/// already built — so the second scenario over the same arch grid
-/// evaluates with zero fabric-cache misses anywhere in the fleet.
+/// Hands out small leases as workers drain them, steals outstanding
+/// leases from stragglers, and survives worker deaths by restarting the
+/// process and reassigning its un-acked points (bounded per-point
+/// retry). Workers keep their ArchCache across sweeps, and the
+/// coordinator keeps per-worker fabric *affinity* — a lease prefers
+/// points whose fabric its worker has already built — so the second
+/// scenario over the same arch grid evaluates with zero fabric-cache
+/// misses anywhere in the fleet.
 ///
 /// Rows are re-serialized (first ack per index wins; stale and duplicate
 /// rows from stolen leases are dropped and counted) into one NDJSON file
-/// merged by scenario::MergedRowFileStream, so reports see exactly the
-/// rows a local SweepEngine::run would have produced — bit-identical, as
-/// pinned by the fleet_parity ctest.
+/// merged by MergedRowFileStream, so reports see exactly the rows a local
+/// SweepEngine::run would have produced — bit-identical, as pinned by the
+/// fleet_parity ctest.
 ///
 /// Single-threaded and not reentrant: one run_sweep at a time, from one
 /// thread. Scratch state is RAII-owned — destruction (or shutdown())

@@ -9,7 +9,9 @@
 
 #include <cerrno>
 #include <chrono>
+#include <filesystem>
 #include <stdexcept>
+#include <system_error>
 #include <thread>
 
 namespace floretsim::fleet {
@@ -37,6 +39,39 @@ bool wait_with_grace(pid_t pid, double grace_s, int& status) {
 }
 
 }  // namespace
+
+void ensure_sigpipe_ignored() {
+    static const bool installed = [] {
+        struct sigaction sa {};
+        if (sigaction(SIGPIPE, nullptr, &sa) == 0 && sa.sa_handler == SIG_DFL) {
+            sa.sa_handler = SIG_IGN;
+            sigemptyset(&sa.sa_mask);
+            sa.sa_flags = 0;
+            (void)sigaction(SIGPIPE, &sa, nullptr);
+        }
+        return true;
+    }();
+    (void)installed;
+}
+
+std::string describe_wait_status(int status) {
+    if (WIFEXITED(status))
+        return "exited with status " + std::to_string(WEXITSTATUS(status));
+    if (WIFSIGNALED(status)) {
+        const int sig = WTERMSIG(status);
+        const char* name = strsignal(sig);
+        return "died on signal " + std::to_string(sig) + " (" +
+               (name ? name : "unknown") + ")";
+    }
+    return "stopped with wait status " + std::to_string(status);
+}
+
+std::string self_exe_path(const char* argv0) {
+    std::error_code ec;
+    const auto exe = std::filesystem::read_symlink("/proc/self/exe", ec);
+    if (!ec && !exe.empty()) return exe.string();
+    return argv0 ? argv0 : "floretsim_run";
+}
 
 WorkerPool::WorkerPool(PoolOptions opt) : opt_(std::move(opt)) {
     if (opt_.n_workers < 1)

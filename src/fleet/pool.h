@@ -10,9 +10,28 @@
 
 namespace floretsim::fleet {
 
+// ---- Process-coordination helpers ------------------------------------------
+
+/// Ignores SIGPIPE process-wide (idempotent; leaves a non-default
+/// disposition installed by the host application alone). A coordinator
+/// writing a frame to a worker that just died must see EPIPE from
+/// write(), not a fatal signal — one dead worker can never take the
+/// whole sweep down with it.
+void ensure_sigpipe_ignored();
+
+/// Human-readable description of a waitpid() status:
+/// "exited with status 3" or "died on signal 9 (Killed)".
+[[nodiscard]] std::string describe_wait_status(int status);
+
+/// This process's executable path: /proc/self/exe when readable (Linux),
+/// else `argv0` as given.
+[[nodiscard]] std::string self_exe_path(const char* argv0);
+
+// ---- The worker pool --------------------------------------------------------
+
 /// How to launch one persistent worker process.
 struct PoolOptions {
-    /// Executable to spawn (normally scenario::self_exe_path(argv[0])).
+    /// Executable to spawn (normally self_exe_path(argv[0])).
     std::string exe;
     /// Arguments common to every worker (e.g. {"--worker", "--serve",
     /// "--threads", "1"}). argv[0] is always `exe`.

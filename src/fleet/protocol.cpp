@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <istream>
@@ -67,7 +68,89 @@ util::Json obj1(const char* key, util::Json inner) {
     return j;
 }
 
+/// The strict heartbeat validator: exactly the five keys, a valid shard
+/// range, done <= total, and finite non-negative seconds.
+Heartbeat heartbeat_from_json(const util::Json& v) {
+    expect_keys(v, 5, "hb");
+    Heartbeat hb;
+    hb.shard = need_i32(v, "shard", "hb");
+    hb.n_shards = need_i32(v, "n_shards", "hb");
+    if (hb.n_shards < 1 || hb.shard < 0 || hb.shard >= hb.n_shards)
+        bad("hb.shard " + std::to_string(hb.shard) + "/" +
+            std::to_string(hb.n_shards) + " out of range");
+    hb.done = need(v, "done", "hb").as_uint();
+    hb.total = need(v, "total", "hb").as_uint();
+    if (hb.done > hb.total)
+        bad("hb.done " + std::to_string(hb.done) + " exceeds total " +
+            std::to_string(hb.total));
+    hb.seconds = need(v, "seconds", "hb").as_double();
+    if (!std::isfinite(hb.seconds) || hb.seconds < 0.0)
+        bad("hb.seconds must be finite and >= 0");
+    return hb;
+}
+
 }  // namespace
+
+// ---- Points and rows --------------------------------------------------------
+
+std::vector<core::SweepPoint> points_from_text(std::string_view text,
+                                               const std::string& context) {
+    std::vector<core::SweepPoint> points;
+    try {
+        points = scenario::sweep_points_from_json(util::json_parse(text));
+    } catch (const std::invalid_argument& e) {
+        throw std::invalid_argument(context + ": " + e.what());
+    }
+    if (points.empty())
+        throw std::invalid_argument(context +
+                                    ": point list is empty — a worker with no "
+                                    "work is a coordinator bug");
+    return points;
+}
+
+std::string worker_row_line(std::size_t index, const core::SweepRow& row) {
+    util::Json j = util::Json::object();
+    j.set("index", static_cast<std::uint64_t>(index));
+    j.set("row", scenario::to_json(row));
+    return util::json_serialize_compact(j);
+}
+
+IndexedRow worker_row_from_line(std::string_view line) {
+    util::Json j;
+    try {
+        j = util::json_parse(line);
+    } catch (const std::invalid_argument& e) {
+        throw std::invalid_argument(std::string("row line: ") + e.what());
+    }
+    if (j.kind() != util::Json::Kind::kObject)
+        throw std::invalid_argument("row line: expected an object, got " +
+                                    std::string(j.kind_name()));
+    for (const auto& [key, value] : j.as_object()) {
+        (void)value;
+        if (key != "index" && key != "row")
+            throw std::invalid_argument("row line: unknown key \"" + key + "\"");
+    }
+    const util::Json* index = j.find("index");
+    const util::Json* row = j.find("row");
+    if (!index || !row)
+        throw std::invalid_argument("row line: need both \"index\" and \"row\"");
+    IndexedRow out;
+    out.index = static_cast<std::size_t>(index->as_uint());
+    out.row = scenario::sweep_row_from_json(*row);
+    return out;
+}
+
+std::int32_t clamp_worker_threads(std::int32_t requested, std::ostream& err) {
+    if (requested < 0)
+        throw std::invalid_argument("--threads must be >= 0, got " +
+                                    std::to_string(requested));
+    if (requested > kMaxWorkerThreads) {
+        err << "worker: clamping --threads " << requested << " to "
+            << kMaxWorkerThreads << " (worker thread cap)\n";
+        return kMaxWorkerThreads;
+    }
+    return requested;  // 0 keeps the hardware-concurrency default
+}
 
 // ---- Coordinator -> worker --------------------------------------------------
 
@@ -192,6 +275,16 @@ std::string fleet_row_line(const FleetRow& r) {
     return util::json_serialize_compact(j);
 }
 
+std::string heartbeat_line(const Heartbeat& hb) {
+    util::Json inner = util::Json::object();
+    inner.set("shard", hb.shard);
+    inner.set("n_shards", hb.n_shards);
+    inner.set("done", hb.done);
+    inner.set("total", hb.total);
+    inner.set("seconds", hb.seconds);
+    return util::json_serialize_compact(obj1("hb", std::move(inner)));
+}
+
 CoordinatorBound coordinator_bound_from_line(std::string_view line) {
     util::Json j;
     try {
@@ -244,12 +337,8 @@ CoordinatorBound coordinator_bound_from_line(std::string_view line) {
         f.index = need_size(*v4, "index", "perr");
         f.what = need(*v4, "what", "perr").as_string();
         out.perr = std::move(f);
-    } else if (j.find("hb")) {
-        // Delegate to the PR 7 heartbeat parser for its strict field
-        // validation; it accepts exactly the {"hb": {...}} envelope.
-        const scenario::StreamLine line_parsed = scenario::stream_line_from(
-            util::json_serialize_compact(j));
-        out.hb = line_parsed.hb;
+    } else if (const util::Json* v5 = j.find("hb")) {
+        out.hb = heartbeat_from_json(*v5);
     } else {
         bad("unknown frame \"" + j.as_object().front().first + "\"");
     }
@@ -354,8 +443,7 @@ int serve_worker(std::istream& in, std::ostream& out, std::ostream& err,
                 return 3;
             }
             try {
-                points = scenario::points_from_text(text.str(),
-                                                    frame.sweep->points_file);
+                points = points_from_text(text.str(), frame.sweep->points_file);
             } catch (const std::exception& e) {
                 err << "fleet worker: " << e.what() << "\n";
                 return 3;
@@ -395,7 +483,7 @@ int serve_worker(std::istream& in, std::ostream& out, std::ostream& err,
             leased_this_sweep += lease.indices.size();
             const obs::Span lease_span("fleet_lease", "fleet");
             const auto emit_hb = [&] {
-                scenario::Heartbeat hb;
+                Heartbeat hb;
                 hb.shard = init->worker;
                 hb.n_shards = init->n_workers;
                 hb.done = done_this_sweep;
@@ -403,7 +491,7 @@ int serve_worker(std::istream& in, std::ostream& out, std::ostream& err,
                 hb.seconds = std::chrono::duration<double>(
                                  std::chrono::steady_clock::now() - sweep_t0)
                                  .count();
-                out << scenario::heartbeat_line(hb) << "\n";
+                out << heartbeat_line(hb) << "\n";
             };
             (void)engine.map(lease.indices.size(), [&](std::size_t k) {
                 const std::size_t index = lease.indices[k];

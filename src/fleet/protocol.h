@@ -9,16 +9,15 @@
 #include <vector>
 
 #include "src/core/sweep.h"
-#include "src/scenario/shard.h"
 
 namespace floretsim::fleet {
 
-/// The fleet wire protocol: the PR 5 points-file/NDJSON worker contract
-/// extended with a small framed request/response layer for *persistent*
-/// workers. One `floretsim_run --worker --serve` process handles many
-/// sweeps over its lifetime, keeping its ArchCache warm across them —
-/// the coordinator streams lease frames down the worker's stdin and reads
-/// rows, heartbeats, and acks back from its stdout.
+/// The fleet wire protocol: a framed request/response layer for
+/// *persistent* workers over a points-file + NDJSON row contract. One
+/// `floretsim_run --worker --serve` process handles many sweeps over its
+/// lifetime, keeping its ArchCache warm across them — the coordinator
+/// streams lease frames down the worker's stdin and reads rows,
+/// heartbeats, and acks back from its stdout.
 ///
 /// Every frame is one compact JSON object per line (NDJSON), dispatched
 /// on its single distinguishing top-level key. Parsing is strict in both
@@ -36,9 +35,14 @@ namespace floretsim::fleet {
 ///   {"ready":  {"worker": i, "gen": g, "pid": p}}
 ///   {"loaded": {"sweep": S, "n_points": n}}
 ///   {"sweep": S, "index": i, "row": {..}}          (one per finished point)
-///   {"hb":     {..}}                               (PR 7 heartbeat, reused)
+///   {"hb":     {"shard": i, "n_shards": N, "done": d, "total": t,
+///               "seconds": s}}                     (live progress)
 ///   {"done":   {"lease": L, "fabric_hits": H, "fabric_misses": M}}
 ///   {"perr":   {"sweep": S, "index": i, "what": ".."}}
+///
+/// The coordinator keeps one rows file per sweep of {"index": i,
+/// "row": {..}} lines (worker_row_line), merged back into point order by
+/// MergedRowFileStream.
 ///
 /// Points still travel by file (the sweep frame names a points file on
 /// shared disk), not through the stdin pipe: a pipe holds ~64KB, and a
@@ -46,6 +50,39 @@ namespace floretsim::fleet {
 /// another worker's stdout fills is a deadlock. Lease frames are small
 /// and bounded-in-flight, so stdin never backs up; rows flow up the
 /// stdout pipe because the coordinator's poll loop drains it continuously.
+
+// ---- Points and rows --------------------------------------------------------
+
+/// Parses a points file's text. Rejects (std::invalid_argument) malformed
+/// JSON, malformed points, and the empty list — a worker handed no work
+/// is a coordinator bug, not a successful no-op.
+[[nodiscard]] std::vector<core::SweepPoint> points_from_text(
+    std::string_view text, const std::string& context);
+
+/// One line of the coordinator's rows file: the global point index plus
+/// the finished row.
+struct IndexedRow {
+    std::size_t index = 0;
+    core::SweepRow row;
+};
+
+/// Serializes one rows-file line: {"index": i, "row": {...}}, compact
+/// (single line, no trailing newline).
+[[nodiscard]] std::string worker_row_line(std::size_t index,
+                                          const core::SweepRow& row);
+
+/// Parses one rows-file line; strict (exactly the keys index and row).
+/// Throws std::invalid_argument on anything else.
+[[nodiscard]] IndexedRow worker_row_from_line(std::string_view line);
+
+/// Validates and clamps a worker's --threads request: negative requests
+/// are an error (throws std::invalid_argument — the coordinator must see
+/// the worker die, not silently run serial), 0 keeps the engine's
+/// hardware-concurrency default, and explicit requests are clamped to
+/// kMaxWorkerThreads. Clamps are noted on `err`.
+inline constexpr std::int32_t kMaxWorkerThreads = 256;
+[[nodiscard]] std::int32_t clamp_worker_threads(std::int32_t requested,
+                                                std::ostream& err);
 
 // ---- Coordinator -> worker frames ------------------------------------------
 
@@ -70,9 +107,8 @@ struct SweepFrame {
 };
 
 /// A small batch of global point indices to evaluate from the current
-/// sweep. Leases replace PR 5's static shard slices: the coordinator
-/// hands them out incrementally, so a straggler holds a few points, not
-/// 1/N of the sweep.
+/// sweep. The coordinator hands leases out incrementally, so a straggler
+/// holds a few points, not 1/N of the sweep.
 struct LeaseFrame {
     std::int64_t id = 0;
     std::int64_t sweep = 0;
@@ -151,6 +187,21 @@ struct FleetRow {
     core::SweepRow row;
 };
 
+/// Live progress from a worker: which worker it is (`shard` of
+/// `n_shards`, the pool size), how many of the points leased to it this
+/// sweep are finished, and its wall clock since the sweep began. The
+/// coordinator prints per-worker progress from these and uses them as
+/// liveness for straggler detection.
+struct Heartbeat {
+    std::int32_t shard = 0;
+    std::int32_t n_shards = 1;
+    std::uint64_t done = 0;   ///< Points finished (rows + failures).
+    std::uint64_t total = 0;  ///< Points leased so far this sweep.
+    double seconds = 0.0;     ///< Worker wall clock since sweep start.
+
+    friend bool operator==(const Heartbeat&, const Heartbeat&) = default;
+};
+
 /// The parse result for a worker's stdout: exactly one member is set.
 struct CoordinatorBound {
     std::optional<ReadyFrame> ready;
@@ -158,7 +209,7 @@ struct CoordinatorBound {
     std::optional<DoneFrame> done;
     std::optional<PointErrorFrame> perr;
     std::optional<FleetRow> row;
-    std::optional<scenario::Heartbeat> hb;
+    std::optional<Heartbeat> hb;
 };
 
 [[nodiscard]] std::string ready_line(const ReadyFrame& f);
@@ -166,10 +217,11 @@ struct CoordinatorBound {
 [[nodiscard]] std::string done_line(const DoneFrame& f);
 [[nodiscard]] std::string perr_line(const PointErrorFrame& f);
 [[nodiscard]] std::string fleet_row_line(const FleetRow& r);
+[[nodiscard]] std::string heartbeat_line(const Heartbeat& hb);
 
-/// Parses one worker->coordinator line. Heartbeats reuse the PR 7
-/// {"hb": {...}} envelope verbatim (shard = worker index, n_shards =
-/// pool size). Throws std::invalid_argument on anything malformed.
+/// Parses one worker->coordinator line. Throws std::invalid_argument on
+/// anything malformed; heartbeats are held to exactly their five keys,
+/// a valid shard range, done <= total, and finite non-negative seconds.
 [[nodiscard]] CoordinatorBound coordinator_bound_from_line(
     std::string_view line);
 

@@ -76,7 +76,7 @@ public:
     /// true; an unwritable path returns false (with a note on stderr).
     [[nodiscard]] bool write(const std::string& path) const;
 
-    /// Merges a foreign snapshot() document (e.g. read back from a shard
+    /// Merges a foreign snapshot() document (e.g. read back from a fleet
     /// worker's --metrics-out file) into this registry: counters and
     /// histogram buckets add, gauges overwrite. The quantile estimates in
     /// the document are ignored — they are recomputed from the merged

@@ -25,7 +25,7 @@ namespace floretsim::obs {
 /// Ring buffers bound memory on any run length: each thread keeps the
 /// most recent `capacity` events and counts the overwritten ones
 /// (dropped()). Timestamps are CLOCK_MONOTONIC microseconds, shared by
-/// every process on the host, so traces absorbed from shard workers line
+/// every process on the host, so traces absorbed from fleet workers line
 /// up with the coordinator's own spans on one timeline.
 class Tracer {
 public:
@@ -65,11 +65,11 @@ public:
     [[nodiscard]] const char* intern(std::string_view s);
 
     /// Label for this process in the trace viewer (emitted as Chrome
-    /// process_name metadata), e.g. "coordinator" or "worker shard 2/4".
+    /// process_name metadata), e.g. "coordinator" or "fleet worker 2/4 gen 0".
     void set_process_label(std::string label);
 
     /// Appends the traceEvents of a foreign Chrome-trace document (a
-    /// shard worker's --trace-out file) to this tracer's export — the
+    /// fleet worker's --trace-out file) to this tracer's export — the
     /// coordinator-side merge. Throws std::invalid_argument when the
     /// document has no traceEvents array.
     void absorb(const util::Json& chrome_doc);

@@ -97,8 +97,8 @@ std::optional<core::SweepRow> ResultCache::lookup(const core::SweepPoint& point)
 void ResultCache::store(const core::SweepPoint& point, const core::SweepRow& row) {
     const std::string path = entry_path(point_hash(point));
     // Atomic publish: write a process-unique temp file, then rename over
-    // the final name — concurrent readers (other shards, other runs
-    // sharing the cache) never see a torn entry. Best-effort: a failed
+    // the final name — concurrent readers (other runs sharing the
+    // cache) never see a torn entry. Best-effort: a failed
     // store costs a future recompute, never the current sweep.
     const std::string tmp = path + ".tmp." + std::to_string(::getpid());
     {

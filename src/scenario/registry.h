@@ -16,14 +16,12 @@
 namespace floretsim::scenario {
 
 /// First-class scenario layer: every paper figure/table registers a named
-/// Scenario — a serializable spec plus a report function — and both the
-/// thin bench binaries and the floretsim_run driver execute scenarios by
-/// name through the same code path, so a driver run is bit-identical to
-/// the standalone binary (pinned by the scenario_parity ctest). The spec
-/// is data (JSON in, JSON out, CLI overrides applied in place); the
-/// report function is the only code, and it receives a shared SweepEngine
-/// so consecutive scenarios reuse one fabric cache (fig3+fig5 build their
-/// identical sweeps once).
+/// Scenario — a serializable spec plus a report function — and the
+/// floretsim_run driver executes scenarios by name (`--only <scenario>`).
+/// The spec is data (JSON in, JSON out, CLI overrides applied in place);
+/// the report function is the only code, and it receives a shared
+/// SweepEngine so consecutive scenarios reuse one fabric cache
+/// (fig3+fig5 build their identical sweeps once).
 
 /// What a scenario runs: a batch sweep grid, a serving grid, a serving
 /// cluster capacity grid, a 3D placement-optimization study, a

@@ -128,8 +128,8 @@ namespace floretsim::scenario {
 
 /// The serving scenarios' grid: one base ServeSpec fanned out over a list
 /// of architectures and offered loads (arch x load x replication), the
-/// shape bench_serving_sla sweeps. The base spec's own `arch` field is
-/// ignored when `archs` is non-empty.
+/// shape the `serving` scenario sweeps. The base spec's own `arch` field
+/// is ignored when `archs` is non-empty.
 struct ServeGridSpec {
     /// A base ServeSpec carrying the serving defaults
     /// (serve::default_serve_config()'s eval scale, not a bare

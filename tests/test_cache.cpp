@@ -4,7 +4,7 @@
 /// on-disk ResultCache (store/lookup round trips, atomic counters, and
 /// the adversarial corrupt-entry corpus — a damaged cache must fall back
 /// to recompute, never crash or serve bad rows). The end-to-end
-/// cold/warm/sharded-warm differential is the cache_parity ctest
+/// cold/warm/fleet-warm differential is the cache_parity ctest
 /// (scripts/cache_parity.sh).
 
 #include "src/scenario/cache.h"
@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -268,13 +269,13 @@ TEST(ResultCache, WarmEngineRunDispatchesNothing) {
     EXPECT_EQ(cache.stores(),
               static_cast<std::int64_t>(expect.rows.size()));
 
-    // A fully warm cache must satisfy the run before dispatch: the point
-    // executor (the seam the shard coordinator sits behind) never fires.
+    // A fully warm cache must satisfy the run before dispatch: the stream
+    // executor (the seam the worker fleet sits behind) never fires.
     core::SweepEngine warm(1);
     warm.set_result_cache(&cache);
-    warm.set_point_executor(
+    warm.set_stream_executor(
         [](const std::vector<core::SweepPoint>&)
-            -> std::vector<core::SweepRow> {
+            -> std::unique_ptr<core::RowStream> {
             throw std::logic_error("executor invoked on a fully warm cache");
         });
     const auto got = warm.run(spec);
@@ -299,11 +300,11 @@ TEST(ResultCache, PartialWarmDispatchesOnlyTheMisses) {
     core::SweepEngine engine(1);
     engine.set_result_cache(&cache);
     std::vector<core::SweepPoint> dispatched;
-    engine.set_point_executor(
+    engine.set_stream_executor(
         [&](const std::vector<core::SweepPoint>& missed) {
             dispatched = missed;
             core::SweepEngine inner(1);
-            return inner.run(missed).rows;
+            return std::make_unique<core::VectorRowStream>(inner.run(missed).rows);
         });
     const auto got = engine.run(points);
     ASSERT_EQ(dispatched.size(), 1u) << "cached point was dispatched";

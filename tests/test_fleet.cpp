@@ -1,6 +1,7 @@
 /// Unit and fault-injection pins for the persistent worker fleet
-/// (src/fleet/): the framed NDJSON protocol (strict both directions),
-/// the serve_worker loop, and the Coordinator end to end — lease
+/// (src/fleet/): the framed NDJSON protocol (strict both directions,
+/// byte-stable row and heartbeat lines), the constant-memory rows-file
+/// merge, the serve_worker loop, and the Coordinator end to end — lease
 /// dispatch, fabric affinity, work stealing from deterministic
 /// stragglers, dead-worker recovery (SIGKILL mid-lease -> restart +
 /// reassign, bit-identical report), bounded retry, and RAII scratch /
@@ -36,7 +37,6 @@
 #include <vector>
 
 #include "src/core/sweep.h"
-#include "src/scenario/shard.h"
 #include "src/scenario/spec_json.h"
 #include "src/util/json.h"
 #include "src/workload/tables.h"
@@ -226,17 +226,81 @@ TEST(FleetProtocol, CoordinatorBoundFramesRoundTrip) {
     EXPECT_EQ(got_row.row->index, 3u);
     EXPECT_EQ(got_row.row->row, row.row);
 
-    // Heartbeats reuse the PR 7 envelope verbatim.
-    scenario::Heartbeat hb;
+    Heartbeat hb;
     hb.shard = 1;
     hb.n_shards = 2;
     hb.done = 3;
     hb.total = 9;
     hb.seconds = 1.5;
-    const CoordinatorBound got_hb =
-        coordinator_bound_from_line(scenario::heartbeat_line(hb));
+    const CoordinatorBound got_hb = coordinator_bound_from_line(heartbeat_line(hb));
     ASSERT_TRUE(got_hb.hb.has_value());
     EXPECT_EQ(*got_hb.hb, hb);
+}
+
+TEST(FleetProtocol, HeartbeatAndRowLinesAreByteStable) {
+    // The two line formats other tools may parse: pinned byte for byte.
+    Heartbeat hb;
+    hb.shard = 2;
+    hb.n_shards = 4;
+    hb.done = 3;
+    hb.total = 9;
+    hb.seconds = 1.5;
+    EXPECT_EQ(heartbeat_line(hb),
+              "{\"hb\":{\"shard\":2,\"n_shards\":4,\"done\":3,\"total\":9,"
+              "\"seconds\":1.5}}");
+    const core::SweepRow row = tagged_row(17);
+    EXPECT_EQ(worker_row_line(17, row),
+              "{\"index\":17,\"row\":" +
+                  util::json_serialize_compact(scenario::to_json(row)) + "}");
+}
+
+TEST(FleetProtocol, WorkerRowLineRoundTrips) {
+    core::SweepRow row;
+    row.point = fleet_spec(1).expand().front();
+    row.result.total_cycles = 123456.5;
+    row.result.flit_hops = 99;
+    row.result.all_completed = false;
+    row.seconds = 0.125;
+    const std::string line = worker_row_line(17, row);
+    EXPECT_EQ(line.find('\n'), std::string::npos) << "NDJSON lines are one line";
+    const IndexedRow back = worker_row_from_line(line);
+    EXPECT_EQ(back.index, 17u);
+    EXPECT_EQ(back.row, row);
+}
+
+TEST(FleetProtocol, RowLineRejectsMalformedEnvelopes) {
+    for (const char* bad : {
+             "",                                  // empty
+             "{",                                 // truncated
+             "[1, 2]",                            // not an object
+             "{\"index\": 1}",                    // missing row
+             "{\"row\": {}}",                     // missing index
+             "{\"index\": -1, \"row\": {}}",      // negative index
+             "{\"index\": 1, \"row\": 3}",        // row not an object
+             "{\"index\": 1, \"row\": {}, \"extra\": 0}",  // unknown key
+         })
+        EXPECT_THROW((void)worker_row_from_line(bad), std::invalid_argument) << bad;
+}
+
+TEST(FleetProtocol, PointsFromTextRejectsEmptyAndMalformed) {
+    EXPECT_THROW((void)points_from_text("[]", "t"), std::invalid_argument);
+    EXPECT_THROW((void)points_from_text("", "t"), std::invalid_argument);
+    EXPECT_THROW((void)points_from_text("{}", "t"), std::invalid_argument);
+    EXPECT_THROW((void)points_from_text("[{\"arch\": \"torus\"}]", "t"),
+                 std::invalid_argument);
+    const auto points = points_from_text(
+        util::json_serialize(scenario::to_json(fleet_spec(1).expand())), "t");
+    EXPECT_EQ(points, fleet_spec(1).expand());
+}
+
+TEST(FleetProtocol, ClampWorkerThreads) {
+    std::ostringstream err;
+    EXPECT_EQ(clamp_worker_threads(0, err), 0);  // hardware default
+    EXPECT_EQ(clamp_worker_threads(4, err), 4);  // in range
+    EXPECT_TRUE(err.str().empty());
+    EXPECT_EQ(clamp_worker_threads(100000, err), kMaxWorkerThreads);
+    EXPECT_NE(err.str().find("clamping"), std::string::npos);
+    EXPECT_THROW((void)clamp_worker_threads(-1, err), std::invalid_argument);
 }
 
 // ------------------------------------------------------ adversarial corpus
@@ -304,6 +368,91 @@ TEST(FleetProtocol, CoordinatorBoundRejectsMalformedFrames) {
         EXPECT_THROW((void)coordinator_bound_from_line(bad),
                      std::invalid_argument)
             << bad;
+}
+
+// ------------------------------------------------------- streaming merge
+
+/// Writes a rows file: the given global indices in the given (arbitrary)
+/// completion order — exactly what the coordinator writes per sweep.
+std::string write_row_file(const TempDir& tmp, const std::string& name,
+                           const std::vector<std::size_t>& indices) {
+    const std::string path = tmp.path + "/" + name + ".ndjson";
+    std::ofstream f(path);
+    for (const auto i : indices) f << worker_row_line(i, tagged_row(i)) << '\n';
+    return path;
+}
+
+TEST(MergedStream, YieldsPointOrderHoldingOneRowAtATime) {
+    TempDir tmp;
+    MergedRowFileStream stream(write_row_file(tmp, "rows", {4, 0, 5, 2, 3, 1}), 6);
+    EXPECT_EQ(stream.size(), 6u);
+    for (std::size_t i = 0; i < 6; ++i) {
+        const auto row = stream.next();
+        ASSERT_TRUE(row.has_value()) << i;
+        EXPECT_EQ(row->result.total_cycles, 1000.0 + static_cast<double>(i));
+    }
+    EXPECT_FALSE(stream.next().has_value());
+    // The merge never materializes the row set: one parsed row resident,
+    // regardless of row count — the constant-memory coordinator contract.
+    EXPECT_EQ(stream.peak_resident_rows(), 1u);
+}
+
+TEST(MergedStream, ReleasesItsCleanupOwnerOnDestruction) {
+    TempDir tmp;
+    const auto path = write_row_file(tmp, "rows", {0, 1});
+    bool released = false;
+    {
+        auto guard = std::shared_ptr<void>(
+            nullptr, [&released](void*) { released = true; });
+        MergedRowFileStream stream(path, 2, [guard] {});
+        guard.reset();
+        ASSERT_TRUE(stream.next().has_value());
+        // Abandoned mid-iteration: the owner must still be released.
+        EXPECT_FALSE(released);
+    }
+    EXPECT_TRUE(released);
+}
+
+TEST(MergedStream, ReleasesItsCleanupOwnerWhenConstructionFails) {
+    TempDir tmp;
+    bool released = false;
+    auto guard =
+        std::shared_ptr<void>(nullptr, [&released](void*) { released = true; });
+    EXPECT_THROW(MergedRowFileStream(tmp.path + "/no-such-file.ndjson", 1,
+                                     [guard = std::move(guard)] {}),
+                 std::runtime_error);
+    EXPECT_TRUE(released) << "a failed merge leaked its scratch owner";
+}
+
+TEST(MergedStream, IndexScanRejectsBadRowFiles) {
+    TempDir tmp;
+    // Missing file.
+    EXPECT_THROW(MergedRowFileStream(tmp.path + "/missing", 1), std::runtime_error);
+    // Duplicate point.
+    EXPECT_THROW(MergedRowFileStream(write_row_file(tmp, "dup", {0, 0}), 2),
+                 std::runtime_error);
+    // Out-of-range index.
+    EXPECT_THROW(MergedRowFileStream(write_row_file(tmp, "range", {7}), 2),
+                 std::runtime_error);
+    // A point no worker covered.
+    try {
+        MergedRowFileStream stream(write_row_file(tmp, "gap", {0}), 2);
+        FAIL() << "missing point accepted";
+    } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("no worker returned a row"),
+                  std::string::npos)
+            << e.what();
+    }
+    // Unparseable line.
+    const std::string garbled = tmp.path + "/garbled.ndjson";
+    std::ofstream(garbled) << "{\"index\": 0, \"row\": \n";
+    EXPECT_THROW(MergedRowFileStream(garbled, 1), std::runtime_error);
+    // Unknown key: the coordinator writes only row lines, so anything
+    // else (a heartbeat included) is corruption, not something to skip.
+    const std::string hb_line = tmp.path + "/hb.ndjson";
+    std::ofstream(hb_line) << worker_row_line(0, tagged_row(0)) << '\n'
+                           << heartbeat_line(Heartbeat{}) << '\n';
+    EXPECT_THROW(MergedRowFileStream(hb_line, 1), std::runtime_error);
 }
 
 // --------------------------------------------------------- serve_worker loop
@@ -562,14 +711,15 @@ TEST_F(FleetEnv, WarmPoolNeverRebuildsAFabric) {
 }
 
 TEST_F(FleetEnv, KilledWorkerIsRestartedAndReportIsBitIdentical) {
-    // Worker 1's first incarnation SIGKILLs itself right after its 2nd
-    // row: the coordinator must reap it, surface the death, restart it,
-    // reassign the un-acked remainder of its lease(s), and still produce
-    // the exact in-process rows.
-    setenv("FLORETSIM_FLEET_KILL", "1:0:2", 1);
+    // The only worker owns all 6 points, so its first incarnation always
+    // reaches its 2nd row and SIGKILLs itself there, holding un-acked
+    // leased work: the coordinator must reap it, surface the death,
+    // restart it, reassign the un-acked remainder of its leases, and still
+    // produce the exact in-process rows.
+    setenv("FLORETSIM_FLEET_KILL", "0:0:2", 1);
     const auto points = fleet_spec(3).expand();
     std::ostringstream progress;
-    auto opt = self_fleet_options(2);
+    auto opt = self_fleet_options(1);
     opt.progress = &progress;
     Coordinator fleet(opt);
     expect_rows_bit_identical(drain(fleet.run_sweep(points)),
@@ -583,7 +733,7 @@ TEST_F(FleetEnv, KilledWorkerIsRestartedAndReportIsBitIdentical) {
     EXPECT_NE(progress.str().find("restarted (gen 1)"), std::string::npos)
         << progress.str();
 
-    // The restarted worker rejoins for the next sweep as a full peer.
+    // The restarted worker serves the next sweep on its own.
     unsetenv("FLORETSIM_FLEET_KILL");
     expect_rows_bit_identical(drain(fleet.run_sweep(points)),
                               expected_rows(3));
@@ -666,6 +816,10 @@ TEST_F(FleetEnv, ShutdownReapsWorkersAndRemovesScratch) {
         scratch = fleet.scratch_dir();
         ASSERT_FALSE(scratch.empty());
         EXPECT_TRUE(std::filesystem::exists(scratch));
+        // The drained stream is gone, and with it the sweep's points and
+        // rows files: scratch does not grow with the number of sweeps.
+        EXPECT_TRUE(std::filesystem::is_empty(scratch))
+            << "a finished sweep left files in " << scratch;
         for (std::int32_t w = 0; w < fleet.n_workers(); ++w) {
             const pid_t pid = fleet.worker_pid(static_cast<std::size_t>(w));
             ASSERT_GT(pid, 0);
@@ -697,6 +851,18 @@ TEST_F(FleetEnv, EmptySweepNeedsNoFleet) {
     EXPECT_TRUE(fleet.scratch_dir().empty()) << "an empty sweep spawned workers";
 }
 
+TEST(FleetPool, DescribeWaitStatusNamesExitsAndSignals) {
+    // Wait statuses as waitpid encodes them on Linux: exit code in the
+    // high byte, terminating signal in the low 7 bits. The signal-death
+    // path end to end (a worker really SIGKILLed, its death surfaced with
+    // the signal name) is KilledWorkerIsRestartedAndReportIsBitIdentical.
+    EXPECT_EQ(describe_wait_status(0), "exited with status 0");
+    EXPECT_EQ(describe_wait_status(3 << 8), "exited with status 3");
+    EXPECT_EQ(describe_wait_status(127 << 8), "exited with status 127");
+    EXPECT_EQ(describe_wait_status(9), "died on signal 9 (Killed)");
+    EXPECT_EQ(describe_wait_status(15), "died on signal 15 (Terminated)");
+}
+
 TEST(FleetPool, ValidatesItsOptions) {
     PoolOptions opt;
     opt.exe = "";
@@ -721,7 +887,7 @@ int main(int argc, char** argv) {
         return floretsim::fleet::serve_worker(std::cin, std::cout, std::cerr,
                                               engine);
     }
-    g_self_exe = floretsim::scenario::self_exe_path(argv[0]);
+    g_self_exe = floretsim::fleet::self_exe_path(argv[0]);
     ::testing::InitGoogleTest(&argc, argv);
     return RUN_ALL_TESTS();
 }

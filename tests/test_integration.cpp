@@ -37,7 +37,7 @@ TEST(Integration, FloretBeatsKiteOnEnergyAndMatchesMeshLatency) {
     // artifact the evaluator's one-flit clamp now prevents; at this static
     // 36-chiplet scale mesh and Floret are energy-comparable, and the
     // mesh-energy win only appears in the 100-chiplet dynamic runs that
-    // bench_fig5_energy exercises.)
+    // the fig5 scenario exercises.)
     std::vector<std::unique_ptr<dnn::Network>> owner;
     const std::vector<std::string> queue{"DNN9", "DNN10", "DNN11", "DNN13"};
     const auto tasks = make_tasks(queue, 1.2, owner);

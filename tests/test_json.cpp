@@ -7,7 +7,7 @@
 #include <limits>
 #include <string>
 
-#include "src/scenario/shard.h"
+#include "src/fleet/protocol.h"
 #include "src/scenario/spec_json.h"
 
 namespace floretsim::util {
@@ -141,8 +141,8 @@ TEST(Json, CompactSerializationParsesBackEqual) {
 
 // ---- Adversarial corpus -----------------------------------------------------
 //
-// The sharded-sweep wire formats (SweepPoint request lists, SweepRow
-// return streams) consume bytes from other processes; every malformed
+// The fleet wire formats (SweepPoint request lists, SweepRow return
+// streams, worker frames) consume bytes from other processes; every malformed
 // shape must surface as a clean std::invalid_argument — no crash, no
 // partially-populated value (the from_json functions return by value and
 // throw before anything escapes). Table-driven so new attack shapes are
@@ -219,8 +219,8 @@ TEST(JsonAdversarial, MalformedWireInputsAllThrowCleanly) {
 }
 
 TEST(JsonAdversarial, MalformedHeartbeatEnvelopesAllThrowCleanly) {
-    // The worker stream now interleaves {"hb": {...}} envelopes with the
-    // row lines; stream_line_from is the coordinator-side boundary and
+    // Fleet workers interleave {"hb": {...}} frames with their row frames;
+    // coordinator_bound_from_line is the coordinator-side boundary and
     // must reject every malformed shape as cleanly as the row parsers do.
     const char* corpus[] = {
         // Truncated / not an object.
@@ -254,12 +254,12 @@ TEST(JsonAdversarial, MalformedHeartbeatEnvelopesAllThrowCleanly) {
         "\"seconds\":-0.5}}",
     };
     for (const char* text : corpus) {
-        EXPECT_THROW((void)scenario::stream_line_from(text),
+        EXPECT_THROW((void)fleet::coordinator_bound_from_line(text),
                      std::invalid_argument)
             << text;
     }
     // After the whole corpus, a good heartbeat still parses.
-    const auto good = scenario::stream_line_from(
+    const auto good = fleet::coordinator_bound_from_line(
         "{\"hb\": {\"shard\":1,\"n_shards\":2,\"done\":3,\"total\":4,"
         "\"seconds\":0.25}}");
     ASSERT_TRUE(good.hb.has_value());
@@ -271,9 +271,8 @@ TEST(JsonAdversarial, EmptyPointListIsRejectedAtTheWorkerBoundary) {
     EXPECT_TRUE(scenario::sweep_points_from_json(json_parse("[]")).empty());
     EXPECT_TRUE(scenario::sweep_rows_from_json(json_parse("[]")).empty());
     // ...but a worker handed an empty work order must fail loudly:
-    // scenario::points_from_text is the boundary every worker goes
-    // through.
-    EXPECT_THROW((void)scenario::points_from_text("[]", "pts.json"),
+    // fleet::points_from_text is the boundary every worker goes through.
+    EXPECT_THROW((void)fleet::points_from_text("[]", "pts.json"),
                  std::invalid_argument);
 }
 

@@ -82,7 +82,7 @@ TEST(Metrics, SnapshotIdenticalAcrossThreadSplits) {
 TEST(Metrics, SnapshotIdenticalAcrossEngineThreadCounts) {
     // The real wiring: the same 2-point sweep through evaluate_point on a
     // 1-thread engine and a 4-thread engine records identical metrics —
-    // the per-process half of the shard-parity guarantee.
+    // the per-process half of the fleet-parity guarantee.
     core::SweepSpec spec;
     spec.archs = {core::experiment::Arch::kSiamMesh,
                   core::experiment::Arch::kFloret};

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -45,7 +46,7 @@ TEST(Registry, BuiltinScenariosAreRegistered) {
 TEST(Registry, Fig3AndFig5ShareTheirSweepSpec) {
     // The duplicate-sweep pair the shared fabric cache deduplicates: both
     // figures must keep sweeping the identical grid or the cache win (and
-    // the scenario_parity assertion of 0 fig5 misses) silently evaporates.
+    // Fig5AfterFig3BuildsNoFabrics's 0 fig5 misses) silently evaporates.
     const Registry& reg = Registry::builtin();
     EXPECT_EQ(std::get<core::SweepSpec>(reg.at("fig3").spec),
               std::get<core::SweepSpec>(reg.at("fig5").spec));
@@ -195,6 +196,30 @@ TEST(Scenario, Fig4RunsThroughTheRegistry) {
                   ->as_array().size(),
               spec.archs.size() * spec.mixes.size());
     EXPECT_NE(out.str().find("Fig. 4"), std::string::npos);
+}
+
+TEST(Scenario, Fig5AfterFig3BuildsNoFabrics) {
+    // fig3 and fig5 sweep the same arch grid: on one shared engine, fig5
+    // must run entirely on fabrics fig3 already built — the cross-scenario
+    // cache reuse the floretsim_run driver exists for.
+    const Registry& reg = Registry::builtin();
+    core::SweepEngine engine(2);
+    std::ostringstream out;
+    RunContext ctx{engine, out};
+    std::int64_t misses[2] = {0, 0}, hits[2] = {0, 0};
+    const char* names[2] = {"fig3", "fig5"};
+    for (int k = 0; k < 2; ++k) {
+        Scenario sc = reg.at(names[k]);
+        ASSERT_TRUE(apply_override(sc.spec, "traffic_scale", "1/512"));
+        const auto misses0 = engine.cache().misses();
+        const auto hits0 = engine.cache().hits();
+        (void)sc.report(sc.spec, ctx);
+        misses[k] = engine.cache().misses() - misses0;
+        hits[k] = engine.cache().hits() - hits0;
+    }
+    EXPECT_GT(misses[0], 0) << "fig3 built no fabrics";
+    EXPECT_EQ(misses[1], 0) << "fig5 rebuilt fabrics fig3 had already built";
+    EXPECT_GT(hits[1], 0) << "fig5 never touched the fabric cache";
 }
 
 TEST(Scenario, ReportFunctionsRejectTheWrongSpecKind) {

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <set>
 #include <stdexcept>
+#include <vector>
 
 #include "src/core/sweep.h"
 #include "src/util/thread_pool.h"
@@ -214,6 +216,43 @@ TEST(SweepEngine, AtIndexesTheGrid) {
     EXPECT_EQ(sweep.at(0, 0, 1).point.arch, Arch::kSiamMesh);
     EXPECT_EQ(sweep.at(0, 0, 1).point.mix.name, workload::table2()[1].name);
     EXPECT_EQ(sweep.at(1, 0, 0).point.arch, Arch::kFloret);
+}
+
+// ------------------------------------------------------- the executor seam
+
+TEST(SweepEngine, EngineRunDispatchesThroughTheStreamExecutor) {
+    const auto spec = small_spec();
+    SweepEngine plain(1);
+    const auto expect = plain.run(spec);
+
+    SweepEngine engine(1);
+    std::size_t calls = 0;
+    // A stand-in transport: evaluate the handed points on a second engine,
+    // exactly what the worker fleet does across processes.
+    engine.set_stream_executor([&](const std::vector<SweepPoint>& points) {
+        ++calls;
+        SweepEngine inner(2);
+        return std::make_unique<VectorRowStream>(inner.run(points).rows);
+    });
+    const auto got = engine.run(spec);
+    EXPECT_EQ(calls, 1u);
+    ASSERT_EQ(got.rows.size(), expect.rows.size());
+    for (std::size_t i = 0; i < got.rows.size(); ++i) {
+        EXPECT_EQ(got.rows[i].point, expect.rows[i].point);
+        EXPECT_EQ(got.rows[i].result, expect.rows[i].result);
+    }
+    // The executor never touched the coordinator-side cache.
+    EXPECT_EQ(engine.cache().misses(), 0);
+    // Grid dimensions still index correctly through at().
+    EXPECT_EQ(got.at(1, 0, 0).result, expect.at(1, 0, 0).result);
+}
+
+TEST(SweepEngine, ShortRowStreamIsAnError) {
+    SweepEngine engine(1);
+    engine.set_stream_executor([](const std::vector<SweepPoint>&) {
+        return std::make_unique<VectorRowStream>(std::vector<SweepRow>{});
+    });
+    EXPECT_THROW((void)engine.run(small_spec()), std::runtime_error);
 }
 
 TEST(SweepEngine, MapPreservesInputOrder) {

@@ -13,21 +13,13 @@
 ///   floretsim_run --only fig3 --set grid=12x12 --set traffic_scale=1/128
 ///   floretsim_run --only fig5 --set archs=floret,kite --threads 8 --json o.json
 ///
-/// Sharded sweeps (see src/scenario/shard.h for the wire contract):
-///
-///   floretsim_run --only fig3,fig5,table2 --shards 4   # coordinator:
-///       forks 4 worker subprocesses per sweep, merges their row streams
-///       back into point order — reports bit-identical to 1 process
-///   floretsim_run --worker --points pts.json --shard 1/4   # one worker:
-///       evaluates its slice of the point list, streams NDJSON rows to
-///       stdout (or --rows-out FILE) as they finish
-///
-/// Fleet mode (see src/fleet/ for the protocol):
+/// Multi-process mode (see src/fleet/protocol.h for the wire contract):
 ///
 ///   floretsim_run --only fig3,fig5 --pool 4   # persistent coordinator:
 ///       spawns 4 long-lived --worker --serve processes ONCE, streams
 ///       leases to them per sweep, steals from stragglers, restarts dead
-///       workers — workers keep their ArchCache warm across scenarios
+///       workers — workers keep their ArchCache warm across scenarios,
+///       and reports stay bit-identical to 1 process
 ///   floretsim_run --worker --serve             # one persistent worker:
 ///       speaks the framed NDJSON fleet protocol on stdin/stdout
 
@@ -39,7 +31,6 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -47,6 +38,7 @@
 
 #include "src/core/sweep.h"
 #include "src/fleet/coordinator.h"
+#include "src/fleet/pool.h"
 #include "src/fleet/protocol.h"
 #include "src/noc/simulator.h"
 #include "src/obs/build_info.h"
@@ -54,7 +46,6 @@
 #include "src/obs/trace.h"
 #include "src/scenario/cache.h"
 #include "src/scenario/registry.h"
-#include "src/scenario/shard.h"
 #include "src/util/hash.h"
 #include "src/util/json.h"
 
@@ -71,13 +62,9 @@ struct DriverOptions {
     std::uint64_t seed = 0;
     bool has_seed = false;
     std::string json_path;
-    std::int32_t shards = 0;    ///< --shards N (coordinator); 0 = in-process.
-    std::int32_t pool = 0;      ///< --pool N (persistent fleet); 0 = off.
-    bool worker = false;        ///< --worker (row-streaming worker mode).
+    std::int32_t pool = 0;      ///< --pool N (persistent fleet); 0 = in-process.
+    bool worker = false;        ///< --worker (fleet worker mode; needs --serve).
     bool serve = false;         ///< --serve (persistent fleet worker mode).
-    std::string points_file;    ///< --points FILE (worker work order).
-    std::string rows_out;       ///< --rows-out FILE (default: stdout).
-    std::string shard_arg;      ///< --shard i/N (worker slice selector).
     std::string trace_out;      ///< --trace-out FILE (Chrome trace JSON).
     std::string metrics_out;    ///< --metrics-out FILE (metrics snapshot).
     std::string cache_dir;      ///< --cache-dir DIR (on-disk result cache).
@@ -88,15 +75,13 @@ struct DriverOptions {
                  "%s: %s\n"
                  "usage: %s [--list] [--only A,B,...] [--spec FILE]... \n"
                  "       [--set KEY=VALUE]... [--threads N] [--seed N] "
-                 "[--json PATH] [--shards N | --pool N]\n"
+                 "[--json PATH] [--pool N]\n"
                  "       [--core reference|event-horizon|regional]\n"
                  "       [--trace-out FILE] [--metrics-out FILE] "
                  "[--cache-dir DIR]\n"
-                 "       %s --worker --points FILE [--rows-out FILE] "
-                 "[--shard i/N] [--threads N]\n"
                  "       %s --worker --serve [--threads N]\n"
                  "override keys: %s\n",
-                 argv0, msg.c_str(), argv0, argv0, argv0,
+                 argv0, msg.c_str(), argv0, argv0,
                  scenario::override_keys_help().c_str());
     std::exit(2);
 }
@@ -144,16 +129,9 @@ DriverOptions parse(int argc, char** argv) {
                 usage(argv[0], "--core expects reference, event-horizon or "
                                "regional, got " + value);
             // The process-wide env override is the switch every simulation
-            // honors, and forked shard workers inherit the environment —
+            // honors, and spawned fleet workers inherit the environment —
             // one flag covers coordinator and workers alike.
             setenv("FLORETSIM_SIM_CORE", value.c_str(), 1);
-        } else if (arg == "--shards") {
-            const std::string_view value = need_value(i++, "--shards");
-            const auto [p, ec] = std::from_chars(
-                value.data(), value.data() + value.size(), opt.shards);
-            if (ec != std::errc() || p != value.data() + value.size() ||
-                opt.shards < 1)
-                usage(argv[0], "--shards expects an integer >= 1");
         } else if (arg == "--pool") {
             const std::string_view value = need_value(i++, "--pool");
             const auto [p, ec] = std::from_chars(
@@ -165,12 +143,6 @@ DriverOptions parse(int argc, char** argv) {
             opt.worker = true;
         } else if (arg == "--serve") {
             opt.serve = true;
-        } else if (arg == "--points") {
-            opt.points_file = need_value(i++, "--points");
-        } else if (arg == "--rows-out") {
-            opt.rows_out = need_value(i++, "--rows-out");
-        } else if (arg == "--shard") {
-            opt.shard_arg = need_value(i++, "--shard");
         } else if (arg == "--trace-out") {
             opt.trace_out = need_value(i++, "--trace-out");
         } else if (arg == "--metrics-out") {
@@ -183,9 +155,8 @@ DriverOptions parse(int argc, char** argv) {
             usage(argv[0], "unknown argument " + std::string(arg));
         }
     }
-    if (opt.shards > 0 && opt.pool > 0)
-        usage(argv[0], "--shards and --pool are mutually exclusive");
     if (opt.serve && !opt.worker) usage(argv[0], "--serve requires --worker");
+    if (opt.worker && !opt.serve) usage(argv[0], "--worker requires --serve");
     if (opt.pool > 0 && opt.worker)
         usage(argv[0], "--pool is a coordinator flag; workers use --serve");
     return opt;
@@ -197,15 +168,14 @@ DriverOptions parse(int argc, char** argv) {
 /// outlasting individual sweeps is all about.
 int run_serve(const DriverOptions& opt, const char* argv0) {
     if (opt.list || !opt.only.empty() || !opt.spec_files.empty() ||
-        !opt.sets.empty() || opt.shards > 0 || !opt.json_path.empty() ||
-        opt.has_seed || !opt.cache_dir.empty() || !opt.points_file.empty() ||
-        !opt.rows_out.empty() || !opt.shard_arg.empty())
+        !opt.sets.empty() || !opt.json_path.empty() || opt.has_seed ||
+        !opt.cache_dir.empty())
         usage(argv0,
               "--worker --serve only takes --threads, --trace-out, "
               "--metrics-out (sweeps and points arrive over stdin)");
     try {
-        const std::int32_t threads = scenario::clamp_worker_threads(
-            opt.threads, scenario::kMaxWorkerThreads, std::cerr);
+        const std::int32_t threads =
+            fleet::clamp_worker_threads(opt.threads, std::cerr);
         core::SweepEngine engine(threads);
         const int rc = fleet::serve_worker(std::cin, std::cout, std::cerr, engine);
         if (!obs::Tracer::global().write(opt.trace_out))
@@ -213,85 +183,6 @@ int run_serve(const DriverOptions& opt, const char* argv0) {
         if (!obs::MetricsRegistry::global().write(opt.metrics_out))
             return rc != 0 ? rc : 1;
         return rc;
-    } catch (const std::exception& e) {
-        std::fprintf(stderr, "%s: %s\n", argv0, e.what());
-        return 2;
-    }
-}
-
-/// Worker mode: consume a serialized SweepPoint list (optionally one
-/// --shard i/N slice of it), evaluate on a local SweepEngine, and stream
-/// one NDJSON row per finished point. Rows go to stdout (or --rows-out),
-/// everything human-readable goes to stderr, and any failing point makes
-/// the exit code nonzero with its index on stderr — the coordinator's
-/// contract for reporting which shard died.
-int run_worker(const DriverOptions& opt, const char* argv0) {
-    if (opt.list || !opt.only.empty() || !opt.spec_files.empty() ||
-        !opt.sets.empty() || opt.shards > 0 || !opt.json_path.empty() ||
-        opt.has_seed || !opt.cache_dir.empty())
-        usage(argv0,
-              "--worker only takes --points, --rows-out, --shard, --threads, "
-              "--trace-out, --metrics-out (the coordinator owns --cache-dir: "
-              "it partitions cache hits out before dispatch)");
-    if (opt.points_file.empty()) usage(argv0, "--worker needs --points FILE");
-    try {
-        std::ifstream f(opt.points_file);
-        if (!f)
-            throw std::runtime_error("cannot read points file " + opt.points_file);
-        std::ostringstream buf;
-        buf << f.rdbuf();
-
-        const auto points =
-            scenario::points_from_text(buf.str(), opt.points_file);
-        auto [shard, n_shards] = std::pair<std::int32_t, std::int32_t>{0, 1};
-        if (!opt.shard_arg.empty())
-            std::tie(shard, n_shards) = scenario::parse_shard_arg(opt.shard_arg);
-        const auto indices =
-            scenario::shard_indices(points.size(), shard, n_shards);
-
-        obs::Tracer::global().set_process_label(
-            "worker shard " + std::to_string(shard) + "/" +
-            std::to_string(n_shards));
-
-        const std::int32_t threads =
-            scenario::clamp_worker_threads(opt.threads, indices.size(), std::cerr);
-        core::SweepEngine engine(threads);
-
-        std::ofstream rows_file;
-        std::ostream* rows = &std::cout;
-        if (!opt.rows_out.empty()) {
-            rows_file.open(opt.rows_out);
-            if (!rows_file)
-                throw std::runtime_error("cannot write rows to " + opt.rows_out);
-            rows = &rows_file;
-        }
-        // Heartbeats ride the worker's stdout pipe back to the
-        // coordinator; when rows also go to stdout (manual/multi-host
-        // use), the shared stream stays valid because both are NDJSON
-        // envelopes and consumers dispatch via stream_line_from.
-        const scenario::HeartbeatSink hb{&std::cout, shard, n_shards};
-        std::size_t failed = 0;
-        {
-            const obs::Span span("worker_shard", "shard");
-            failed = scenario::run_worker_points(engine, points, indices, *rows,
-                                                 std::cerr, hb);
-        }
-        rows->flush();
-        if (!*rows)
-            throw std::runtime_error(
-                "error writing rows to " +
-                (opt.rows_out.empty() ? std::string("stdout") : opt.rows_out) +
-                " — the row stream is truncated");
-        if (!obs::Tracer::global().write(opt.trace_out))
-            throw std::runtime_error("cannot write trace to " + opt.trace_out);
-        if (!obs::MetricsRegistry::global().write(opt.metrics_out))
-            throw std::runtime_error("cannot write metrics to " + opt.metrics_out);
-        if (failed) {
-            std::fprintf(stderr, "worker: %zu of %zu points failed (shard %d/%d)\n",
-                         failed, indices.size(), shard, n_shards);
-            return 1;
-        }
-        return 0;
     } catch (const std::exception& e) {
         std::fprintf(stderr, "%s: %s\n", argv0, e.what());
         return 2;
@@ -306,12 +197,8 @@ int main(int argc, char** argv) {
     // disabled (and zero-cost) unless an output path asks for them.
     if (!opt.trace_out.empty()) obs::Tracer::global().enable();
     if (!opt.metrics_out.empty()) obs::MetricsRegistry::global().enable();
-    if (opt.worker)
-        return opt.serve ? run_serve(opt, argv[0]) : run_worker(opt, argv[0]);
+    if (opt.worker) return run_serve(opt, argv[0]);
     obs::Tracer::global().set_process_label("coordinator");
-    if (!opt.points_file.empty() || !opt.rows_out.empty() ||
-        !opt.shard_arg.empty())
-        usage(argv[0], "--points/--rows-out/--shard require --worker");
     const auto& registry = scenario::Registry::builtin();
 
     if (opt.list) {
@@ -412,9 +299,9 @@ int main(int argc, char** argv) {
     // sweep fabrics.
     core::SweepEngine engine(opt.threads);
     // The on-disk result cache sits under the engine: run_stream partitions
-    // known points out before dispatch (local or sharded) and stores every
+    // known points out before dispatch (local or fleet) and stores every
     // newly computed row back — so a fully warm cache replays a sweep with
-    // zero point evaluations and zero forked workers (pinned by the
+    // zero point evaluations and zero spawned workers (pinned by the
     // cache_parity ctest).
     std::unique_ptr<scenario::ResultCache> result_cache;
     if (!opt.cache_dir.empty()) {
@@ -426,35 +313,20 @@ int main(int argc, char** argv) {
         }
         engine.set_result_cache(result_cache.get());
     }
-    if (opt.shards > 0) {
-        // Coordinator mode: every spec-driven sweep a report function runs
-        // is forked across N worker subprocesses of this same binary and
-        // the row streams are merged back into point order. The report
-        // functions are unchanged — bit-identical output is the contract
-        // (pinned by the shard_parity ctest). map()-based work (fig4,
-        // serving replications) stays in this process.
-        scenario::ShardOptions shard_opt;
-        shard_opt.worker_exe = scenario::self_exe_path(argv[0]);
-        shard_opt.n_shards = opt.shards;
-        // SweepEngine treats any --threads <= 0 as "hardware"; workers
-        // reject negatives, so normalize before forwarding.
-        shard_opt.threads_per_worker = std::max<std::int32_t>(opt.threads, 0);
-        // Live per-shard progress and the straggler summary go to stderr,
-        // keeping stdout's report machinery clean.
-        shard_opt.progress = &std::cerr;
-        scenario::install_shard_executor(engine, shard_opt);
-    }
     std::shared_ptr<fleet::Coordinator> coordinator;
     if (opt.pool > 0) {
-        // Fleet mode: N persistent --worker --serve processes are spawned
+        // Fleet mode: every spec-driven sweep a report function runs is
+        // dispatched to N persistent --worker --serve processes, spawned
         // once (lazily, at the first sweep) and reused by every scenario —
         // their ArchCaches stay warm across sweeps, so fig5 after fig3
         // builds zero fabrics anywhere in the fleet. The coordinator
         // leases points incrementally, steals from stragglers, and
-        // restarts dead workers with bounded retry; rows stay
-        // bit-identical (pinned by the fleet_parity ctest).
+        // restarts dead workers with bounded retry. The report functions
+        // are unchanged and rows stay bit-identical (pinned by the
+        // fleet_parity ctest); map()-based work (fig4, serving
+        // replications) stays in this process.
         fleet::FleetOptions fleet_opt;
-        fleet_opt.worker_exe = scenario::self_exe_path(argv[0]);
+        fleet_opt.worker_exe = fleet::self_exe_path(argv[0]);
         const auto hw =
             static_cast<std::int32_t>(std::thread::hardware_concurrency());
         const std::int32_t worker_threads =
@@ -545,12 +417,10 @@ int main(int argc, char** argv) {
                  std::string(noc::sim_core_name(
                      noc::resolved_sim_core(noc::SimConfig{}.core))));
     run_info.set("threads", engine.thread_count());
-    run_info.set("shards", opt.shards);
     run_info.set("executor", std::string(engine.executor_label()));
     run_info.set("seed", opt.has_seed ? util::Json(opt.seed) : util::Json());
     driver.set("run_info", std::move(run_info));
     driver.set("threads", engine.thread_count());
-    driver.set("shards", opt.shards);
     driver.set("pool", opt.pool);
     if (coordinator) {
         util::Json fleet_json = coordinator->stats_json();
