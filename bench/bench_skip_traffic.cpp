@@ -2,15 +2,15 @@
 /// activations are ~4.5x the skip-connection activations, i.e. skips are
 /// ~19% of the total traffic of a single pass. Reports the breakdown for
 /// every residual/dense model in Table I — then runs two simulator-core
-/// A/Bs across reference, event-horizon and regional:
+/// A/Bs, reference against regional:
 ///
 ///   1. the skip-heaviest model's mapped traffic drained through the
 ///      Floret fabric (the paper's workload, mixed traffic everywhere);
 ///   2. a saturated corner drain — a handful of sources flooding one sink
 ///      while the rest of a 10x10 mesh sits idle. Every cycle moves a flit
-///      somewhere near the sink, so the global quiet proof never fires and
-///      the event-horizon core degenerates to cycle stepping; the regional
-///      core keeps the hot tile stepping and leaps everyone else.
+///      somewhere near the sink, so the fabric is never globally quiet;
+///      the regional core keeps the hot tile stepping and leaps everyone
+///      else.
 ///
 /// Results must agree bit-for-bit across cores (checked in-binary; nonzero
 /// exit on disagreement) — only the engine-work statistics may differ.
@@ -32,7 +32,6 @@ namespace {
 using namespace floretsim;
 
 constexpr noc::SimCore kCores[] = {noc::SimCore::kReference,
-                                   noc::SimCore::kEventHorizon,
                                    noc::SimCore::kRegional};
 
 /// FNV-1a over the semantic SimResult fields (everything the differential
@@ -129,7 +128,7 @@ int main(int argc, char** argv) {
     core::EvalConfig eval = bench::default_eval_config();
 
     util::TextTable sim_t({"Core", "Drain (kcyc)", "Stepped", "Skipped", "Jumps",
-                           "Rg skipped", "Wall (ms)"});
+                           "Wall (ms)"});
     double mapped_cycles_ref = -1.0;
     for (const auto core_kind : kCores) {
         eval.sim.core = core_kind;
@@ -144,7 +143,6 @@ int main(int argc, char** argv) {
                        std::to_string(r.sim_cycles_stepped),
                        std::to_string(r.sim_cycles_skipped),
                        std::to_string(r.sim_horizon_jumps),
-                       std::to_string(r.sim_region_cycles_skipped),
                        util::TextTable::fmt(ms, 2)});
         report.add_metric(prefix + "_drain_cycles", r.latency_cycles);
         report.add_metric(prefix + "_cycles_stepped",
@@ -153,8 +151,6 @@ int main(int argc, char** argv) {
                           static_cast<double>(r.sim_cycles_skipped));
         report.add_metric(prefix + "_horizon_jumps",
                           static_cast<double>(r.sim_horizon_jumps));
-        report.add_metric(prefix + "_region_cycles_skipped",
-                          static_cast<double>(r.sim_region_cycles_skipped));
         report.add_metric(prefix + "_wall_seconds", ms / 1e3);
         if (core_kind == noc::SimCore::kReference)
             mapped_cycles_ref = r.latency_cycles;
@@ -166,11 +162,10 @@ int main(int argc, char** argv) {
 
     // --- A/B 2: saturated corner drain. Five sources flood node 0 of a
     // 10x10 mesh with 64 KiB each while the other 94 nodes are silent. The
-    // sink ejects every cycle, so the fabric is never globally quiet: the
-    // event-horizon core must cycle-step essentially the whole drain. The
-    // regional core's hot tile steps every cycle too — but the idle tiles
+    // sink ejects every cycle, so the fabric is never globally quiet and
+    // the regional core's hot tile steps every cycle — but the idle tiles
     // prove local fixed points and leap, which is the entire point of
-    // per-region clocks.
+    // per-region clocks. The region ledger comes from the SimResult.
     std::cout << "\n=== Wormhole drain: saturated corner sink, per core ===\n\n";
     const auto mesh = topo::make_mesh(10, 10);
     const auto mesh_rt =

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <exception>
 #include <iostream>
+#include <stdexcept>
 #include <string_view>
 
 #include "src/noc/simulator.h"
@@ -17,7 +18,7 @@ namespace {
 [[noreturn]] void usage_error(const char* argv0, const std::string& msg) {
     std::fprintf(stderr,
                  "%s: %s\nusage: %s [--threads N] [--json PATH] "
-                 "[--seed N] [--core reference|event-horizon|regional] "
+                 "[--seed N] [--core reference|regional] "
                  "[--trace-out PATH] [--metrics-out PATH] [args...]\n",
                  argv0, msg.c_str(), argv0);
     std::exit(2);
@@ -55,8 +56,8 @@ Options Options::parse(int argc, char** argv) {
             if (i + 1 >= argc) usage_error(argv[0], "--core needs a name");
             const std::string value = argv[++i];
             if (!noc::sim_core_from_name(value))
-                usage_error(argv[0], "--core expects reference, event-horizon "
-                                     "or regional, got " + value);
+                usage_error(argv[0], "--core expects reference or regional, got " +
+                                         value);
             // The process-wide env override is the one switch every
             // simulation already honors; the CLI just sets it before the
             // first Simulator is built.
@@ -75,6 +76,13 @@ Options Options::parse(int argc, char** argv) {
         } else {
             opt.positional.push_back(arg);
         }
+    }
+    // A bad FLORETSIM_SIM_CORE fails here, before the bench body runs,
+    // rather than silently benchmarking the default core.
+    try {
+        (void)noc::resolved_sim_core(noc::SimConfig{}.core);
+    } catch (const std::invalid_argument& e) {
+        usage_error(argv[0], e.what());
     }
     // Observability is opt-in per flag and enabled at parse time, before
     // the bench body runs, so every span and counter of the run lands in

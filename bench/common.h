@@ -13,9 +13,10 @@
 ///   --json PATH     machine-readable report alongside the printed tables
 ///   --seed N        override the bench's built-in experiment seed, so
 ///                   stochastic benches (scheduler) are replayable
-///   --core NAME     select the simulator core (reference | event-horizon |
-///                   regional) for every simulation of the run; implemented
-///                   by setting FLORETSIM_SIM_CORE before first use
+///   --core NAME     select the simulator core (reference | regional) for
+///                   every simulation of the run; implemented by setting
+///                   FLORETSIM_SIM_CORE before first use (an unknown
+///                   FLORETSIM_SIM_CORE is a usage error, exit 2)
 ///   --trace-out F   enable span tracing, write Chrome trace-event JSON to F
 ///   --metrics-out F enable the metrics registry, write its snapshot to F
 ///

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Persistent-fleet differential (run by ctest as `fleet_parity`, and by
-# CI on all three simulator cores):
+# CI on both simulator cores):
 #
 #   the full registry's merged report must be bit-identical whether the
 #   sweeps run in 1 process or on a --pool 4 persistent fleet — and it
@@ -20,7 +20,7 @@
 #
 #   usage: scripts/fleet_parity.sh <floretsim_run> [extra driver args...]
 #
-# Extra arguments (e.g. --core regional) are passed through to every
+# Extra arguments (e.g. --core reference) are passed through to every
 # driver invocation, so the parity contract can be pinned per simulator
 # core.
 set -eu

@@ -15,6 +15,27 @@ driver=$1
 out_dir=$(mktemp -d)
 trap 'rm -rf "$out_dir"' EXIT
 
+# The simulator core is a per-process choice with exactly two names. A
+# stale or misspelled one (the deleted event-horizon core included) is a
+# usage error before any work, never a silent fall-back to the default
+# core, and specs have no `sim_core` override key.
+expect_usage_error() {  # expect_usage_error <message fragment> <cmd...>
+    local want=$1
+    shift
+    local rc=0
+    "$@" > "$out_dir/usage.log" 2>&1 || rc=$?
+    if [ "$rc" -ne 2 ] || ! grep -qF -- "$want" "$out_dir/usage.log"; then
+        echo "FAIL: '$*' exited $rc; expected 2 and a message naming: $want" >&2
+        cat "$out_dir/usage.log" >&2
+        exit 1
+    fi
+}
+expect_usage_error "'reference' or 'regional'" \
+    env FLORETSIM_SIM_CORE=event-horizon "$driver" --only fig3
+expect_usage_error "reference or regional" "$driver" --core event-horizon
+expect_usage_error "supported: grid" "$driver" --set sim_core=reference
+echo "report schema ok: unknown cores and the sim_core key exit 2"
+
 "$driver" --only fig3 --set traffic_scale=1/128 --threads 2 \
     --json "$out_dir/fig3.json" --metrics-out "$out_dir/metrics.json" \
     > "$out_dir/fig3.log"
@@ -37,7 +58,7 @@ assert doc["driver"]["scenarios_failed"] == 0
 # No --cache-dir given: the result-cache counters must exist and be zero.
 assert doc["driver"]["result_cache_hits"] == 0
 assert doc["driver"]["result_cache_misses"] == 0
-assert doc["driver"]["sim_core"] in {"reference", "event-horizon", "regional"}
+assert doc["driver"]["sim_core"] in {"reference", "regional"}
 # No --pool given: fleet off, and the executor is the local thread pool.
 assert doc["driver"]["pool"] == 0
 assert "fleet" not in doc["driver"], "fleet block present without --pool"
@@ -58,7 +79,7 @@ fig3 = doc["scenarios"]["fig3"]
 assert set(fig3) == {"bench", "sim_core", "run_info", "metrics", "tables"}, (
     f"fig3 keys: {set(fig3)}")
 assert fig3["bench"] == "fig3_latency"
-assert fig3["sim_core"] in {"reference", "event-horizon", "regional"}
+assert fig3["sim_core"] in {"reference", "regional"}
 
 SCENARIO_RUN_INFO_KEYS = {"build_type", "compiler", "git_sha", "sim_core",
                           "seed", "threads"}

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Serving-cluster differential (run by ctest as `serve_parity`, and by CI
-# on the default and regional simulator cores):
+# on both simulator cores):
 #
 #   the `cluster` capacity-planning scenario must be bit-identical whether
 #   the driver runs in 1 process or on a --pool 2 persistent fleet. The
@@ -11,7 +11,7 @@
 #
 #   usage: scripts/serve_parity.sh <floretsim_run> [extra driver args...]
 #
-# Extra arguments (e.g. --core regional) are passed through to every
+# Extra arguments (e.g. --core reference) are passed through to every
 # driver invocation, so the parity contract can be pinned per simulator
 # core.
 set -eu

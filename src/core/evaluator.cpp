@@ -92,12 +92,6 @@ EvalResult evaluate_noi(const topo::Topology& topo, const noc::RouteTable& route
     res.sim_cycles_stepped = s.cycles_stepped;
     res.sim_cycles_skipped = s.cycles_skipped;
     res.sim_horizon_jumps = s.horizon_jumps;
-    res.sim_regions = s.regions;
-    res.sim_region_cycles_stepped = s.region_cycles_stepped;
-    res.sim_region_cycles_skipped = s.region_cycles_skipped;
-    res.sim_region_horizon_jumps = s.region_horizon_jumps;
-    res.sim_region_stepped_max = s.region_stepped_max;
-    res.sim_region_stepped_min = s.region_stepped_min;
     return res;
 }
 

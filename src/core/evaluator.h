@@ -55,15 +55,6 @@ struct EvalResult {
     std::int64_t sim_cycles_stepped = 0;
     std::int64_t sim_cycles_skipped = 0;
     std::int64_t sim_horizon_jumps = 0;
-    /// Regional-core accounting (noc::SimResult passthrough): region count
-    /// of the run, per-region participation/leap totals, and the hottest/
-    /// coolest region's participation counts (imbalance).
-    std::int64_t sim_regions = 0;
-    std::int64_t sim_region_cycles_stepped = 0;
-    std::int64_t sim_region_cycles_skipped = 0;
-    std::int64_t sim_region_horizon_jumps = 0;
-    std::int64_t sim_region_stepped_max = 0;
-    std::int64_t sim_region_stepped_min = 0;
 };
 
 /// Dataflow (pipeline) traffic of one mapped task, the paper's model:

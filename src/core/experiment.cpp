@@ -253,11 +253,6 @@ DynamicResult run_mix_dynamic(BuiltArch& arch, const workload::ConcurrentMix& mi
             out.sim_cycles_stepped += round_eval.sim_cycles_stepped;
             out.sim_cycles_skipped += round_eval.sim_cycles_skipped;
             out.sim_horizon_jumps += round_eval.sim_horizon_jumps;
-            out.sim_region_cycles_stepped += round_eval.sim_region_cycles_stepped;
-            out.sim_region_cycles_skipped += round_eval.sim_region_cycles_skipped;
-            out.sim_region_horizon_jumps += round_eval.sim_region_horizon_jumps;
-            out.sim_region_stepped_max += round_eval.sim_region_stepped_max;
-            out.sim_region_stepped_min += round_eval.sim_region_stepped_min;
             ++out.noi_evals;
             residency_dirty = false;
         } else {

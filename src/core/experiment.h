@@ -150,14 +150,6 @@ struct DynamicResult {
     std::int64_t sim_cycles_stepped = 0;
     std::int64_t sim_cycles_skipped = 0;
     std::int64_t sim_horizon_jumps = 0;
-    /// Regional-core accounting summed over simulated rounds: per-region
-    /// participation/leap totals and the per-round hottest/coolest region
-    /// participation counts (imbalance). Zero when no round simulated.
-    std::int64_t sim_region_cycles_stepped = 0;
-    std::int64_t sim_region_cycles_skipped = 0;
-    std::int64_t sim_region_horizon_jumps = 0;
-    std::int64_t sim_region_stepped_max = 0;
-    std::int64_t sim_region_stepped_min = 0;
 
     /// Field-wise equality: results travel back from fleet workers as
     /// JSON (scenario::dynamic_result_from_json(to_json(r)) == r).

@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <deque>
 #include <limits>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -53,9 +53,9 @@ struct Channel {
 
 /// One locality unit of the regional core: a set of routers, the channels
 /// whose FIFOs they host (in_ch), the channels they allocate (out_ch), and
-/// an independent local clock. The single-clock cores are the one-region
-/// special case — one region spanning the fabric makes the merged phase
-/// loops below degenerate to the legacy whole-network iteration order.
+/// an independent local clock. The reference core runs as one region
+/// spanning the fabric, which makes the merged phase loops below
+/// degenerate to the whole-network iteration order.
 struct Region {
     std::vector<std::int32_t> nodes;   ///< Member routers, ascending.
     std::vector<std::int32_t> in_ch;   ///< Channels with `to` here, ascending.
@@ -72,19 +72,17 @@ constexpr std::int32_t kRequestEject = -1;  ///< Head flit is at its destination
 
 /// Process-wide core override, parsed once: lets CI, the --core CLI flags
 /// (which set the variable before first use) and ad-hoc debugging force
-/// every simulation onto one engine without touching configs.
+/// every simulation onto one engine without touching configs. An unknown
+/// name throws (and keeps throwing: a static whose initializer exits by
+/// exception is retried on the next call), so a typo can never silently
+/// run the default core.
 std::optional<SimCore> core_env_override() {
     static const std::optional<SimCore> parsed = []() -> std::optional<SimCore> {
         const char* s = std::getenv("FLORETSIM_SIM_CORE");
         if (s == nullptr || *s == '\0') return std::nullopt;
-        const auto core = sim_core_from_name(s);
-        if (!core) {
-            std::fprintf(stderr,
-                         "floretsim: ignoring unknown FLORETSIM_SIM_CORE='%s' "
-                         "(expected 'reference', 'event-horizon' or 'regional')\n",
-                         s);
-        }
-        return core;
+        if (const auto core = sim_core_from_name(s)) return core;
+        throw std::invalid_argument(std::string("unknown FLORETSIM_SIM_CORE='") + s +
+                                    "' (expected 'reference' or 'regional')");
     }();
     return parsed;
 }
@@ -210,12 +208,12 @@ public:
         inj_drained_.assign(n_nodes_, 0);
 
         // --- Regions: the regional core partitions via topo::make_region_map;
-        // the single-clock cores use one region spanning the fabric, which
-        // reproduces their legacy iteration order and accounting exactly.
+        // the reference core uses one region spanning the fabric, which
+        // reproduces the whole-network iteration order and accounting.
         std::vector<std::int32_t> node_region(n_nodes_, 0);
         std::int32_t n_regions = 1;
-        if (cfg_.core == SimCore::kRegional && n_nodes_ > 0) {
-            const auto rm = topo::make_region_map(topo, cfg_.regions);
+        if (horizon_ && n_nodes_ > 0) {
+            const auto rm = topo::make_region_map(topo);
             if (rm.count > 0) {
                 node_region = rm.region_of;
                 n_regions = rm.count;
@@ -690,7 +688,7 @@ private:
 #endif
 
     const SimConfig& cfg_;
-    const bool horizon_;  ///< Quiet-region fast-forward enabled (non-reference).
+    const bool horizon_;  ///< Quiet-region fast-forward enabled (kRegional).
     const std::size_t n_nodes_;
 
     std::vector<Channel> channels_;
@@ -737,7 +735,6 @@ private:
 const char* sim_core_name(SimCore c) {
     switch (c) {
         case SimCore::kReference: return "reference";
-        case SimCore::kEventHorizon: return "event-horizon";
         case SimCore::kRegional: return "regional";
     }
     return "?";
@@ -745,8 +742,6 @@ const char* sim_core_name(SimCore c) {
 
 std::optional<SimCore> sim_core_from_name(std::string_view name) {
     if (name == "reference") return SimCore::kReference;
-    if (name == "event-horizon" || name == "event_horizon")
-        return SimCore::kEventHorizon;
     if (name == "regional") return SimCore::kRegional;
     return std::nullopt;
 }

@@ -11,50 +11,44 @@
 
 namespace floretsim::noc {
 
-/// Which cycle engine drives the simulation. All cores produce bit-identical
-/// SimResults (enforced by tests/test_noc_event_horizon.cpp); they differ
-/// only in how many cycles they actually execute.
+/// Which cycle engine drives the simulation. Both cores produce
+/// bit-identical SimResults (enforced by tests/test_noc_event_horizon.cpp);
+/// they differ only in how many cycles they actually execute.
 enum class SimCore : std::uint8_t {
     /// Ground truth: step every cycle while traffic is in flight (idle
     /// gaps with nothing in flight are still fast-forwarded — trivially
     /// sound — or sparse schedules would take minutes of wall clock).
     kReference,
-    /// Credit-aware event-horizon engine: after any cycle whose ejection
-    /// and switch-allocation phases prove no flit can move — every head
-    /// flit is blocked on a zero-credit output or on a wormhole lock held
-    /// by another packet — time jumps straight to the next cycle at which
-    /// anything can change (earliest link-pipe arrival or next injection;
-    /// credit returns need no separate bound because in this simulator a
-    /// credit only returns when a downstream allocation or ejection fires,
-    /// which the proof has ruled out). See README "NoC simulator cores"
-    /// for the full no-op proof obligations.
-    kEventHorizon,
     /// Per-region event horizon: the fabric is partitioned into regions
     /// (topo::make_region_map — Floret petals when the generator hints
     /// them, else spatial tiles) and each region advances an independent
-    /// local clock. A quiet region proves the kEventHorizon fixed point
-    /// *locally* and jumps its clock to min(next local pipe arrival, next
-    /// local injection, earliest cross-region in-flight arrival); regions
-    /// synchronize only at cross-region channels — an arrival bounds the
-    /// destination clock by the link delay, and a same-cycle credit return
-    /// wakes the owning region mid-phase. So a saturated drain or hotspot
-    /// steps cycle-by-cycle while every other region leaps — exactly the
-    /// regime where the global quiet proof degenerates to the reference
-    /// loop. Bit-identical to kReference by the same differential
-    /// contract; region shape may change performance, never results.
+    /// local clock. After a cycle in which a region's ejection and
+    /// switch-allocation phases move nothing and it received no credit,
+    /// every head flit in it is blocked on a zero-credit output or on a
+    /// wormhole lock held by another packet, so its clock jumps straight
+    /// to min(next local pipe arrival, next local injection, earliest
+    /// cross-region in-flight arrival). Regions synchronize only at
+    /// cross-region channels — an arrival bounds the destination clock by
+    /// the link delay, and a same-cycle credit return wakes the owning
+    /// region mid-phase. A one-region partition is the global event
+    /// horizon; a saturated drain or hotspot steps cycle-by-cycle while
+    /// every other region leaps. Region shape may change performance,
+    /// never results. See README "NoC simulator cores" for the no-op
+    /// proof obligations.
     kRegional,
 };
 
 [[nodiscard]] const char* sim_core_name(SimCore c);
 
 /// Parses a core name as spelled on CLIs and in FLORETSIM_SIM_CORE:
-/// "reference", "event-horizon" (or "event_horizon"), "regional".
-/// std::nullopt on anything else.
+/// "reference" or "regional". std::nullopt on anything else.
 [[nodiscard]] std::optional<SimCore> sim_core_from_name(std::string_view name);
 
 /// The core a run configured with `configured` will actually use, after
 /// the process-wide FLORETSIM_SIM_CORE override (parsed once; CLI --core
 /// flags are implemented by setting that variable before first use).
+/// Throws std::invalid_argument naming the accepted values when the
+/// variable is set to anything else.
 [[nodiscard]] SimCore resolved_sim_core(SimCore configured);
 
 /// Simulator knobs. Defaults model a 64-bit inter-chiplet channel at
@@ -68,21 +62,15 @@ struct SimConfig {
     std::int64_t max_cycles = 50'000'000;  ///< Hard stop (sim reports !completed).
     /// Injection rate while scheduling packets, in flits/node/cycle.
     double injection_rate = 0.05;
-    /// Cycle engine. kEventHorizon is the default and bit-identical to
-    /// kReference (as is kRegional); the environment variable
-    /// FLORETSIM_SIM_CORE ("reference" / "event-horizon" / "regional")
-    /// overrides it process-wide, which is how CI keeps every core
-    /// exercised end to end.
-    SimCore core = SimCore::kEventHorizon;
-    /// Region count for the kRegional core: 0 derives it from the topology
-    /// (generator region hints such as Floret petals, else ~8-node spatial
-    /// tiles); > 0 forces about that many spatial tiles. Ignored by the
-    /// single-clock cores. Any value is results-preserving — regions change
-    /// scheduling, never semantics.
-    std::int32_t regions = 0;
+    /// Cycle engine, an in-process choice for tests and engine A/Bs:
+    /// specs do not carry it (scenario::to_json(SimConfig) omits it), so
+    /// a run's core is the process-wide FLORETSIM_SIM_CORE override
+    /// ("reference" / "regional") or this default.
+    SimCore core = SimCore::kRegional;
 
     /// Field-wise equality: the scenario layer's JSON round-trip contract
-    /// (scenario::sim_config_from_json(to_json(x)) == x).
+    /// (scenario::sim_config_from_json(to_json(x)) == x for the default
+    /// core).
     [[nodiscard]] bool operator==(const SimConfig&) const = default;
 };
 
@@ -112,9 +100,9 @@ struct SimResult {
     std::int64_t cycles_skipped = 0;  ///< Cycles proven no-op and jumped over.
     std::int64_t horizon_jumps = 0;   ///< Fast-forward events taken.
 
-    /// Regional-core accounting, populated by every core (the single-clock
-    /// cores report one region spanning the fabric, so their region totals
-    /// mirror the global counters). Each region either participates in a
+    /// Per-region accounting, populated by both cores (the reference core
+    /// reports one region spanning the fabric, so its region totals mirror
+    /// the global counters). Each region either participates in a
     /// stepped cycle or its local clock leaps it, hence the invariant
     /// region_cycles_stepped + region_cycles_skipped == regions * cycles.
     /// The stepped max/min pair measures region imbalance: a saturated

@@ -17,8 +17,11 @@ namespace floretsim::scenario {
 /// they parse to equal values — and every semantic field change changes
 /// it. Bump kCacheFormatVersion to invalidate all existing entries (e.g.
 /// when the row wire format or the evaluator semantics change).
-inline constexpr const char* kCacheFormatVersion = "floretsim-cache-v1";
+inline constexpr const char* kCacheFormatVersion = "floretsim-cache-v2";
 
+/// The spec-hash identity of one sweep point. Specs do not carry the
+/// simulator core (every core produces the same rows), so neither does
+/// the hash: a row cached under one core serves every other.
 [[nodiscard]] std::uint64_t point_hash(const core::SweepPoint& point);
 
 /// Content-addressed on-disk row cache (the --cache-dir backend): one

@@ -264,12 +264,12 @@ std::uint64_t effective_seed(const SpecVariant& spec) {
 
 bool is_eval_override_key(std::string_view key) {
     return key == "traffic_scale" || key == "max_cycles" ||
-           key == "injection_rate" || key == "sim_core";
+           key == "injection_rate";
 }
 
 std::string override_keys_help() {
     return "grid, grids, archs, mixes, traffic_scale, max_cycles, "
-           "injection_rate, sim_core, swap_seed, greedy_max_gap, seed, "
+           "injection_rate, swap_seed, greedy_max_gap, seed, "
            "max_requests, replications, loads, fabrics, max_batch, balance, "
            "iterations, workloads, models, batches, sides, lambdas";
 }
@@ -370,15 +370,6 @@ bool apply_override(SpecVariant& spec, std::string_view key,
         if (rate <= 0.0) bad_value(key, value, "injection rate must be positive");
         return mutate_evals(
             spec, [&](core::EvalConfig& e) { e.sim.injection_rate = rate; });
-    }
-    if (key == "sim_core") {
-        noc::SimCore core = noc::SimCore::kEventHorizon;
-        try {
-            core = sim_core_from_json(util::Json(std::string(value)));
-        } catch (const std::invalid_argument& e) {
-            bad_value(key, value, e.what());
-        }
-        return mutate_evals(spec, [&](core::EvalConfig& e) { e.sim.core = core; });
     }
     if (key == "swap_seed") {
         const std::uint64_t seed = parse_uint(key, value);

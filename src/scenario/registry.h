@@ -123,7 +123,7 @@ void set_seed(SpecVariant& spec, std::uint64_t seed);
 /// caller can insist that every override lands somewhere; throws
 /// std::invalid_argument for unknown keys or malformed values. Supported
 /// keys: grid, grids, archs, mixes, traffic_scale (accepts "1/128"),
-/// max_cycles, injection_rate, sim_core, swap_seed, greedy_max_gap, seed,
+/// max_cycles, injection_rate, swap_seed, greedy_max_gap, seed,
 /// max_requests, replications, loads, fabrics, max_batch, balance,
 /// iterations, workloads, models, batches, sides, lambdas.
 bool apply_override(SpecVariant& spec, std::string_view key,
@@ -137,7 +137,7 @@ bool apply_override(SpecVariant& spec, std::string_view key,
 [[nodiscard]] std::vector<std::string> split_csv(std::string_view value);
 
 /// True for --set keys that mutate the spec's EvalConfigs (traffic_scale,
-/// max_cycles, injection_rate, sim_core) — a no-op on scenarios whose
+/// max_cycles, injection_rate) — a no-op on scenarios whose
 /// report never evaluates the NoI (Scenario::uses_eval == false).
 [[nodiscard]] bool is_eval_override_key(std::string_view key);
 

@@ -31,8 +31,8 @@ util::Json JsonReport::to_value() const {
     doc.set("bench", name_);
     // The active simulator core: SimConfig's default after the
     // FLORETSIM_SIM_CORE override (also how the --core CLI flags apply), so
-    // every report records which engine earned its numbers. Scenarios that
-    // override sim.core per spec additionally say so in their own metrics.
+    // every report records which engine earned its numbers. Specs do not
+    // carry a core, so this is the core every simulation of the run used.
     doc.set("sim_core",
             std::string(noc::sim_core_name(
                 noc::resolved_sim_core(noc::SimConfig{}.core))));

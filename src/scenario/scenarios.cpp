@@ -247,7 +247,6 @@ JsonReport table2_report(const SpecVariant& sv, RunContext& ctx) {
     JsonReport report("table2_mixes");
     const auto sweep = ctx.engine.run(spec);
     std::int64_t stepped = 0, skipped = 0, jumps = 0, evals = 0, epoch_hits = 0;
-    std::int64_t rg_stepped = 0, rg_skipped = 0, rg_jumps = 0;
     for (std::size_t g = 0; g < spec.grids.size(); ++g) {
         for (std::size_t m = 0; m < spec.mixes.size(); ++m) {
             for (std::size_t a = 0; a < spec.archs.size(); ++a) {
@@ -261,9 +260,6 @@ JsonReport table2_report(const SpecVariant& sv, RunContext& ctx) {
                 stepped += row.result.sim_cycles_stepped;
                 skipped += row.result.sim_cycles_skipped;
                 jumps += row.result.sim_horizon_jumps;
-                rg_stepped += row.result.sim_region_cycles_stepped;
-                rg_skipped += row.result.sim_region_cycles_skipped;
-                rg_jumps += row.result.sim_region_horizon_jumps;
                 evals += row.result.noi_evals;
                 epoch_hits += row.result.round_epoch_hits;
             }
@@ -295,9 +291,6 @@ JsonReport table2_report(const SpecVariant& sv, RunContext& ctx) {
     report.add_metric("sim_cycles_skipped", static_cast<double>(skipped));
     report.add_metric("sim_horizon_jumps", static_cast<double>(jumps));
     report.add_metric("sim_skip_fraction", skip_fraction);
-    report.add_metric("sim_region_cycles_stepped", static_cast<double>(rg_stepped));
-    report.add_metric("sim_region_cycles_skipped", static_cast<double>(rg_skipped));
-    report.add_metric("sim_region_horizon_jumps", static_cast<double>(rg_jumps));
     report.add_metric("noi_evals", static_cast<double>(evals));
     report.add_metric("round_epoch_hits", static_cast<double>(epoch_hits));
     return report;
@@ -504,14 +497,10 @@ JsonReport serving_report(const SpecVariant& sv, RunContext& ctx) {
             knee[a]);
     }
     std::int64_t stepped = 0, skipped = 0, jumps = 0, rounds = 0, hits = 0;
-    std::int64_t rg_stepped = 0, rg_skipped = 0, rg_jumps = 0;
     for (const auto& s : runs) {
         stepped += s.sim_cycles_stepped;
         skipped += s.sim_cycles_skipped;
         jumps += s.sim_horizon_jumps;
-        rg_stepped += s.sim_region_cycles_stepped;
-        rg_skipped += s.sim_region_cycles_skipped;
-        rg_jumps += s.sim_region_horizon_jumps;
         rounds += s.noi_rounds;
         hits += s.noi_cache_hits;
     }
@@ -527,9 +516,6 @@ JsonReport serving_report(const SpecVariant& sv, RunContext& ctx) {
     report.add_metric("sim_cycles_skipped", static_cast<double>(skipped));
     report.add_metric("sim_horizon_jumps", static_cast<double>(jumps));
     report.add_metric("sim_skip_fraction", skip_fraction);
-    report.add_metric("sim_region_cycles_stepped", static_cast<double>(rg_stepped));
-    report.add_metric("sim_region_cycles_skipped", static_cast<double>(rg_skipped));
-    report.add_metric("sim_region_horizon_jumps", static_cast<double>(rg_jumps));
     report.add_metric("noi_rounds", static_cast<double>(rounds));
     report.add_metric("noi_cache_hits", static_cast<double>(hits));
     add_point_timing(report, point_seconds);

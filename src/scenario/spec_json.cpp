@@ -120,15 +120,6 @@ core::experiment::Arch arch_from_json(const Json& j) {
     return arch_from_string(j.as_string());
 }
 
-Json to_json(noc::SimCore c) { return Json(noc::sim_core_name(c)); }
-
-noc::SimCore sim_core_from_json(const Json& j) {
-    const std::string v = ascii_lower(j.as_string());
-    if (const auto core = noc::sim_core_from_name(v)) return *core;
-    throw std::invalid_argument("unknown sim core \"" + j.as_string() +
-                                "\" (expected reference|event-horizon|regional)");
-}
-
 Json to_json(serve::AdmissionPolicy p) {
     switch (p) {
         case serve::AdmissionPolicy::kFifo: return Json("fifo");
@@ -187,8 +178,6 @@ Json to_json(const noc::SimConfig& c) {
     j.set("mm_per_cycle", c.mm_per_cycle);
     j.set("max_cycles", c.max_cycles);
     j.set("injection_rate", c.injection_rate);
-    j.set("core", to_json(c.core));
-    j.set("regions", c.regions);
     return j;
 }
 
@@ -202,8 +191,6 @@ noc::SimConfig sim_config_from_json(const Json& j) {
     r.read("mm_per_cycle", c.mm_per_cycle);
     r.read("max_cycles", c.max_cycles);
     r.read("injection_rate", c.injection_rate);
-    r.read_with("core", c.core, sim_core_from_json);
-    r.read("regions", c.regions);
     r.finish();
     return c;
 }
@@ -461,11 +448,6 @@ Json to_json(const core::experiment::DynamicResult& r) {
     j.set("sim_cycles_stepped", r.sim_cycles_stepped);
     j.set("sim_cycles_skipped", r.sim_cycles_skipped);
     j.set("sim_horizon_jumps", r.sim_horizon_jumps);
-    j.set("sim_region_cycles_stepped", r.sim_region_cycles_stepped);
-    j.set("sim_region_cycles_skipped", r.sim_region_cycles_skipped);
-    j.set("sim_region_horizon_jumps", r.sim_region_horizon_jumps);
-    j.set("sim_region_stepped_max", r.sim_region_stepped_max);
-    j.set("sim_region_stepped_min", r.sim_region_stepped_min);
     return j;
 }
 
@@ -483,11 +465,6 @@ core::experiment::DynamicResult dynamic_result_from_json(const Json& j) {
     rd.read("sim_cycles_stepped", r.sim_cycles_stepped);
     rd.read("sim_cycles_skipped", r.sim_cycles_skipped);
     rd.read("sim_horizon_jumps", r.sim_horizon_jumps);
-    rd.read("sim_region_cycles_stepped", r.sim_region_cycles_stepped);
-    rd.read("sim_region_cycles_skipped", r.sim_region_cycles_skipped);
-    rd.read("sim_region_horizon_jumps", r.sim_region_horizon_jumps);
-    rd.read("sim_region_stepped_max", r.sim_region_stepped_max);
-    rd.read("sim_region_stepped_min", r.sim_region_stepped_min);
     rd.finish();
     return r;
 }

@@ -45,9 +45,6 @@ namespace floretsim::scenario {
 /// "floret" (case-insensitive, arch_name() spellings included).
 [[nodiscard]] core::experiment::Arch arch_from_string(const std::string& s);
 
-[[nodiscard]] util::Json to_json(noc::SimCore c);
-[[nodiscard]] noc::SimCore sim_core_from_json(const util::Json& j);
-
 [[nodiscard]] util::Json to_json(serve::AdmissionPolicy p);
 [[nodiscard]] serve::AdmissionPolicy admission_policy_from_json(const util::Json& j);
 

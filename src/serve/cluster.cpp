@@ -187,11 +187,6 @@ ClusterStats serve_cluster(std::span<core::experiment::BuiltArch> fabrics,
                 out.sim_cycles_stepped += eval.sim_cycles_stepped;
                 out.sim_cycles_skipped += eval.sim_cycles_skipped;
                 out.sim_horizon_jumps += eval.sim_horizon_jumps;
-                out.sim_region_cycles_stepped += eval.sim_region_cycles_stepped;
-                out.sim_region_cycles_skipped += eval.sim_region_cycles_skipped;
-                out.sim_region_horizon_jumps += eval.sim_region_horizon_jumps;
-                out.sim_region_stepped_max += eval.sim_region_stepped_max;
-                out.sim_region_stepped_min += eval.sim_region_stepped_min;
                 if (f.noi_cache.size() < kNoiCacheCap)
                     f.noi_cache.emplace(std::move(key), f.epoch_drain);
             }

@@ -115,13 +115,6 @@ struct ServeStats {
     std::int64_t sim_cycles_stepped = 0;
     std::int64_t sim_cycles_skipped = 0;
     std::int64_t sim_horizon_jumps = 0;
-    /// Regional-core accounting summed over the evaluate_noi calls (see
-    /// noc::SimResult's region fields).
-    std::int64_t sim_region_cycles_stepped = 0;
-    std::int64_t sim_region_cycles_skipped = 0;
-    std::int64_t sim_region_horizon_jumps = 0;
-    std::int64_t sim_region_stepped_max = 0;
-    std::int64_t sim_region_stepped_min = 0;
     /// False only if the event-count safety guard tripped (a bug, not a
     /// workload property — every request normally completes or bounces).
     bool drained = true;

@@ -41,11 +41,6 @@ ServeAggregate aggregate(std::span<const ServeStats> runs) {
         agg.sim_cycles_stepped += s.sim_cycles_stepped;
         agg.sim_cycles_skipped += s.sim_cycles_skipped;
         agg.sim_horizon_jumps += s.sim_horizon_jumps;
-        agg.sim_region_cycles_stepped += s.sim_region_cycles_stepped;
-        agg.sim_region_cycles_skipped += s.sim_region_cycles_skipped;
-        agg.sim_region_horizon_jumps += s.sim_region_horizon_jumps;
-        agg.sim_region_stepped_max += s.sim_region_stepped_max;
-        agg.sim_region_stepped_min += s.sim_region_stepped_min;
     }
     const auto n = static_cast<double>(runs.size());
     agg.mean_throughput_per_mcycle /= n;

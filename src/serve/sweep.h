@@ -58,11 +58,6 @@ struct ServeAggregate {
     std::int64_t sim_cycles_stepped = 0;
     std::int64_t sim_cycles_skipped = 0;
     std::int64_t sim_horizon_jumps = 0;
-    std::int64_t sim_region_cycles_stepped = 0;
-    std::int64_t sim_region_cycles_skipped = 0;
-    std::int64_t sim_region_horizon_jumps = 0;
-    std::int64_t sim_region_stepped_max = 0;
-    std::int64_t sim_region_stepped_min = 0;
 
     [[nodiscard]] double sla_violation_rate() const noexcept {
         return arrived == 0 ? 0.0

@@ -100,14 +100,14 @@ void Topology::set_region_hint(std::vector<std::int32_t> hint) {
     region_hint_ = std::move(hint);
 }
 
-RegionMap make_region_map(const Topology& t, std::int32_t target_regions) {
+RegionMap make_region_map(const Topology& t) {
     RegionMap m;
     const auto n = t.node_count();
     if (n == 0) return m;
     m.region_of.assign(static_cast<std::size_t>(n), 0);
 
     std::vector<std::int32_t> raw;
-    if (target_regions <= 0 && !t.region_hint().empty()) {
+    if (!t.region_hint().empty()) {
         raw = t.region_hint();
     } else {
         // Spatial tiling: rx x ry rectangle tiles over the position
@@ -123,9 +123,7 @@ RegionMap make_region_map(const Topology& t, std::int32_t target_regions) {
         }
         const std::int32_t w = max_x - min_x + 1;
         const std::int32_t h = max_y - min_y + 1;
-        const std::int32_t target =
-            target_regions > 0 ? target_regions
-                               : std::clamp<std::int32_t>(n / 8, 1, 64);
+        const std::int32_t target = std::clamp<std::int32_t>(n / 8, 1, 64);
         std::int32_t rx = std::clamp<std::int32_t>(
             static_cast<std::int32_t>(std::lround(
                 std::sqrt(static_cast<double>(target) * w / h))),
@@ -149,11 +147,6 @@ RegionMap make_region_map(const Topology& t, std::int32_t target_regions) {
         if (fresh) ++m.count;
         m.region_of[static_cast<std::size_t>(i)] = it->second;
     }
-
-    for (const Link& l : t.links())
-        if (m.region_of[static_cast<std::size_t>(l.a)] !=
-            m.region_of[static_cast<std::size_t>(l.b)])
-            m.cut_links.push_back(l.id);
     return m;
 }
 

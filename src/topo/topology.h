@@ -109,27 +109,22 @@ private:
     std::vector<std::int32_t> region_hint_;
 };
 
-/// A partition of the node set into spatially compact regions plus the
-/// links whose endpoints fall in different regions (the cross-region
-/// "pipe cut"). This is the locality unit the regional simulator core
-/// (noc::SimCore::kRegional) schedules: each region advances its own
-/// local clock and synchronizes with neighbors only where a cut link
-/// connects them.
+/// A partition of the node set into spatially compact regions. This is
+/// the locality unit the regional simulator core (noc::SimCore::kRegional)
+/// schedules: each region advances its own local clock and synchronizes
+/// with neighbors only where a link crosses a region boundary.
 struct RegionMap {
     std::int32_t count = 0;               ///< Regions (>= 1 when nodes exist).
     std::vector<std::int32_t> region_of;  ///< node -> dense region id [0, count).
-    std::vector<LinkId> cut_links;        ///< Links crossing a region boundary.
 };
 
-/// Derives the region partition of a topology, deterministically.
-/// Preference order: with `target_regions` > 0, a spatial tiling of the
-/// node positions into about that many rectangle tiles (region-shape
-/// ablations and tests); else the generator's region_hint() when present
-/// (Floret petals); else spatial tiling sized at roughly 8 nodes per
-/// region, capped at 64 regions. Empty tiles are dropped and ids are
-/// densified in first-seen node order, so ids are always [0, count).
-[[nodiscard]] RegionMap make_region_map(const Topology& t,
-                                        std::int32_t target_regions = 0);
+/// Derives the region partition of a topology, deterministically: the
+/// generator's region_hint() when present (Floret petals; tests force
+/// region shapes through it), else a spatial tiling of the node positions
+/// sized at roughly 8 nodes per region, capped at 64 regions. Empty tiles
+/// are dropped and ids are densified in first-seen node order, so ids are
+/// always [0, count).
+[[nodiscard]] RegionMap make_region_map(const Topology& t);
 
 /// Builds a topology from explicit node paths: nodes are laid out on a
 /// `width` x `height` grid (row-major ids); each path contributes chain

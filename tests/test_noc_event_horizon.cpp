@@ -1,17 +1,20 @@
-/// Differential suite for the fast simulator cores (credit-aware global
-/// event horizon and the per-region-clock engine): across random
-/// topologies, seeds, buffer depths of 1-4 flits, sparse and saturating
-/// injection rates, saturated single-sink drains, corner-to-corner bursts,
-/// and max_cycles-capped runs, every fast engine must produce a
-/// bit-identical SimResult (cycles, packets, flits, flit_hops,
-/// per-router/per-link counters, latency stats) to the reference cycle
-/// loop. The engine-work statistics are the only fields allowed to differ
-/// — and they must prove the fast path is both accounted (global
-/// stepped + skipped == cycles; per-region stepped + skipped ==
-/// regions * cycles) and not slower than the reference in executed cycles.
+/// Differential suite for the per-region-clock engine (SimCore::kRegional)
+/// against the reference cycle loop: across random topologies, seeds,
+/// buffer depths of 1-4 flits, sparse and saturating injection rates,
+/// saturated single-sink drains, corner-to-corner bursts, and
+/// max_cycles-capped runs, the regional core must produce a bit-identical
+/// SimResult (cycles, packets, flits, flit_hops, per-router/per-link
+/// counters, latency stats) on three region shapes: the topology's own
+/// partition, one region spanning the fabric (the global event horizon),
+/// and a seeded random non-contiguous partition. The engine-work
+/// statistics are the only fields allowed to differ — and they must prove
+/// the fast path is both accounted (global stepped + skipped == cycles;
+/// per-region stepped + skipped == regions * cycles) and not slower than
+/// the reference in executed cycles.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -53,6 +56,42 @@ SimResult run_with(const topo::Topology& t, const RouteTable& rt,
     return sim.run();
 }
 
+/// Region shapes the regional core is checked on, forced through
+/// Topology::set_region_hint on a copy of the fabric (routes depend only on
+/// the links, so the route table is reused as is).
+enum class Shape {
+    kOwn,        ///< The topology's own partition (petals or ~8-node tiles).
+    kOneRegion,  ///< One region spanning the fabric: the global event horizon.
+    kRandom,     ///< Seeded random labels: non-contiguous regions, the
+                 ///< hardest case for cross-region credit wake-ups.
+};
+
+const char* shape_name(Shape shape) {
+    switch (shape) {
+        case Shape::kOwn: return "own regions";
+        case Shape::kOneRegion: return "one region";
+        case Shape::kRandom: return "random regions";
+    }
+    return "?";
+}
+
+SimResult run_regional(const topo::Topology& t, const RouteTable& rt,
+                       const std::vector<Demand>& demands, const SimConfig& cfg,
+                       Shape shape) {
+    topo::Topology shaped = t;
+    const auto n = static_cast<std::size_t>(t.node_count());
+    if (shape == Shape::kOneRegion) {
+        shaped.set_region_hint(std::vector<std::int32_t>(n, 0));
+    } else if (shape == Shape::kRandom) {
+        util::Rng rng(0x5eed + n);
+        std::vector<std::int32_t> hint(n);
+        for (auto& h : hint)
+            h = static_cast<std::int32_t>(rng.below(std::min<std::uint64_t>(n, 6)));
+        shaped.set_region_hint(std::move(hint));
+    }
+    return run_with(shaped, rt, demands, cfg, SimCore::kRegional);
+}
+
 /// Accounting every core must satisfy regardless of which engine ran:
 /// global cycles split exactly into stepped + skipped, and the per-region
 /// totals are conserved — each region either participates in a stepped
@@ -72,22 +111,21 @@ void expect_conserved(const SimResult& r, const std::string& label) {
     EXPECT_GE(r.region_cycles_stepped, r.cycles_stepped) << label;
 }
 
-/// The differential contract: semantic fields bit-identical across every
-/// core, engine-work statistics internally consistent and no worse than
-/// the reference.
+/// The differential contract: semantic fields bit-identical to the
+/// reference on every region shape, engine-work statistics internally
+/// consistent and no worse than the reference.
 void expect_equivalent(const topo::Topology& t, const RouteTable& rt,
                        const std::vector<Demand>& demands, const SimConfig& cfg,
                        const std::string& label) {
     const auto ref = run_with(t, rt, demands, cfg, SimCore::kReference);
     expect_conserved(ref, label + " [reference]");
-    // The single-clock cores report one region spanning the fabric.
+    // The reference core reports one region spanning the fabric.
     EXPECT_EQ(ref.regions, 1) << label;
     EXPECT_EQ(ref.region_cycles_stepped, ref.cycles_stepped) << label;
 
-    for (const auto core : {SimCore::kEventHorizon, SimCore::kRegional}) {
-        const std::string tag =
-            label + " [" + sim_core_name(core) + "]";
-        const auto fast = run_with(t, rt, demands, cfg, core);
+    for (const auto shape : {Shape::kOwn, Shape::kOneRegion, Shape::kRandom}) {
+        const std::string tag = label + " [regional, " + shape_name(shape) + "]";
+        const auto fast = run_regional(t, rt, demands, cfg, shape);
 
         EXPECT_EQ(fast.cycles, ref.cycles) << tag;
         EXPECT_EQ(fast.packets, ref.packets) << tag;
@@ -105,11 +143,12 @@ void expect_equivalent(const topo::Topology& t, const RouteTable& rt,
         EXPECT_EQ(fast.link_flits, ref.link_flits) << tag;
 
         expect_conserved(fast, tag);
-        // The fast cores' no-op proofs subsume the reference's
-        // idle-gap-only rule, so they can never execute more cycles.
+        // The regional no-op proofs subsume the reference's idle-gap-only
+        // rule, so no region shape can ever execute more cycles.
         EXPECT_LE(fast.cycles_stepped, ref.cycles_stepped) << tag;
-        if (core == SimCore::kEventHorizon)
+        if (shape == Shape::kOneRegion) {
             EXPECT_EQ(fast.regions, 1) << tag;
+        }
     }
 }
 
@@ -175,8 +214,9 @@ TEST(EventHorizon, DifferentialOnDeepPipelines) {
         expect_equivalent(t, rt, demands, cfg, "longline depth=" +
                                                    std::to_string(depth));
         // Congested drains on deep pipes are exactly where the credit-aware
-        // proof must beat cycle stepping outright.
-        const auto fast = run_with(t, rt, demands, cfg, SimCore::kEventHorizon);
+        // proof must beat cycle stepping outright, even with one global
+        // clock.
+        const auto fast = run_regional(t, rt, demands, cfg, Shape::kOneRegion);
         EXPECT_GT(fast.cycles_skipped, 0) << depth;
         EXPECT_LT(fast.cycles_stepped, fast.cycles) << depth;
     }
@@ -202,7 +242,7 @@ TEST(EventHorizon, SkipsCreditBlockedWindows) {
     // Hotspot: every node floods one sink, so head flits pile up blocked on
     // zero-credit outputs while the sink ejects one flit per port per
     // cycle. The FIFO-empty rule never fires here; the credit-aware proof
-    // must still find jumps.
+    // must still find jumps on one global clock.
     const auto t = topo::make_mesh(5, 5);
     const auto rt = RouteTable::build(t, RoutingPolicy::kShortestPath);
     SimConfig cfg;
@@ -213,7 +253,7 @@ TEST(EventHorizon, SkipsCreditBlockedWindows) {
     for (topo::NodeId n = 0; n < 25; ++n)
         if (n != 12) demands.push_back({n, 12, 400});
     expect_equivalent(t, rt, demands, cfg, "hotspot");
-    const auto fast = run_with(t, rt, demands, cfg, SimCore::kEventHorizon);
+    const auto fast = run_regional(t, rt, demands, cfg, Shape::kOneRegion);
     EXPECT_GT(fast.horizon_jumps, 0);
 }
 
@@ -235,24 +275,24 @@ TEST(EventHorizon, SaturatedDrainSleepsColdRegions) {
         demands.push_back({src, 0, 8 * 1024});
     expect_equivalent(t, rt, demands, cfg, "saturated drain");
 
-    const auto regional = run_with(t, rt, demands, cfg, SimCore::kRegional);
+    const auto regional = run_regional(t, rt, demands, cfg, Shape::kOwn);
     EXPECT_GT(regional.regions, 1);
     EXPECT_GT(regional.region_cycles_skipped, 0);
     EXPECT_GT(regional.region_horizon_jumps, 0);
     // The drain concentrates work: the sink's region steps nearly every
     // cycle while the far corner sleeps through most of the run.
     EXPECT_LT(regional.region_stepped_min, regional.region_stepped_max);
-    // Strict superset of the global core's skipping on this pattern: the
-    // per-region totals must beat what one global clock can prove.
-    const auto global = run_with(t, rt, demands, cfg, SimCore::kEventHorizon);
+    // Strict superset of one global clock's skipping on this pattern: the
+    // per-region totals must beat what the one-region partition can prove.
+    const auto global = run_regional(t, rt, demands, cfg, Shape::kOneRegion);
     EXPECT_GT(regional.region_cycles_skipped,
               global.cycles_skipped * global.regions);
 }
 
 TEST(EventHorizon, CornerToCornerBurstHotspot) {
     // A single corner-to-corner burst: one long diagonal of busy links,
-    // everything off-path idle. Both fast cores must stay bit-identical;
-    // the regional core must additionally prove off-path tiles asleep.
+    // everything off-path idle. Every region shape must stay bit-identical;
+    // the topology's own tiles must additionally prove off-path tiles asleep.
     const auto t = topo::make_mesh(8, 8);
     const auto rt = RouteTable::build(t, RoutingPolicy::kShortestPath);
     SimConfig cfg;
@@ -262,31 +302,32 @@ TEST(EventHorizon, CornerToCornerBurstHotspot) {
     const std::vector<Demand> demands{{0, 63, 16 * 1024}};
     expect_equivalent(t, rt, demands, cfg, "corner burst");
 
-    const auto regional = run_with(t, rt, demands, cfg, SimCore::kRegional);
+    const auto regional = run_regional(t, rt, demands, cfg, Shape::kOwn);
     EXPECT_GT(regional.regions, 1);
     EXPECT_GT(regional.region_cycles_skipped, 0);
 }
 
 TEST(EventHorizon, ForcedRegionCountsPreserveResults) {
-    // cfg.regions is a scheduling knob, never a semantic one: any forced
-    // tiling — including one region (the global core's shape) and counts
-    // that do not divide the mesh — must reproduce the reference bits.
+    // Region shape is a scheduling choice, never a semantic one: any forced
+    // partition — including one region (the global event horizon) and
+    // counts that do not divide the mesh — must reproduce the reference
+    // bits. Row-major stripes of the 36 nodes force exactly `regions`.
     const auto t = topo::make_mesh(6, 6);
     const auto rt = RouteTable::build(t, RoutingPolicy::kUpDown);
     const auto demands = random_demands(36, 23, 60, 400);
-    const auto ref = [&] {
-        SimConfig cfg;
-        cfg.max_cycles = 2'000'000;
-        cfg.injection_rate = 0.05;
-        return run_with(t, rt, demands, cfg, SimCore::kReference);
-    }();
+    SimConfig cfg;
+    cfg.max_cycles = 2'000'000;
+    cfg.injection_rate = 0.05;
+    const auto ref = run_with(t, rt, demands, cfg, SimCore::kReference);
     for (const std::int32_t regions : {1, 2, 5, 7}) {
-        SimConfig cfg;
-        cfg.max_cycles = 2'000'000;
-        cfg.injection_rate = 0.05;
-        cfg.regions = regions;
-        const auto r = run_with(t, rt, demands, cfg, SimCore::kRegional);
+        auto forced = t;
+        std::vector<std::int32_t> hint(36);
+        for (std::int32_t n = 0; n < 36; ++n)
+            hint[static_cast<std::size_t>(n)] = n * regions / 36;
+        forced.set_region_hint(std::move(hint));
+        const auto r = run_with(forced, rt, demands, cfg, SimCore::kRegional);
         const std::string tag = "forced regions=" + std::to_string(regions);
+        EXPECT_EQ(r.regions, regions) << tag;
         EXPECT_EQ(r.cycles, ref.cycles) << tag;
         EXPECT_EQ(r.packets, ref.packets) << tag;
         EXPECT_EQ(r.flit_hops, ref.flit_hops) << tag;
@@ -311,15 +352,16 @@ TEST(EventHorizon, StatisticsAreZeroWorkOnEmptyRun) {
 
 TEST(EventHorizon, CoreNamesAreStable) {
     EXPECT_STREQ(sim_core_name(SimCore::kReference), "reference");
-    EXPECT_STREQ(sim_core_name(SimCore::kEventHorizon), "event-horizon");
     EXPECT_STREQ(sim_core_name(SimCore::kRegional), "regional");
-    for (const auto core :
-         {SimCore::kReference, SimCore::kEventHorizon, SimCore::kRegional}) {
+    for (const auto core : {SimCore::kReference, SimCore::kRegional}) {
         const auto parsed = sim_core_from_name(sim_core_name(core));
         ASSERT_TRUE(parsed.has_value());
         EXPECT_EQ(*parsed, core);
     }
-    EXPECT_EQ(sim_core_from_name("event_horizon"), SimCore::kEventHorizon);
+    // "event-horizon" is not an alias for the one-region regional
+    // schedule: a stale core name must fail to parse, never run a default.
+    EXPECT_FALSE(sim_core_from_name("event-horizon").has_value());
+    EXPECT_FALSE(sim_core_from_name("event_horizon").has_value());
     EXPECT_FALSE(sim_core_from_name("warp").has_value());
     EXPECT_FALSE(sim_core_from_name("").has_value());
 }

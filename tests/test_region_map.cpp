@@ -1,13 +1,10 @@
 /// topo::make_region_map is the seam the regional simulator core (and any
 /// future intra-simulation parallelism) stands on, so its contract gets
 /// its own suite: every node lands in exactly one region, ids are dense
-/// and deterministic, generator hints (Floret petals) are respected, a
-/// forced target produces roughly that many spatial tiles, and cut_links
-/// is exactly the set of links whose endpoints disagree.
+/// and deterministic, and generator hints (Floret petals) are respected.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <set>
 #include <vector>
 
@@ -20,7 +17,7 @@ namespace floretsim::topo {
 namespace {
 
 /// Partition validity shared by every case: dense ids in [0, count), every
-/// node assigned, cut_links = links crossing regions and nothing else.
+/// node assigned.
 void expect_valid(const Topology& t, const RegionMap& m) {
     ASSERT_EQ(static_cast<std::int32_t>(m.region_of.size()), t.node_count());
     EXPECT_GE(m.count, 1);
@@ -33,12 +30,6 @@ void expect_valid(const Topology& t, const RegionMap& m) {
     }
     EXPECT_EQ(static_cast<std::int32_t>(used.size()), m.count)
         << "region ids must be dense";
-    std::vector<LinkId> expected_cut;
-    for (const auto& l : t.links())
-        if (m.region_of[static_cast<std::size_t>(l.a)] !=
-            m.region_of[static_cast<std::size_t>(l.b)])
-            expected_cut.push_back(l.id);
-    EXPECT_EQ(m.cut_links, expected_cut);
 }
 
 TEST(RegionMap, AutoTilingCoversMeshes) {
@@ -52,26 +43,12 @@ TEST(RegionMap, AutoTilingCoversMeshes) {
     }
 }
 
-TEST(RegionMap, ForcedTargetIsApproximatelyHonored) {
-    const auto t = make_mesh(10, 10);
-    for (const std::int32_t target : {1, 2, 5, 7, 12, 100}) {
-        const auto m = make_region_map(t, target);
-        expect_valid(t, m);
-        // Tiling rounds to a grid of tiles, so the count lands near the
-        // target without exceeding the node count.
-        EXPECT_GE(m.count, std::min(target, t.node_count()) / 4) << target;
-        EXPECT_LE(m.count, t.node_count()) << target;
-    }
-    EXPECT_EQ(make_region_map(t, 1).count, 1);
-}
-
 TEST(RegionMap, DeterministicAcrossCalls) {
     const auto t = make_mesh(7, 5);
-    const auto a = make_region_map(t, 6);
-    const auto b = make_region_map(t, 6);
+    const auto a = make_region_map(t);
+    const auto b = make_region_map(t);
     EXPECT_EQ(a.count, b.count);
     EXPECT_EQ(a.region_of, b.region_of);
-    EXPECT_EQ(a.cut_links, b.cut_links);
 }
 
 TEST(RegionMap, GeneratorHintWinsOverTiling) {
@@ -89,8 +66,6 @@ TEST(RegionMap, GeneratorHintWinsOverTiling) {
     EXPECT_EQ(m.region_of[1], m.region_of[3]);
     EXPECT_EQ(m.region_of[4], m.region_of[5]);
     EXPECT_EQ(m.region_of[0], 0) << "first-seen hint takes id 0";
-    // A forced target still overrides the hint.
-    EXPECT_EQ(make_region_map(t, 1).count, 1);
 }
 
 TEST(RegionMap, HintValidationRejectsBadInput) {
@@ -110,7 +85,12 @@ TEST(RegionMap, FloretPetalsBecomeRegions) {
         << "one region per petal";
     // Petals are contiguous SFC paths: most links stay inside a petal and
     // only the express/boundary links cross.
-    EXPECT_LT(static_cast<std::int32_t>(m.cut_links.size()), t.link_count());
+    std::int32_t cut = 0;
+    for (const auto& l : t.links())
+        if (m.region_of[static_cast<std::size_t>(l.a)] !=
+            m.region_of[static_cast<std::size_t>(l.b)])
+            ++cut;
+    EXPECT_LT(cut, t.link_count());
 }
 
 }  // namespace

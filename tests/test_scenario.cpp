@@ -38,7 +38,6 @@ TEST(Registry, BuiltinScenariosAreRegistered) {
     // applied to it (the driver consults uses_eval for its typo guard).
     EXPECT_FALSE(reg.at("fig4").uses_eval);
     EXPECT_TRUE(reg.at("fig3").uses_eval);
-    EXPECT_TRUE(is_eval_override_key("sim_core"));
     EXPECT_TRUE(is_eval_override_key("traffic_scale"));
     EXPECT_FALSE(is_eval_override_key("archs"));
 }
@@ -103,6 +102,11 @@ TEST(Overrides, ApplyToSweepSpecs) {
     EXPECT_THROW((void)apply_override(spec, "traffic_scale", "1/0"),
                  std::invalid_argument);
     EXPECT_THROW((void)apply_override(spec, "archs", "torus"),
+                 std::invalid_argument);
+    // The simulator core is a per-process choice (--core /
+    // FLORETSIM_SIM_CORE), not a spec field.
+    EXPECT_FALSE(is_eval_override_key("sim_core"));
+    EXPECT_THROW((void)apply_override(spec, "sim_core", "reference"),
                  std::invalid_argument);
 }
 

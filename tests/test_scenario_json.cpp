@@ -40,13 +40,15 @@ TEST(ScenarioJson, SimConfigRoundTrip) {
     c.mm_per_cycle = 2.5;
     c.max_cycles = 123456789012345;  // needs 64-bit round-trip
     c.injection_rate = 0.125;
-    c.core = noc::SimCore::kReference;
-    EXPECT_EQ(round_trip(c, sim_config_from_json), c);
-    c.core = noc::SimCore::kRegional;
-    c.regions = 5;
     EXPECT_EQ(round_trip(c, sim_config_from_json), c);
     EXPECT_EQ(round_trip(noc::SimConfig{}, sim_config_from_json),
               noc::SimConfig{});
+    // Specs do not carry the simulator core: it is a per-process choice
+    // (FLORETSIM_SIM_CORE / --core), so the JSON omits it and a parsed
+    // config always holds the default.
+    c.core = noc::SimCore::kReference;
+    EXPECT_EQ(to_json(c).find("core"), nullptr);
+    EXPECT_EQ(round_trip(c, sim_config_from_json).core, noc::SimConfig{}.core);
 }
 
 TEST(ScenarioJson, CostParamsRoundTrip) {
@@ -70,8 +72,6 @@ TEST(ScenarioJson, EvalConfigRoundTrip) {
 
 TEST(ScenarioJson, EnumsRejectUnknownNames) {
     EXPECT_THROW((void)arch_from_string("torus"), std::invalid_argument);
-    EXPECT_THROW((void)sim_core_from_json(Json("warp")), std::invalid_argument);
-    EXPECT_EQ(sim_core_from_json(Json("regional")), noc::SimCore::kRegional);
     EXPECT_THROW((void)admission_policy_from_json(Json("lifo")),
                  std::invalid_argument);
     EXPECT_THROW((void)arrival_process_from_json(Json("pareto")),
@@ -171,11 +171,6 @@ TEST(ScenarioJson, DynamicResultRoundTrip) {
     r.sim_cycles_stepped = 9876;
     r.sim_cycles_skipped = 54321;
     r.sim_horizon_jumps = 17;
-    r.sim_region_cycles_stepped = 111222333444;
-    r.sim_region_cycles_skipped = 555666777888;
-    r.sim_region_horizon_jumps = 23;
-    r.sim_region_stepped_max = 9000;
-    r.sim_region_stepped_min = 12;
     EXPECT_EQ(round_trip(r, dynamic_result_from_json), r);
     EXPECT_EQ(round_trip(experiment::DynamicResult{}, dynamic_result_from_json),
               experiment::DynamicResult{});
@@ -367,6 +362,33 @@ TEST(ScenarioJson, ServeConfigAdversarialCorpus) {
     EXPECT_THROW((void)serve_config_from_json(
                      json_parse(R"({"max_bach": 4})")),
                  std::invalid_argument);
+}
+
+TEST(ScenarioJson, SimConfigAdversarialCorpus) {
+    // The simulator core and the region count are not spec fields: a spec
+    // that names either fails the strict unknown-key check, at the sim
+    // level and nested in an eval config, and the message names the key.
+    for (const char* sim : {R"({"core": "reference"})", R"({"core": "regional"})",
+                            R"({"core": "event-horizon"})", R"({"regions": 4})",
+                            R"({"regions": 0})"}) {
+        EXPECT_THROW((void)sim_config_from_json(json_parse(sim)),
+                     std::invalid_argument)
+            << sim;
+        EXPECT_THROW((void)eval_config_from_json(
+                         json_parse(std::string(R"({"sim": )") + sim + "}")),
+                     std::invalid_argument)
+            << sim;
+    }
+    for (const char* key : {"core", "regions"}) {
+        try {
+            (void)sim_config_from_json(
+                json_parse(std::string(R"({")") + key + R"(": 1})"));
+            FAIL() << "expected unknown-key rejection of " << key;
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(ScenarioJson, UnknownKeysAreRejectedAtEveryLevel) {

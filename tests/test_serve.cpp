@@ -52,11 +52,6 @@ void expect_identical(const ServeStats& a, const ServeStats& b) {
     EXPECT_EQ(a.sim_cycles_stepped, b.sim_cycles_stepped);
     EXPECT_EQ(a.sim_cycles_skipped, b.sim_cycles_skipped);
     EXPECT_EQ(a.sim_horizon_jumps, b.sim_horizon_jumps);
-    EXPECT_EQ(a.sim_region_cycles_stepped, b.sim_region_cycles_stepped);
-    EXPECT_EQ(a.sim_region_cycles_skipped, b.sim_region_cycles_skipped);
-    EXPECT_EQ(a.sim_region_horizon_jumps, b.sim_region_horizon_jumps);
-    EXPECT_EQ(a.sim_region_stepped_max, b.sim_region_stepped_max);
-    EXPECT_EQ(a.sim_region_stepped_min, b.sim_region_stepped_min);
     ASSERT_EQ(a.per_class.size(), b.per_class.size());
     for (std::size_t c = 0; c < a.per_class.size(); ++c) {
         EXPECT_EQ(a.per_class[c].arrived, b.per_class[c].arrived);
@@ -329,9 +324,9 @@ TEST(DifferentialPin, QuickConfigMatchesPreClusterGoldens) {
 }
 
 TEST(DifferentialPin, GoldensHoldAcrossSimCores) {
-    // All three cycle engines must agree on every serve-visible stat
-    // (only the stepped/skipped accounting differs), and that accounting
-    // itself is pinned.
+    // Both cycle engines must agree on every serve-visible stat (only the
+    // stepped/skipped accounting differs), and that accounting itself is
+    // pinned.
     auto ref_arch = core::experiment::build_arch(Arch::kFloret, 6, 6);
     auto base = quick_cfg();
     base.eval.sim.core = noc::SimCore::kReference;
@@ -340,21 +335,19 @@ TEST(DifferentialPin, GoldensHoldAcrossSimCores) {
     EXPECT_EQ(ref.sim_cycles_stepped, 70);
     EXPECT_EQ(ref.sim_cycles_skipped, 0);
     EXPECT_EQ(ref.sim_horizon_jumps, 0);
-    for (const auto core :
-         {noc::SimCore::kEventHorizon, noc::SimCore::kRegional}) {
-        auto cfg = quick_cfg();
-        cfg.eval.sim.core = core;
-        auto arch = core::experiment::build_arch(Arch::kFloret, 6, 6);
-        const auto s = serve_requests(arch, cfg);
-        EXPECT_EQ(s.makespan_cycles, ref.makespan_cycles);
-        EXPECT_EQ(s.p99_latency_cycles, ref.p99_latency_cycles);
-        EXPECT_EQ(s.throughput_per_mcycle, ref.throughput_per_mcycle);
-        EXPECT_EQ(s.noi_rounds, ref.noi_rounds);
-        EXPECT_EQ(s.noi_cache_hits, ref.noi_cache_hits);
-        EXPECT_EQ(s.sim_cycles_stepped, 59);
-        EXPECT_EQ(s.sim_cycles_skipped, 11);
-        EXPECT_EQ(s.sim_horizon_jumps, 10);
-    }
+
+    auto cfg = quick_cfg();
+    cfg.eval.sim.core = noc::SimCore::kRegional;
+    auto arch = core::experiment::build_arch(Arch::kFloret, 6, 6);
+    const auto s = serve_requests(arch, cfg);
+    EXPECT_EQ(s.makespan_cycles, ref.makespan_cycles);
+    EXPECT_EQ(s.p99_latency_cycles, ref.p99_latency_cycles);
+    EXPECT_EQ(s.throughput_per_mcycle, ref.throughput_per_mcycle);
+    EXPECT_EQ(s.noi_rounds, ref.noi_rounds);
+    EXPECT_EQ(s.noi_cache_hits, ref.noi_cache_hits);
+    EXPECT_EQ(s.sim_cycles_stepped, 59);
+    EXPECT_EQ(s.sim_cycles_skipped, 11);
+    EXPECT_EQ(s.sim_horizon_jumps, 10);
 }
 
 TEST(DifferentialPin, SlamGoldensAcrossAdmissionPolicies) {
@@ -780,9 +773,9 @@ TEST(ServeSweep, AggregateWeighsReplications) {
     a.completed = 10;
     a.p95_latency_cycles = 100.0;
     a.throughput_per_mcycle = 50.0;
-    a.sim_region_cycles_stepped = 40;
-    a.sim_region_cycles_skipped = 60;
-    a.sim_region_horizon_jumps = 4;
+    a.sim_cycles_stepped = 40;
+    a.sim_cycles_skipped = 60;
+    a.sim_horizon_jumps = 4;
     ServeStats b;
     b.arrived = 10;
     b.completed = 8;
@@ -790,9 +783,9 @@ TEST(ServeSweep, AggregateWeighsReplications) {
     b.sla_violations = 2;
     b.p95_latency_cycles = 300.0;
     b.throughput_per_mcycle = 30.0;
-    b.sim_region_cycles_stepped = 10;
-    b.sim_region_cycles_skipped = 30;
-    b.sim_region_horizon_jumps = 3;
+    b.sim_cycles_stepped = 10;
+    b.sim_cycles_skipped = 30;
+    b.sim_horizon_jumps = 3;
     const std::vector<ServeStats> runs{a, b};
     const auto agg = aggregate(runs);
     EXPECT_EQ(agg.arrived, 20);
@@ -800,9 +793,9 @@ TEST(ServeSweep, AggregateWeighsReplications) {
     EXPECT_DOUBLE_EQ(agg.p95_latency_cycles, 200.0);
     EXPECT_DOUBLE_EQ(agg.mean_throughput_per_mcycle, 40.0);
     EXPECT_DOUBLE_EQ(agg.sla_violation_rate(), 0.1);
-    EXPECT_EQ(agg.sim_region_cycles_stepped, 50);
-    EXPECT_EQ(agg.sim_region_cycles_skipped, 90);
-    EXPECT_EQ(agg.sim_region_horizon_jumps, 7);
+    EXPECT_EQ(agg.sim_cycles_stepped, 50);
+    EXPECT_EQ(agg.sim_cycles_skipped, 90);
+    EXPECT_EQ(agg.sim_horizon_jumps, 7);
 }
 
 }  // namespace

@@ -215,10 +215,10 @@ TEST(Simulator, ReusableAfterRun) {
     EXPECT_EQ(r2.packets, r1.packets);
 }
 
-/// Runs the same demand set on the reference cycle loop and the
-/// event-horizon core and requires bit-identical SimResults — every
-/// skipped cycle must be a no-op. (tests/test_noc_event_horizon.cpp runs
-/// the full randomized differential matrix.)
+/// Runs the same demand set on the reference cycle loop and the default
+/// (regional) core and requires bit-identical SimResults — every skipped
+/// cycle must be a no-op. (tests/test_noc_event_horizon.cpp runs the full
+/// randomized differential matrix.)
 void expect_skip_ahead_equivalent(const topo::Topology& t, const RouteTable& rt,
                                   const std::vector<Demand>& demands,
                                   SimConfig cfg) {
@@ -227,7 +227,7 @@ void expect_skip_ahead_equivalent(const topo::Topology& t, const RouteTable& rt,
     ref_sim.add_demands(demands);
     const auto ref = ref_sim.run();
 
-    cfg.core = SimCore::kEventHorizon;
+    cfg.core = SimConfig{}.core;
     Simulator fast_sim(t, rt, cfg);
     fast_sim.add_demands(demands);
     const auto fast = fast_sim.run();
@@ -304,8 +304,8 @@ TEST(Simulator, SkipAheadMatchesReferenceWhenCycleCapped) {
     expect_skip_ahead_equivalent(t, rt, sparse_demands(16, 3), cfg);
 }
 
-TEST(Simulator, EventHorizonCoreIsOnByDefault) {
-    EXPECT_EQ(SimConfig{}.core, SimCore::kEventHorizon);
+TEST(Simulator, RegionalCoreIsOnByDefault) {
+    EXPECT_EQ(SimConfig{}.core, SimCore::kRegional);
 }
 
 TEST(Simulator, IdleFastForwardClampsCappedRuns) {
@@ -318,8 +318,7 @@ TEST(Simulator, IdleFastForwardClampsCappedRuns) {
     SimConfig cfg;
     cfg.injection_rate = 1e-6;  // second packet schedules ~1e7 cycles out
     cfg.max_cycles = 1'000;
-    for (const auto core :
-         {SimCore::kReference, SimCore::kEventHorizon, SimCore::kRegional}) {
+    for (const auto core : {SimCore::kReference, SimCore::kRegional}) {
         cfg.core = core;
         Simulator sim(t, rt, cfg);
         sim.add_demand({0, 3, 8});  // delivered almost immediately

@@ -31,6 +31,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -76,7 +77,7 @@ struct DriverOptions {
                  "usage: %s [--list] [--only A,B,...] [--spec FILE]... \n"
                  "       [--set KEY=VALUE]... [--threads N] [--seed N] "
                  "[--json PATH] [--pool N]\n"
-                 "       [--core reference|event-horizon|regional]\n"
+                 "       [--core reference|regional]\n"
                  "       [--trace-out FILE] [--metrics-out FILE] "
                  "[--cache-dir DIR]\n"
                  "       %s --worker --serve [--threads N]\n"
@@ -126,8 +127,7 @@ DriverOptions parse(int argc, char** argv) {
         } else if (arg == "--core") {
             const std::string value = need_value(i++, "--core");
             if (!noc::sim_core_from_name(value))
-                usage(argv[0], "--core expects reference, event-horizon or "
-                               "regional, got " + value);
+                usage(argv[0], "--core expects reference or regional, got " + value);
             // The process-wide env override is the switch every simulation
             // honors, and spawned fleet workers inherit the environment —
             // one flag covers coordinator and workers alike.
@@ -193,6 +193,13 @@ int run_serve(const DriverOptions& opt, const char* argv0) {
 
 int main(int argc, char** argv) {
     const DriverOptions opt = parse(argc, argv);
+    // A bad FLORETSIM_SIM_CORE is a usage error before any work: running
+    // the default core instead would silently test the wrong engine.
+    try {
+        (void)noc::resolved_sim_core(noc::SimConfig{}.core);
+    } catch (const std::invalid_argument& e) {
+        usage(argv[0], e.what());
+    }
     // Observability is opt-in per flag: tracing and metrics stay fully
     // disabled (and zero-cost) unless an output path asks for them.
     if (!opt.trace_out.empty()) obs::Tracer::global().enable();
