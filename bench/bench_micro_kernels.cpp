@@ -59,11 +59,11 @@ void BM_SimulatorDrain(benchmark::State& state) {
 
 /// Sparse single-flit packets on slow interposer wires: most simulated
 /// cycles find every in-flight flit mid-pipe or blocked on credits. The
-/// regional core proves those cycles no-ops and jumps straight to the
+/// activity core proves those cycles no-ops and jumps straight to the
 /// next arrival or injection; the reference loop steps each of them. Same
 /// SimResult either way.
 void BM_SimulatorSparse(benchmark::State& state) {
-    const bool regional = state.range(0) != 0;
+    const bool activity = state.range(0) != 0;
     const auto t = topo::make_mesh(10, 10);
     const auto rt = noc::RouteTable::build(t, noc::RoutingPolicy::kShortestPath);
     std::int64_t cycles = 0;
@@ -71,7 +71,7 @@ void BM_SimulatorSparse(benchmark::State& state) {
         noc::SimConfig cfg;
         cfg.injection_rate = 0.001;
         cfg.mm_per_cycle = 0.25;  // 18-cycle hops: deep link pipelines
-        cfg.core = regional ? noc::SimCore::kRegional : noc::SimCore::kReference;
+        cfg.core = activity ? noc::SimCore::kActivity : noc::SimCore::kReference;
         noc::Simulator sim(t, rt, cfg);
         util::Rng rng(5);
         for (int i = 0; i < 30; ++i) {
@@ -115,7 +115,7 @@ void BM_FloretTopologyBuild(benchmark::State& state) {
 BENCHMARK(BM_SfcGeneration)->Arg(6)->Arg(10)->Arg(16);
 BENCHMARK(BM_RouteTableUpDown)->Arg(6)->Arg(10);
 BENCHMARK(BM_SimulatorDrain);
-BENCHMARK(BM_SimulatorSparse)->Arg(0)->Arg(1);
+BENCHMARK(BM_SimulatorSparse)->ArgName("activity")->Arg(0)->Arg(1);
 BENCHMARK(BM_ThermalSolve);
 BENCHMARK(BM_ModelZooResNet50);
 BENCHMARK(BM_FloretTopologyBuild);

@@ -2,15 +2,15 @@
 /// activations are ~4.5x the skip-connection activations, i.e. skips are
 /// ~19% of the total traffic of a single pass. Reports the breakdown for
 /// every residual/dense model in Table I — then runs two simulator-core
-/// A/Bs, reference against regional:
+/// A/Bs, reference against activity:
 ///
 ///   1. the skip-heaviest model's mapped traffic drained through the
 ///      Floret fabric (the paper's workload, mixed traffic everywhere);
 ///   2. a saturated corner drain — a handful of sources flooding one sink
 ///      while the rest of a 10x10 mesh sits idle. Every cycle moves a flit
 ///      somewhere near the sink, so the fabric is never globally quiet;
-///      the regional core keeps the hot tile stepping and leaps everyone
-///      else.
+///      the activity core steps every cycle but arbitrates only the
+///      outputs the drain's head flits request.
 ///
 /// Results must agree bit-for-bit across cores (checked in-binary; nonzero
 /// exit on disagreement) — only the engine-work statistics may differ.
@@ -32,7 +32,7 @@ namespace {
 using namespace floretsim;
 
 constexpr noc::SimCore kCores[] = {noc::SimCore::kReference,
-                                   noc::SimCore::kRegional};
+                                   noc::SimCore::kActivity};
 
 /// FNV-1a over the semantic SimResult fields (everything the differential
 /// contract covers; engine-work statistics excluded), folded to 32 bits so
@@ -163,9 +163,9 @@ int main(int argc, char** argv) {
     // --- A/B 2: saturated corner drain. Five sources flood node 0 of a
     // 10x10 mesh with 64 KiB each while the other 94 nodes are silent. The
     // sink ejects every cycle, so the fabric is never globally quiet and
-    // the regional core's hot tile steps every cycle — but the idle tiles
-    // prove local fixed points and leap, which is the entire point of
-    // per-region clocks. The region ledger comes from the SimResult.
+    // the activity core steps every cycle too — but it offers switch
+    // allocation only the outputs some head flit requests, where the
+    // reference core offers all 360 channels.
     std::cout << "\n=== Wormhole drain: saturated corner sink, per core ===\n\n";
     const auto mesh = topo::make_mesh(10, 10);
     const auto mesh_rt =
@@ -179,8 +179,7 @@ int main(int argc, char** argv) {
         drain_demands.push_back({src, 0, 64 * 1024});
 
     util::TextTable drain_t({"Core", "Drain (kcyc)", "Stepped", "Skipped",
-                             "Jumps", "Rg stepped", "Rg skipped", "Rg jumps",
-                             "Hash", "Wall (ms)"});
+                             "Jumps", "Arbitrations", "Hash", "Wall (ms)"});
     noc::SimResult drain_ref;
     for (const auto core_kind : kCores) {
         noc::SimConfig cfg = drain_cfg;
@@ -199,10 +198,7 @@ int main(int argc, char** argv) {
             {noc::sim_core_name(core_kind),
              util::TextTable::fmt(r.cycles / 1e3, 1),
              std::to_string(r.cycles_stepped), std::to_string(r.cycles_skipped),
-             std::to_string(r.horizon_jumps),
-             std::to_string(r.region_cycles_stepped),
-             std::to_string(r.region_cycles_skipped),
-             std::to_string(r.region_horizon_jumps),
+             std::to_string(r.horizon_jumps), std::to_string(r.arbitrations),
              util::TextTable::fmt(static_cast<double>(hash), 0),
              util::TextTable::fmt(ms, 2)});
         report.add_metric(prefix + "_cycles", static_cast<double>(r.cycles));
@@ -212,17 +208,8 @@ int main(int argc, char** argv) {
                           static_cast<double>(r.cycles_skipped));
         report.add_metric(prefix + "_horizon_jumps",
                           static_cast<double>(r.horizon_jumps));
-        report.add_metric(prefix + "_regions", static_cast<double>(r.regions));
-        report.add_metric(prefix + "_region_cycles_stepped",
-                          static_cast<double>(r.region_cycles_stepped));
-        report.add_metric(prefix + "_region_cycles_skipped",
-                          static_cast<double>(r.region_cycles_skipped));
-        report.add_metric(prefix + "_region_horizon_jumps",
-                          static_cast<double>(r.region_horizon_jumps));
-        report.add_metric(prefix + "_region_stepped_max",
-                          static_cast<double>(r.region_stepped_max));
-        report.add_metric(prefix + "_region_stepped_min",
-                          static_cast<double>(r.region_stepped_min));
+        report.add_metric(prefix + "_arbitrations",
+                          static_cast<double>(r.arbitrations));
         report.add_metric(prefix + "_result_hash", static_cast<double>(hash));
         report.add_metric(prefix + "_wall_seconds", ms / 1e3);
         if (core_kind == noc::SimCore::kReference)

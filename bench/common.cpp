@@ -18,7 +18,7 @@ namespace {
 [[noreturn]] void usage_error(const char* argv0, const std::string& msg) {
     std::fprintf(stderr,
                  "%s: %s\nusage: %s [--threads N] [--json PATH] "
-                 "[--seed N] [--core reference|regional] "
+                 "[--seed N] [--core reference|activity] "
                  "[--trace-out PATH] [--metrics-out PATH] [args...]\n",
                  argv0, msg.c_str(), argv0);
     std::exit(2);
@@ -56,7 +56,7 @@ Options Options::parse(int argc, char** argv) {
             if (i + 1 >= argc) usage_error(argv[0], "--core needs a name");
             const std::string value = argv[++i];
             if (!noc::sim_core_from_name(value))
-                usage_error(argv[0], "--core expects reference or regional, got " +
+                usage_error(argv[0], "--core expects reference or activity, got " +
                                          value);
             // The process-wide env override is the one switch every
             // simulation already honors; the CLI just sets it before the

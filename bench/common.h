@@ -13,7 +13,7 @@
 ///   --json PATH     machine-readable report alongside the printed tables
 ///   --seed N        override the bench's built-in experiment seed, so
 ///                   stochastic benches (scheduler) are replayable
-///   --core NAME     select the simulator core (reference | regional) for
+///   --core NAME     select the simulator core (reference | activity) for
 ///                   every simulation of the run; implemented by setting
 ///                   FLORETSIM_SIM_CORE before first use (an unknown
 ///                   FLORETSIM_SIM_CORE is a usage error, exit 2)

@@ -4,8 +4,8 @@
 # in rarely-run benches (and the JSON emitter) without paying for
 # full-size sweeps in CI.
 #
-# Both simulator cores are exercised end to end (the per-region-clock
-# regional default and the reference cycle loop — via FLORETSIM_SIM_CORE
+# Both simulator cores are exercised end to end (the activity-driven
+# default and the reference cycle loop — via FLORETSIM_SIM_CORE
 # for the bench binaries and the --core flag for the driver, so the flag
 # path itself is smoke-tested). The paper figures and tables (all
 # thirteen registered scenarios: fig2-7, table2, serving, cluster,
@@ -56,7 +56,7 @@ smoke_one() {  # smoke_one <label> <log/json stem> <cmd...>
     ran=$((ran + 1))
 }
 
-for core in regional reference; do
+for core in activity reference; do
     export FLORETSIM_SIM_CORE=$core
 
     # Registered scenarios: one driver run, selecting the core with the
@@ -87,13 +87,12 @@ if [ "$ran" -eq 0 ]; then
 fi
 
 # Perf smoke: bench_skip_traffic with no forced core runs its in-binary
-# reference-vs-regional drain A/B. On the saturated corner drain the
-# regional core must (a) produce the exact SimResult the reference core
-# produced — same 32-bit fold of every semantic field — and (b) put cold
-# regions to sleep: per-region skipped cycles strictly positive. (That
-# this beats one global clock is pinned by
-# EventHorizon.SaturatedDrainSleepsColdRegions.) A regression in either
-# direction fails CI here.
+# reference-vs-activity drain A/B. On the saturated corner drain the
+# activity core must (a) produce the exact SimResult the reference core
+# produced — same 32-bit fold of every semantic field — and (b) offer
+# switch allocation fewer outputs than the reference core, which visits
+# every channel every stepped cycle. A regression in either direction
+# fails CI here.
 unset FLORETSIM_SIM_CORE
 perf_json="$out_dir/skip_traffic.perf.json"
 if "$build_dir/bench_skip_traffic" --threads 2 --json "$perf_json" \
@@ -102,15 +101,16 @@ if "$build_dir/bench_skip_traffic" --threads 2 --json "$perf_json" \
 import json, sys
 m = json.load(open(sys.argv[1]))["metrics"]
 assert m["cores_agree"] == 1.0, "simulator cores disagree on a drain result"
-assert m["drain_regional_result_hash"] == m["drain_reference_result_hash"], (
-    "regional drain SimResult hash differs from reference")
-assert m["drain_regional_region_cycles_skipped"] > 0, (
-    "regional core put no region to sleep on the saturated drain")
-print("perf smoke ok: regional drain bit-identical and "
-      f"{int(m['drain_regional_region_cycles_skipped'])} region-cycles slept")
+assert m["drain_activity_result_hash"] == m["drain_reference_result_hash"], (
+    "activity drain SimResult hash differs from reference")
+assert m["drain_activity_arbitrations"] < m["drain_reference_arbitrations"], (
+    "activity core arbitrated no fewer outputs than the reference core")
+print("perf smoke ok: activity drain bit-identical with "
+      f"{int(m['drain_activity_arbitrations'])} of "
+      f"{int(m['drain_reference_arbitrations'])} reference arbitrations")
 EOF
 then
-    echo "ok   bench_skip_traffic (perf smoke: regional drain)"
+    echo "ok   bench_skip_traffic (perf smoke: activity drain)"
     ran=$((ran + 1))
 else
     echo "FAIL bench_skip_traffic perf smoke" >&2

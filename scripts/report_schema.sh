@@ -16,9 +16,9 @@ out_dir=$(mktemp -d)
 trap 'rm -rf "$out_dir"' EXIT
 
 # The simulator core is a per-process choice with exactly two names. A
-# stale or misspelled one (the deleted event-horizon core included) is a
-# usage error before any work, never a silent fall-back to the default
-# core, and specs have no `sim_core` override key.
+# stale or misspelled one (the deleted regional core included) is a usage
+# error before any work, never a silent fall-back to the default core, and
+# specs have no `sim_core` override key.
 expect_usage_error() {  # expect_usage_error <message fragment> <cmd...>
     local want=$1
     shift
@@ -30,9 +30,9 @@ expect_usage_error() {  # expect_usage_error <message fragment> <cmd...>
         exit 1
     fi
 }
-expect_usage_error "'reference' or 'regional'" \
-    env FLORETSIM_SIM_CORE=event-horizon "$driver" --only fig3
-expect_usage_error "reference or regional" "$driver" --core event-horizon
+expect_usage_error "'reference' or 'activity'" \
+    env FLORETSIM_SIM_CORE=regional "$driver" --only fig3
+expect_usage_error "reference or activity" "$driver" --core regional
 expect_usage_error "supported: grid" "$driver" --set sim_core=reference
 echo "report schema ok: unknown cores and the sim_core key exit 2"
 
@@ -58,7 +58,7 @@ assert doc["driver"]["scenarios_failed"] == 0
 # No --cache-dir given: the result-cache counters must exist and be zero.
 assert doc["driver"]["result_cache_hits"] == 0
 assert doc["driver"]["result_cache_misses"] == 0
-assert doc["driver"]["sim_core"] in {"reference", "regional"}
+assert doc["driver"]["sim_core"] in {"reference", "activity"}
 # No --pool given: fleet off, and the executor is the local thread pool.
 assert doc["driver"]["pool"] == 0
 assert "fleet" not in doc["driver"], "fleet block present without --pool"
@@ -79,7 +79,7 @@ fig3 = doc["scenarios"]["fig3"]
 assert set(fig3) == {"bench", "sim_core", "run_info", "metrics", "tables"}, (
     f"fig3 keys: {set(fig3)}")
 assert fig3["bench"] == "fig3_latency"
-assert fig3["sim_core"] in {"reference", "regional"}
+assert fig3["sim_core"] in {"reference", "activity"}
 
 SCENARIO_RUN_INFO_KEYS = {"build_type", "compiler", "git_sha", "sim_core",
                           "seed", "threads"}

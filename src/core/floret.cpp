@@ -68,14 +68,6 @@ topo::Topology make_floret(const SfcSet& set, const FloretOptions& opts) {
         topo.add_link(bridge.first, bridge.second);
     }
 
-    // Each petal (SFC) is one locality region: intra-petal links form the
-    // chain, so the petal boundary is exactly the express-link pipe cut
-    // the regional simulator core synchronizes across.
-    std::vector<std::int32_t> petal(static_cast<std::size_t>(topo.node_count()), 0);
-    for (std::size_t i = 0; i < set.sfcs.size(); ++i)
-        for (const auto n : set.sfcs[i].path)
-            petal[static_cast<std::size_t>(n)] = static_cast<std::int32_t>(i);
-    topo.set_region_hint(std::move(petal));
     return topo;
 }
 

@@ -13,35 +13,28 @@ namespace floretsim::noc {
 
 /// Which cycle engine drives the simulation. Both cores produce
 /// bit-identical SimResults (enforced by tests/test_noc_event_horizon.cpp);
-/// they differ only in how many cycles they actually execute.
+/// they differ only in how many cycles and ports they actually visit.
 enum class SimCore : std::uint8_t {
-    /// Ground truth: step every cycle while traffic is in flight (idle
-    /// gaps with nothing in flight are still fast-forwarded — trivially
-    /// sound — or sparse schedules would take minutes of wall clock).
+    /// Ground truth: step every cycle while traffic is in flight and visit
+    /// every channel in the eject and allocate phases (idle gaps with
+    /// nothing in flight are still fast-forwarded — trivially sound — or
+    /// sparse schedules would take minutes of wall clock).
     kReference,
-    /// Per-region event horizon: the fabric is partitioned into regions
-    /// (topo::make_region_map — Floret petals when the generator hints
-    /// them, else spatial tiles) and each region advances an independent
-    /// local clock. After a cycle in which a region's ejection and
-    /// switch-allocation phases move nothing and it received no credit,
-    /// every head flit in it is blocked on a zero-credit output or on a
-    /// wormhole lock held by another packet, so its clock jumps straight
-    /// to min(next local pipe arrival, next local injection, earliest
-    /// cross-region in-flight arrival). Regions synchronize only at
-    /// cross-region channels — an arrival bounds the destination clock by
-    /// the link delay, and a same-cycle credit return wakes the owning
-    /// region mid-phase. A one-region partition is the global event
-    /// horizon; a saturated drain or hotspot steps cycle-by-cycle while
-    /// every other region leaps. Region shape may change performance,
-    /// never results. See README "NoC simulator cores" for the no-op
-    /// proof obligations.
-    kRegional,
+    /// Activity-driven: one global clock, but the eject phase visits only
+    /// channels whose input FIFO holds a flit and the allocate phase only
+    /// outputs that some head flit requests, both in the reference core's
+    /// ascending channel order. After a cycle that ejects and allocates
+    /// nothing, every head flit is blocked on a zero-credit output or on a
+    /// wormhole lock held by another packet, so the clock jumps straight to
+    /// min(next link arrival, next injection). See README "NoC simulator
+    /// cores" for the proof obligations.
+    kActivity,
 };
 
 [[nodiscard]] const char* sim_core_name(SimCore c);
 
 /// Parses a core name as spelled on CLIs and in FLORETSIM_SIM_CORE:
-/// "reference" or "regional". std::nullopt on anything else.
+/// "reference" or "activity". std::nullopt on anything else.
 [[nodiscard]] std::optional<SimCore> sim_core_from_name(std::string_view name);
 
 /// The core a run configured with `configured` will actually use, after
@@ -65,8 +58,8 @@ struct SimConfig {
     /// Cycle engine, an in-process choice for tests and engine A/Bs:
     /// specs do not carry it (scenario::to_json(SimConfig) omits it), so
     /// a run's core is the process-wide FLORETSIM_SIM_CORE override
-    /// ("reference" / "regional") or this default.
-    SimCore core = SimCore::kRegional;
+    /// ("reference" / "activity") or this default.
+    SimCore core = SimCore::kActivity;
 
     /// Field-wise equality: the scenario layer's JSON round-trip contract
     /// (scenario::sim_config_from_json(to_json(x)) == x for the default
@@ -99,21 +92,9 @@ struct SimResult {
     std::int64_t cycles_stepped = 0;  ///< Cycles actually executed.
     std::int64_t cycles_skipped = 0;  ///< Cycles proven no-op and jumped over.
     std::int64_t horizon_jumps = 0;   ///< Fast-forward events taken.
-
-    /// Per-region accounting, populated by both cores (the reference core
-    /// reports one region spanning the fabric, so its region totals mirror
-    /// the global counters). Each region either participates in a
-    /// stepped cycle or its local clock leaps it, hence the invariant
-    /// region_cycles_stepped + region_cycles_skipped == regions * cycles.
-    /// The stepped max/min pair measures region imbalance: a saturated
-    /// drain shows a hot region near `cycles_stepped` and cold regions
-    /// near zero.
-    std::int64_t regions = 0;                ///< Region count of the run.
-    std::int64_t region_cycles_stepped = 0;  ///< Sum of per-region participations.
-    std::int64_t region_cycles_skipped = 0;  ///< Sum of per-region leapt cycles.
-    std::int64_t region_horizon_jumps = 0;   ///< Sum of per-region sleep jumps.
-    std::int64_t region_stepped_max = 0;     ///< Hottest region's participations.
-    std::int64_t region_stepped_min = 0;     ///< Coolest region's participations.
+    /// Outputs offered to switch allocation: every channel on every stepped
+    /// cycle for the reference core, only requested outputs for kActivity.
+    std::int64_t arbitrations = 0;
 };
 
 /// Cycle-driven wormhole network simulator.
@@ -133,7 +114,10 @@ public:
 
     /// Runs until all queued traffic drains (or cfg.max_cycles). The
     /// demand list is consumed; the simulator can be reused by adding new
-    /// demands afterwards.
+    /// demands afterwards. A completed run is checked for conservation in
+    /// every build type (empty FIFOs and links, every credit home, no
+    /// wormhole lock held, flit ledgers in balance); a violation is an
+    /// engine bug and throws std::logic_error naming the channel or node.
     [[nodiscard]] SimResult run();
 
 private:

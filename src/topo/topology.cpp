@@ -1,8 +1,6 @@
 #include "src/topo/topology.h"
 
-#include <algorithm>
 #include <cmath>
-#include <map>
 #include <queue>
 #include <stdexcept>
 
@@ -88,66 +86,6 @@ std::vector<std::int32_t> Topology::hop_distances(NodeId src) const {
         }
     }
     return dist;
-}
-
-void Topology::set_region_hint(std::vector<std::int32_t> hint) {
-    if (static_cast<std::int32_t>(hint.size()) != node_count())
-        throw std::invalid_argument("region hint size " +
-                                    std::to_string(hint.size()) + " != node count " +
-                                    std::to_string(node_count()));
-    for (const auto r : hint)
-        if (r < 0) throw std::invalid_argument("negative region hint id");
-    region_hint_ = std::move(hint);
-}
-
-RegionMap make_region_map(const Topology& t) {
-    RegionMap m;
-    const auto n = t.node_count();
-    if (n == 0) return m;
-    m.region_of.assign(static_cast<std::size_t>(n), 0);
-
-    std::vector<std::int32_t> raw;
-    if (!t.region_hint().empty()) {
-        raw = t.region_hint();
-    } else {
-        // Spatial tiling: rx x ry rectangle tiles over the position
-        // bounding box, shaped to the box's aspect ratio. Tiers fold into
-        // the same tile (a 3D stack's column is one locality unit).
-        std::int32_t min_x = t.node(0).pos.x, max_x = min_x;
-        std::int32_t min_y = t.node(0).pos.y, max_y = min_y;
-        for (const Node& nd : t.nodes()) {
-            min_x = std::min(min_x, nd.pos.x);
-            max_x = std::max(max_x, nd.pos.x);
-            min_y = std::min(min_y, nd.pos.y);
-            max_y = std::max(max_y, nd.pos.y);
-        }
-        const std::int32_t w = max_x - min_x + 1;
-        const std::int32_t h = max_y - min_y + 1;
-        const std::int32_t target = std::clamp<std::int32_t>(n / 8, 1, 64);
-        std::int32_t rx = std::clamp<std::int32_t>(
-            static_cast<std::int32_t>(std::lround(
-                std::sqrt(static_cast<double>(target) * w / h))),
-            1, w);
-        const std::int32_t ry =
-            std::clamp<std::int32_t>((target + rx - 1) / rx, 1, h);
-        rx = std::clamp<std::int32_t>((target + ry - 1) / ry, 1, w);
-        const std::int32_t tile_w = (w + rx - 1) / rx;
-        const std::int32_t tile_h = (h + ry - 1) / ry;
-        raw.resize(static_cast<std::size_t>(n));
-        for (const Node& nd : t.nodes())
-            raw[static_cast<std::size_t>(nd.id)] =
-                ((nd.pos.y - min_y) / tile_h) * rx + (nd.pos.x - min_x) / tile_w;
-    }
-
-    // Densify ids in first-seen node order so downstream indexing is [0, count).
-    std::map<std::int32_t, std::int32_t> dense;
-    for (NodeId i = 0; i < n; ++i) {
-        const auto [it, fresh] =
-            dense.emplace(raw[static_cast<std::size_t>(i)], m.count);
-        if (fresh) ++m.count;
-        m.region_of[static_cast<std::size_t>(i)] = it->second;
-    }
-    return m;
 }
 
 Topology make_path_topology(const std::string& name, std::int32_t width,

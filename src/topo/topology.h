@@ -88,43 +88,13 @@ public:
     /// BFS hop distances from `src` to all nodes (-1 if unreachable).
     [[nodiscard]] std::vector<std::int32_t> hop_distances(NodeId src) const;
 
-    /// Generator-provided region annotation: one region id per node (ids
-    /// need not be dense — make_region_map densifies). The Floret
-    /// generator labels each node with its petal (SFC index), which is the
-    /// natural locality unit for the regional simulator core; generators
-    /// without an obvious unit leave this empty and make_region_map falls
-    /// back to spatial tiling. Throws std::invalid_argument on a size
-    /// mismatch or a negative id.
-    void set_region_hint(std::vector<std::int32_t> hint);
-    [[nodiscard]] const std::vector<std::int32_t>& region_hint() const noexcept {
-        return region_hint_;
-    }
-
 private:
     std::string name_;
     double pitch_mm_;
     std::vector<Node> nodes_;
     std::vector<Link> links_;
     std::vector<std::vector<std::pair<NodeId, LinkId>>> adj_;
-    std::vector<std::int32_t> region_hint_;
 };
-
-/// A partition of the node set into spatially compact regions. This is
-/// the locality unit the regional simulator core (noc::SimCore::kRegional)
-/// schedules: each region advances its own local clock and synchronizes
-/// with neighbors only where a link crosses a region boundary.
-struct RegionMap {
-    std::int32_t count = 0;               ///< Regions (>= 1 when nodes exist).
-    std::vector<std::int32_t> region_of;  ///< node -> dense region id [0, count).
-};
-
-/// Derives the region partition of a topology, deterministically: the
-/// generator's region_hint() when present (Floret petals; tests force
-/// region shapes through it), else a spatial tiling of the node positions
-/// sized at roughly 8 nodes per region, capped at 64 regions. Empty tiles
-/// are dropped and ids are densified in first-seen node order, so ids are
-/// always [0, count).
-[[nodiscard]] RegionMap make_region_map(const Topology& t);
 
 /// Builds a topology from explicit node paths: nodes are laid out on a
 /// `width` x `height` grid (row-major ids); each path contributes chain

@@ -1,27 +1,30 @@
-/// Differential suite for the per-region-clock engine (SimCore::kRegional)
+/// Differential suite for the activity-driven engine (SimCore::kActivity)
 /// against the reference cycle loop: across random topologies, seeds,
-/// buffer depths of 1-4 flits, sparse and saturating injection rates,
-/// saturated single-sink drains, corner-to-corner bursts, and
-/// max_cycles-capped runs, the regional core must produce a bit-identical
-/// SimResult (cycles, packets, flits, flit_hops, per-router/per-link
-/// counters, latency stats) on three region shapes: the topology's own
-/// partition, one region spanning the fabric (the global event horizon),
-/// and a seeded random non-contiguous partition. The engine-work
-/// statistics are the only fields allowed to differ — and they must prove
-/// the fast path is both accounted (global stepped + skipped == cycles;
-/// per-region stepped + skipped == regions * cycles) and not slower than
-/// the reference in executed cycles.
+/// buffer depths, sparse and saturating injection rates, saturated
+/// single-sink drains, corner-to-corner bursts, max_cycles-capped runs and
+/// a seeded randomized sweep of topologies x demands x SimConfigs, the
+/// activity core must produce a bit-identical SimResult (cycles, packets,
+/// flits, flit_hops, per-router/per-link counters, latency stats). The
+/// engine-work statistics are the only fields allowed to differ — and they
+/// must prove the fast path is both accounted (stepped + skipped ==
+/// cycles) and no more work than the reference in executed cycles or in
+/// outputs offered to switch allocation.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/floret.h"
 #include "src/core/sfc.h"
 #include "src/noc/routing.h"
 #include "src/noc/simulator.h"
+#include "src/topo/butterfly.h"
+#include "src/topo/kite.h"
 #include "src/topo/mesh.h"
 #include "src/topo/swap.h"
 #include "src/util/rng.h"
@@ -56,100 +59,48 @@ SimResult run_with(const topo::Topology& t, const RouteTable& rt,
     return sim.run();
 }
 
-/// Region shapes the regional core is checked on, forced through
-/// Topology::set_region_hint on a copy of the fabric (routes depend only on
-/// the links, so the route table is reused as is).
-enum class Shape {
-    kOwn,        ///< The topology's own partition (petals or ~8-node tiles).
-    kOneRegion,  ///< One region spanning the fabric: the global event horizon.
-    kRandom,     ///< Seeded random labels: non-contiguous regions, the
-                 ///< hardest case for cross-region credit wake-ups.
+/// The semantic SimResult fields: everything but the engine-work
+/// statistics must match bit for bit.
+void expect_same_result(const SimResult& fast, const SimResult& ref,
+                        const std::string& tag) {
+    EXPECT_EQ(fast.cycles, ref.cycles) << tag;
+    EXPECT_EQ(fast.packets, ref.packets) << tag;
+    EXPECT_EQ(fast.flits, ref.flits) << tag;
+    EXPECT_EQ(fast.flit_hops, ref.flit_hops) << tag;
+    EXPECT_EQ(fast.completed, ref.completed) << tag;
+    EXPECT_EQ(fast.packet_latency.count(), ref.packet_latency.count()) << tag;
+    EXPECT_EQ(fast.packet_latency.mean(), ref.packet_latency.mean()) << tag;
+    EXPECT_EQ(fast.packet_latency.variance(), ref.packet_latency.variance())
+        << tag;
+    EXPECT_EQ(fast.packet_latency.min(), ref.packet_latency.min()) << tag;
+    EXPECT_EQ(fast.packet_latency.max(), ref.packet_latency.max()) << tag;
+    EXPECT_EQ(fast.router_flits, ref.router_flits) << tag;
+    EXPECT_EQ(fast.link_flits, ref.link_flits) << tag;
+}
+
+struct Runs {
+    SimResult ref;
+    SimResult fast;
 };
 
-const char* shape_name(Shape shape) {
-    switch (shape) {
-        case Shape::kOwn: return "own regions";
-        case Shape::kOneRegion: return "one region";
-        case Shape::kRandom: return "random regions";
-    }
-    return "?";
-}
-
-SimResult run_regional(const topo::Topology& t, const RouteTable& rt,
-                       const std::vector<Demand>& demands, const SimConfig& cfg,
-                       Shape shape) {
-    topo::Topology shaped = t;
-    const auto n = static_cast<std::size_t>(t.node_count());
-    if (shape == Shape::kOneRegion) {
-        shaped.set_region_hint(std::vector<std::int32_t>(n, 0));
-    } else if (shape == Shape::kRandom) {
-        util::Rng rng(0x5eed + n);
-        std::vector<std::int32_t> hint(n);
-        for (auto& h : hint)
-            h = static_cast<std::int32_t>(rng.below(std::min<std::uint64_t>(n, 6)));
-        shaped.set_region_hint(std::move(hint));
-    }
-    return run_with(shaped, rt, demands, cfg, SimCore::kRegional);
-}
-
-/// Accounting every core must satisfy regardless of which engine ran:
-/// global cycles split exactly into stepped + skipped, and the per-region
-/// totals are conserved — each region either participates in a stepped
-/// cycle or its local clock leaps it, so the region totals sum to
-/// regions * cycles and the hottest region bounds the extremes.
-void expect_conserved(const SimResult& r, const std::string& label) {
-    EXPECT_EQ(r.cycles_stepped + r.cycles_skipped, r.cycles) << label;
-    EXPECT_GE(r.regions, 1) << label;
-    EXPECT_EQ(r.region_cycles_stepped + r.region_cycles_skipped,
-              r.regions * r.cycles)
-        << label;
-    EXPECT_LE(r.region_stepped_min, r.region_stepped_max) << label;
-    EXPECT_LE(r.region_stepped_max, r.cycles_stepped) << label;
-    EXPECT_GE(r.region_stepped_min, 0) << label;
-    EXPECT_LE(r.region_cycles_stepped, r.regions * r.cycles_stepped) << label;
-    // Every globally stepped cycle had at least one participating region.
-    EXPECT_GE(r.region_cycles_stepped, r.cycles_stepped) << label;
-}
-
 /// The differential contract: semantic fields bit-identical to the
-/// reference on every region shape, engine-work statistics internally
-/// consistent and no worse than the reference.
-void expect_equivalent(const topo::Topology& t, const RouteTable& rt,
+/// reference, engine-work statistics accounted (every cycle is stepped or
+/// skipped) and no worse than the reference. The reference core offers
+/// every channel to switch allocation on every stepped cycle.
+Runs expect_equivalent(const topo::Topology& t, const RouteTable& rt,
                        const std::vector<Demand>& demands, const SimConfig& cfg,
                        const std::string& label) {
-    const auto ref = run_with(t, rt, demands, cfg, SimCore::kReference);
-    expect_conserved(ref, label + " [reference]");
-    // The reference core reports one region spanning the fabric.
-    EXPECT_EQ(ref.regions, 1) << label;
-    EXPECT_EQ(ref.region_cycles_stepped, ref.cycles_stepped) << label;
-
-    for (const auto shape : {Shape::kOwn, Shape::kOneRegion, Shape::kRandom}) {
-        const std::string tag = label + " [regional, " + shape_name(shape) + "]";
-        const auto fast = run_regional(t, rt, demands, cfg, shape);
-
-        EXPECT_EQ(fast.cycles, ref.cycles) << tag;
-        EXPECT_EQ(fast.packets, ref.packets) << tag;
-        EXPECT_EQ(fast.flits, ref.flits) << tag;
-        EXPECT_EQ(fast.flit_hops, ref.flit_hops) << tag;
-        EXPECT_EQ(fast.completed, ref.completed) << tag;
-        EXPECT_EQ(fast.packet_latency.count(), ref.packet_latency.count())
-            << tag;
-        EXPECT_EQ(fast.packet_latency.mean(), ref.packet_latency.mean()) << tag;
-        EXPECT_EQ(fast.packet_latency.variance(), ref.packet_latency.variance())
-            << tag;
-        EXPECT_EQ(fast.packet_latency.min(), ref.packet_latency.min()) << tag;
-        EXPECT_EQ(fast.packet_latency.max(), ref.packet_latency.max()) << tag;
-        EXPECT_EQ(fast.router_flits, ref.router_flits) << tag;
-        EXPECT_EQ(fast.link_flits, ref.link_flits) << tag;
-
-        expect_conserved(fast, tag);
-        // The regional no-op proofs subsume the reference's idle-gap-only
-        // rule, so no region shape can ever execute more cycles.
-        EXPECT_LE(fast.cycles_stepped, ref.cycles_stepped) << tag;
-        if (shape == Shape::kOneRegion) {
-            EXPECT_EQ(fast.regions, 1) << tag;
-        }
-    }
+    Runs r{run_with(t, rt, demands, cfg, SimCore::kReference),
+           run_with(t, rt, demands, cfg, SimCore::kActivity)};
+    expect_same_result(r.fast, r.ref, label);
+    for (const auto* res : {&r.ref, &r.fast})
+        EXPECT_EQ(res->cycles_stepped + res->cycles_skipped, res->cycles) << label;
+    EXPECT_EQ(r.ref.arbitrations, r.ref.cycles_stepped * 2 * t.link_count()) << label;
+    // The quiet-cycle proof subsumes the reference's idle-gap-only rule,
+    // and the requested outputs are a subset of all channels.
+    EXPECT_LE(r.fast.cycles_stepped, r.ref.cycles_stepped) << label;
+    EXPECT_LE(r.fast.arbitrations, r.ref.arbitrations) << label;
+    return r;
 }
 
 TEST(EventHorizon, DifferentialMatrixOnMesh) {
@@ -211,12 +162,11 @@ TEST(EventHorizon, DifferentialOnDeepPipelines) {
         cfg.input_buffer_flits = depth;
         cfg.injection_rate = 1.0;
         const auto demands = random_demands(5, 41 + depth, 30, 640);
-        expect_equivalent(t, rt, demands, cfg, "longline depth=" +
-                                                   std::to_string(depth));
         // Congested drains on deep pipes are exactly where the credit-aware
-        // proof must beat cycle stepping outright, even with one global
-        // clock.
-        const auto fast = run_regional(t, rt, demands, cfg, Shape::kOneRegion);
+        // proof must beat cycle stepping outright.
+        const auto fast = expect_equivalent(t, rt, demands, cfg, "longline depth=" +
+                                                                     std::to_string(depth))
+                              .fast;
         EXPECT_GT(fast.cycles_skipped, 0) << depth;
         EXPECT_LT(fast.cycles_stepped, fast.cycles) << depth;
     }
@@ -242,7 +192,7 @@ TEST(EventHorizon, SkipsCreditBlockedWindows) {
     // Hotspot: every node floods one sink, so head flits pile up blocked on
     // zero-credit outputs while the sink ejects one flit per port per
     // cycle. The FIFO-empty rule never fires here; the credit-aware proof
-    // must still find jumps on one global clock.
+    // must still find jumps.
     const auto t = topo::make_mesh(5, 5);
     const auto rt = RouteTable::build(t, RoutingPolicy::kShortestPath);
     SimConfig cfg;
@@ -252,18 +202,16 @@ TEST(EventHorizon, SkipsCreditBlockedWindows) {
     std::vector<Demand> demands;
     for (topo::NodeId n = 0; n < 25; ++n)
         if (n != 12) demands.push_back({n, 12, 400});
-    expect_equivalent(t, rt, demands, cfg, "hotspot");
-    const auto fast = run_regional(t, rt, demands, cfg, Shape::kOneRegion);
-    EXPECT_GT(fast.horizon_jumps, 0);
+    EXPECT_GT(expect_equivalent(t, rt, demands, cfg, "hotspot").fast.horizon_jumps, 0);
 }
 
-TEST(EventHorizon, SaturatedDrainSleepsColdRegions) {
+TEST(EventHorizon, SaturatedDrainArbitratesOnlyRequestedOutputs) {
     // One corner port ejecting, the rest of the fabric quiescent: a few
     // scattered sources flood node 0 while the other 95 nodes stay silent.
-    // Something moves near the sink every cycle, so the global quiet proof
-    // almost never fires — but the regional core's off-path tiles prove
-    // local fixed points and leap, which is the entire point of per-region
-    // clocks; path tiles wake for passing flits and jump back to sleep.
+    // Something moves near the sink every cycle, so the quiet proof almost
+    // never fires and both cores step nearly every cycle — but the activity
+    // core offers switch allocation only the outputs the drain's head flits
+    // request, never the idle fabric's channels.
     const auto t = topo::make_mesh(10, 10);
     const auto rt = RouteTable::build(t, RoutingPolicy::kShortestPath);
     SimConfig cfg;
@@ -273,26 +221,16 @@ TEST(EventHorizon, SaturatedDrainSleepsColdRegions) {
     std::vector<Demand> demands;
     for (const topo::NodeId src : {9, 44, 55, 90, 99})
         demands.push_back({src, 0, 8 * 1024});
-    expect_equivalent(t, rt, demands, cfg, "saturated drain");
-
-    const auto regional = run_regional(t, rt, demands, cfg, Shape::kOwn);
-    EXPECT_GT(regional.regions, 1);
-    EXPECT_GT(regional.region_cycles_skipped, 0);
-    EXPECT_GT(regional.region_horizon_jumps, 0);
-    // The drain concentrates work: the sink's region steps nearly every
-    // cycle while the far corner sleeps through most of the run.
-    EXPECT_LT(regional.region_stepped_min, regional.region_stepped_max);
-    // Strict superset of one global clock's skipping on this pattern: the
-    // per-region totals must beat what the one-region partition can prove.
-    const auto global = run_regional(t, rt, demands, cfg, Shape::kOneRegion);
-    EXPECT_GT(regional.region_cycles_skipped,
-              global.cycles_skipped * global.regions);
+    const auto runs = expect_equivalent(t, rt, demands, cfg, "saturated drain");
+    EXPECT_TRUE(runs.ref.completed);
+    EXPECT_GT(runs.fast.arbitrations, 0);
+    EXPECT_LT(runs.fast.arbitrations, runs.ref.arbitrations);
 }
 
 TEST(EventHorizon, CornerToCornerBurstHotspot) {
     // A single corner-to-corner burst: one long diagonal of busy links,
-    // everything off-path idle. Every region shape must stay bit-identical;
-    // the topology's own tiles must additionally prove off-path tiles asleep.
+    // everything off-path idle. The result must stay bit-identical while
+    // the activity core arbitrates only along the path.
     const auto t = topo::make_mesh(8, 8);
     const auto rt = RouteTable::build(t, RoutingPolicy::kShortestPath);
     SimConfig cfg;
@@ -300,70 +238,167 @@ TEST(EventHorizon, CornerToCornerBurstHotspot) {
     cfg.input_buffer_flits = 1;  // maximum backpressure along the path
     cfg.injection_rate = 8.0;
     const std::vector<Demand> demands{{0, 63, 16 * 1024}};
-    expect_equivalent(t, rt, demands, cfg, "corner burst");
-
-    const auto regional = run_regional(t, rt, demands, cfg, Shape::kOwn);
-    EXPECT_GT(regional.regions, 1);
-    EXPECT_GT(regional.region_cycles_skipped, 0);
-}
-
-TEST(EventHorizon, ForcedRegionCountsPreserveResults) {
-    // Region shape is a scheduling choice, never a semantic one: any forced
-    // partition — including one region (the global event horizon) and
-    // counts that do not divide the mesh — must reproduce the reference
-    // bits. Row-major stripes of the 36 nodes force exactly `regions`.
-    const auto t = topo::make_mesh(6, 6);
-    const auto rt = RouteTable::build(t, RoutingPolicy::kUpDown);
-    const auto demands = random_demands(36, 23, 60, 400);
-    SimConfig cfg;
-    cfg.max_cycles = 2'000'000;
-    cfg.injection_rate = 0.05;
-    const auto ref = run_with(t, rt, demands, cfg, SimCore::kReference);
-    for (const std::int32_t regions : {1, 2, 5, 7}) {
-        auto forced = t;
-        std::vector<std::int32_t> hint(36);
-        for (std::int32_t n = 0; n < 36; ++n)
-            hint[static_cast<std::size_t>(n)] = n * regions / 36;
-        forced.set_region_hint(std::move(hint));
-        const auto r = run_with(forced, rt, demands, cfg, SimCore::kRegional);
-        const std::string tag = "forced regions=" + std::to_string(regions);
-        EXPECT_EQ(r.regions, regions) << tag;
-        EXPECT_EQ(r.cycles, ref.cycles) << tag;
-        EXPECT_EQ(r.packets, ref.packets) << tag;
-        EXPECT_EQ(r.flit_hops, ref.flit_hops) << tag;
-        EXPECT_EQ(r.packet_latency.mean(), ref.packet_latency.mean()) << tag;
-        EXPECT_EQ(r.router_flits, ref.router_flits) << tag;
-        EXPECT_EQ(r.link_flits, ref.link_flits) << tag;
-        expect_conserved(r, tag);
-        EXPECT_LE(r.cycles_stepped, ref.cycles_stepped) << tag;
-    }
+    const auto runs = expect_equivalent(t, rt, demands, cfg, "corner burst");
+    EXPECT_TRUE(runs.ref.completed);
+    EXPECT_GT(runs.fast.arbitrations, 0);
+    EXPECT_LT(runs.fast.arbitrations, runs.ref.arbitrations);
 }
 
 TEST(EventHorizon, StatisticsAreZeroWorkOnEmptyRun) {
     const auto t = topo::make_mesh(2, 2);
     const auto rt = RouteTable::build(t, RoutingPolicy::kShortestPath);
-    Simulator sim(t, rt, SimConfig{});
-    const auto res = sim.run();
-    EXPECT_TRUE(res.completed);
-    EXPECT_EQ(res.cycles_stepped, 0);
-    EXPECT_EQ(res.cycles_skipped, 0);
-    EXPECT_EQ(res.horizon_jumps, 0);
+    for (const auto core : {SimCore::kReference, SimCore::kActivity}) {
+        const auto res = run_with(t, rt, {}, SimConfig{}, core);
+        EXPECT_TRUE(res.completed) << sim_core_name(core);
+        EXPECT_EQ(res.cycles_stepped, 0) << sim_core_name(core);
+        EXPECT_EQ(res.cycles_skipped, 0) << sim_core_name(core);
+        EXPECT_EQ(res.horizon_jumps, 0) << sim_core_name(core);
+        EXPECT_EQ(res.arbitrations, 0) << sim_core_name(core);
+    }
 }
 
 TEST(EventHorizon, CoreNamesAreStable) {
     EXPECT_STREQ(sim_core_name(SimCore::kReference), "reference");
-    EXPECT_STREQ(sim_core_name(SimCore::kRegional), "regional");
-    for (const auto core : {SimCore::kReference, SimCore::kRegional}) {
+    EXPECT_STREQ(sim_core_name(SimCore::kActivity), "activity");
+    for (const auto core : {SimCore::kReference, SimCore::kActivity}) {
         const auto parsed = sim_core_from_name(sim_core_name(core));
         ASSERT_TRUE(parsed.has_value());
         EXPECT_EQ(*parsed, core);
     }
-    // "event-horizon" is not an alias for the one-region regional
-    // schedule: a stale core name must fail to parse, never run a default.
-    EXPECT_FALSE(sim_core_from_name("event-horizon").has_value());
-    EXPECT_FALSE(sim_core_from_name("event_horizon").has_value());
-    EXPECT_FALSE(sim_core_from_name("warp").has_value());
-    EXPECT_FALSE(sim_core_from_name("").has_value());
+    // Deleted cores are not aliases of the activity core: a stale name
+    // must fail to parse, never run a default.
+    for (const char* stale : {"regional", "event-horizon", "event_horizon", "warp", ""})
+        EXPECT_FALSE(sim_core_from_name(stale).has_value()) << stale;
+}
+
+// ---- Seeded randomized differential ----------------------------------------
+
+/// A random geometric graph: `n` nodes at distinct random positions of a
+/// w x h grid, linked when within `radius` Manhattan pitches; components
+/// are then bridged through their closest node pair until connected.
+topo::Topology random_geometric(util::Rng& rng) {
+    const auto w = static_cast<std::int32_t>(3 + rng.below(6));
+    const auto h = static_cast<std::int32_t>(3 + rng.below(6));
+    const auto n = static_cast<std::int32_t>(
+        2 + rng.below(static_cast<std::uint64_t>(w * h - 1)));
+    const auto radius = static_cast<std::int32_t>(1 + rng.below(3));
+    topo::Topology t("rgg", 4.0);
+    std::vector<util::Point2> cells;
+    for (std::int32_t y = 0; y < h; ++y)
+        for (std::int32_t x = 0; x < w; ++x) cells.push_back({x, y});
+    for (std::int32_t i = 0; i < n; ++i) {
+        const auto k = rng.below(cells.size());
+        t.add_node(cells[k]);
+        cells.erase(cells.begin() + static_cast<std::ptrdiff_t>(k));
+    }
+    const auto dist = [&](topo::NodeId a, topo::NodeId b) {
+        return util::manhattan(t.node(a).pos, t.node(b).pos);
+    };
+    for (topo::NodeId a = 0; a < n; ++a)
+        for (topo::NodeId b = a + 1; b < n; ++b)
+            if (dist(a, b) <= radius && rng.below(4) != 0) t.add_link(a, b);
+    for (;;) {
+        const auto reach = t.hop_distances(0);
+        std::pair<topo::NodeId, topo::NodeId> bridge{-1, -1};
+        std::int32_t best = std::numeric_limits<std::int32_t>::max();
+        for (topo::NodeId a = 0; a < n; ++a)
+            for (topo::NodeId b = 0; b < n; ++b)
+                if (reach[static_cast<std::size_t>(a)] >= 0 &&
+                    reach[static_cast<std::size_t>(b)] < 0 && dist(a, b) < best) {
+                    best = dist(a, b);
+                    bridge = {a, b};
+                }
+        if (bridge.first < 0) break;
+        t.add_link(bridge.first, bridge.second);
+    }
+    return t;
+}
+
+/// One random fabric: a geometric graph, a src/topo generator or a Floret
+/// NoI at a random size, with a deadlock-free route table (dimension order
+/// on meshes half the time, up*/down* otherwise).
+std::pair<topo::Topology, RouteTable> random_fabric(util::Rng& rng) {
+    const auto w = static_cast<std::int32_t>(4 + rng.below(4));
+    const auto h = static_cast<std::int32_t>(4 + rng.below(4));
+    bool mesh = false;
+    topo::Topology t("?");
+    switch (rng.below(9)) {
+        case 0:
+        case 1: t = random_geometric(rng); break;
+        case 2: t = topo::make_mesh(w, h); mesh = true; break;
+        case 3: t = topo::make_mesh3d(w / 2, h / 2, 2, 1.0, 0.05); mesh = true; break;
+        case 4: t = topo::make_torus(w, h); break;
+        case 5: t = topo::make_kite(w, h); break;
+        case 6: t = rng.below(2) == 0 ? topo::make_butter_donut(w, h)
+                                      : topo::make_double_butterfly(w, h);
+                break;
+        case 7: t = topo::make_swap(w, h, rng); break;
+        default:
+            t = core::make_floret(core::generate_sfc_set(
+                w, h, static_cast<std::int32_t>(2 * (1 + rng.below(2)))));
+    }
+    const auto policy =
+        mesh && rng.below(2) == 0 ? RoutingPolicy::kXY : RoutingPolicy::kUpDown;
+    auto rt = RouteTable::build(t, policy);
+    return {std::move(t), std::move(rt)};
+}
+
+/// Random knobs: buffers of 1-8 flits, packet and flit sizes, router
+/// delays, wire speeds down to wheels of 10+ slots, sparse to saturating
+/// rates, and a cycle cap on one run in four.
+SimConfig random_config(util::Rng& rng) {
+    SimConfig cfg;
+    cfg.input_buffer_flits = static_cast<std::int32_t>(1 + rng.below(8));
+    cfg.max_packet_flits = static_cast<std::int32_t>(1 + rng.below(16));
+    cfg.flit_bytes = 4 << rng.below(4);
+    cfg.router_delay_cycles = static_cast<std::int32_t>(rng.below(4));
+    constexpr double kWireSpeeds[] = {0.25, 0.5, 1.0, 4.0, 16.0};
+    cfg.mm_per_cycle = kWireSpeeds[rng.below(5)];
+    cfg.injection_rate = std::pow(10.0, rng.uniform(-3.0, 1.0));
+    cfg.max_cycles = rng.below(4) == 0
+                         ? static_cast<std::int64_t>(50 + rng.below(5'000))
+                         : 2'000'000;
+    return cfg;
+}
+
+/// Random demands: uniform pairs, or a hotspot where every source targets
+/// one sink, sized so a sparse schedule still drains well inside the cap.
+std::vector<Demand> random_demand_set(util::Rng& rng, std::int32_t nodes,
+                                      const SimConfig& cfg) {
+    const auto n = static_cast<std::uint64_t>(nodes);
+    const bool hotspot = rng.below(3) == 0;
+    const auto sink = static_cast<topo::NodeId>(rng.below(n));
+    const auto max_bytes = static_cast<std::uint64_t>(std::max(
+        8.0, std::min(4096.0, 2e4 * cfg.injection_rate * cfg.flit_bytes)));
+    std::vector<Demand> ds;
+    const auto count = 1 + rng.below(48);
+    for (std::uint64_t i = 0; i < count; ++i) {
+        const auto s = static_cast<topo::NodeId>(rng.below(n));
+        const auto d = hotspot ? sink : static_cast<topo::NodeId>(rng.below(n));
+        ds.push_back({s, d, static_cast<std::int64_t>(1 + rng.below(max_bytes))});
+    }
+    return ds;
+}
+
+TEST(EventHorizon, RandomizedDifferential) {
+    // A fixed seed list, so a failure names a reproducible case; each seed
+    // draws one fabric, one demand set and one SimConfig.
+    for (std::uint64_t seed = 1; seed <= 96; ++seed) {
+        util::Rng rng(0xd1ff0000 + seed);
+        const auto [t, rt] = random_fabric(rng);
+        const auto cfg = random_config(rng);
+        const auto demands = random_demand_set(rng, t.node_count(), cfg);
+        const auto runs = expect_equivalent(
+            t, rt, demands, cfg,
+            "seed=" + std::to_string(seed) + " " + t.name() + " nodes=" +
+                std::to_string(t.node_count()) +
+                " buffer=" + std::to_string(cfg.input_buffer_flits) +
+                " rate=" + std::to_string(cfg.injection_rate) +
+                " cap=" + std::to_string(cfg.max_cycles));
+        if (cfg.max_cycles == 2'000'000) {
+            EXPECT_TRUE(runs.ref.completed) << seed;
+        }
+    }
 }
 
 }  // namespace

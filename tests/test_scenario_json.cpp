@@ -368,9 +368,9 @@ TEST(ScenarioJson, SimConfigAdversarialCorpus) {
     // The simulator core and the region count are not spec fields: a spec
     // that names either fails the strict unknown-key check, at the sim
     // level and nested in an eval config, and the message names the key.
-    for (const char* sim : {R"({"core": "reference"})", R"({"core": "regional"})",
-                            R"({"core": "event-horizon"})", R"({"regions": 4})",
-                            R"({"regions": 0})"}) {
+    for (const char* sim : {R"({"core": "reference"})", R"({"core": "activity"})",
+                            R"({"core": "regional"})", R"({"core": "event-horizon"})",
+                            R"({"regions": 4})", R"({"regions": 0})"}) {
         EXPECT_THROW((void)sim_config_from_json(json_parse(sim)),
                      std::invalid_argument)
             << sim;

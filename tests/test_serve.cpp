@@ -337,7 +337,7 @@ TEST(DifferentialPin, GoldensHoldAcrossSimCores) {
     EXPECT_EQ(ref.sim_horizon_jumps, 0);
 
     auto cfg = quick_cfg();
-    cfg.eval.sim.core = noc::SimCore::kRegional;
+    cfg.eval.sim.core = noc::SimCore::kActivity;
     auto arch = core::experiment::build_arch(Arch::kFloret, 6, 6);
     const auto s = serve_requests(arch, cfg);
     EXPECT_EQ(s.makespan_cycles, ref.makespan_cycles);

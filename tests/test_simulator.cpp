@@ -216,7 +216,7 @@ TEST(Simulator, ReusableAfterRun) {
 }
 
 /// Runs the same demand set on the reference cycle loop and the default
-/// (regional) core and requires bit-identical SimResults — every skipped
+/// (activity) core and requires bit-identical SimResults — every skipped
 /// cycle must be a no-op. (tests/test_noc_event_horizon.cpp runs the full
 /// randomized differential matrix.)
 void expect_skip_ahead_equivalent(const topo::Topology& t, const RouteTable& rt,
@@ -304,8 +304,8 @@ TEST(Simulator, SkipAheadMatchesReferenceWhenCycleCapped) {
     expect_skip_ahead_equivalent(t, rt, sparse_demands(16, 3), cfg);
 }
 
-TEST(Simulator, RegionalCoreIsOnByDefault) {
-    EXPECT_EQ(SimConfig{}.core, SimCore::kRegional);
+TEST(Simulator, ActivityCoreIsOnByDefault) {
+    EXPECT_EQ(SimConfig{}.core, SimCore::kActivity);
 }
 
 TEST(Simulator, IdleFastForwardClampsCappedRuns) {
@@ -318,7 +318,7 @@ TEST(Simulator, IdleFastForwardClampsCappedRuns) {
     SimConfig cfg;
     cfg.injection_rate = 1e-6;  // second packet schedules ~1e7 cycles out
     cfg.max_cycles = 1'000;
-    for (const auto core : {SimCore::kReference, SimCore::kRegional}) {
+    for (const auto core : {SimCore::kReference, SimCore::kActivity}) {
         cfg.core = core;
         Simulator sim(t, rt, cfg);
         sim.add_demand({0, 3, 8});  // delivered almost immediately

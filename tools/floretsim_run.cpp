@@ -77,7 +77,7 @@ struct DriverOptions {
                  "usage: %s [--list] [--only A,B,...] [--spec FILE]... \n"
                  "       [--set KEY=VALUE]... [--threads N] [--seed N] "
                  "[--json PATH] [--pool N]\n"
-                 "       [--core reference|regional]\n"
+                 "       [--core reference|activity]\n"
                  "       [--trace-out FILE] [--metrics-out FILE] "
                  "[--cache-dir DIR]\n"
                  "       %s --worker --serve [--threads N]\n"
@@ -127,7 +127,7 @@ DriverOptions parse(int argc, char** argv) {
         } else if (arg == "--core") {
             const std::string value = need_value(i++, "--core");
             if (!noc::sim_core_from_name(value))
-                usage(argv[0], "--core expects reference or regional, got " + value);
+                usage(argv[0], "--core expects reference or activity, got " + value);
             // The process-wide env override is the switch every simulation
             // honors, and spawned fleet workers inherit the environment —
             // one flag covers coordinator and workers alike.
