@@ -1,11 +1,16 @@
 #include "src/core/evaluator.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <condition_variable>
+#include <exception>
+#include <optional>
 
 #include "src/dnn/traffic.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
+#include "src/util/hash.h"
 
 namespace floretsim::core {
 
@@ -43,12 +48,9 @@ std::vector<dnn::Flow> pipeline_flows(const MappedTask& task,
     return flows;
 }
 
-EvalResult evaluate_noi(const topo::Topology& topo, const noc::RouteTable& routes,
-                        std::span<const MappedTask> tasks, const EvalConfig& cfg) {
-    const obs::Span span("evaluate_noi", "noi");
-    obs::MetricsRegistry::global().add("noi.evals");
-    noc::Simulator sim(topo, routes, cfg.sim);
-
+std::vector<noc::Demand> noi_demands(std::span<const MappedTask> tasks,
+                                     const EvalConfig& cfg) {
+    std::vector<noc::Demand> demands;
     for (const MappedTask& task : tasks) {
         if (!task.mapped) continue;
         const auto flows = pipeline_flows(task, cfg.bytes_per_elem);
@@ -59,7 +61,7 @@ EvalResult evaluate_noi(const topo::Topology& topo, const noc::RouteTable& route
             // small layers from the comparison.
             const auto scaled = std::max<std::int64_t>(
                 1, std::llround(static_cast<double>(f.bytes) * cfg.traffic_scale));
-            sim.add_demand(noc::Demand{f.src, f.dst, scaled});
+            demands.push_back(noc::Demand{f.src, f.dst, scaled});
         }
         if (cfg.include_weight_load) {
             // One byte per 8-bit parameter, split over the segment span,
@@ -74,12 +76,20 @@ EvalResult evaluate_noi(const topo::Topology& topo, const noc::RouteTable& route
                     if (n == cfg.io_node) continue;
                     const auto scaled = std::max<std::int64_t>(
                         1, std::llround(per_node * cfg.traffic_scale));
-                    sim.add_demand(noc::Demand{cfg.io_node, n, scaled});
+                    demands.push_back(noc::Demand{cfg.io_node, n, scaled});
                 }
             }
         }
     }
+    return demands;
+}
 
+EvalResult evaluate_noi(const topo::Topology& topo, const noc::RouteTable& routes,
+                        std::span<const MappedTask> tasks, const EvalConfig& cfg) {
+    const obs::Span span("evaluate_noi", "noi");
+    obs::MetricsRegistry::global().add("noi.evals");
+    noc::Simulator sim(topo, routes, cfg.sim);
+    for (const noc::Demand& d : noi_demands(tasks, cfg)) sim.add_demand(d);
     const noc::SimResult s = sim.run();
 
     EvalResult res;
@@ -93,6 +103,148 @@ EvalResult evaluate_noi(const topo::Topology& topo, const noc::RouteTable& route
     res.sim_cycles_skipped = s.cycles_skipped;
     res.sim_horizon_jumps = s.horizon_jumps;
     return res;
+}
+
+namespace {
+
+void put_varint(std::string& out, std::uint64_t v) {
+    for (; v >= 0x80; v >>= 7) out.push_back(static_cast<char>((v & 0x7f) | 0x80));
+    out.push_back(static_cast<char>(v));
+}
+
+/// Zigzag first, so a negative (out-of-range) node id stays short.
+void put_signed(std::string& out, std::int64_t v) {
+    put_varint(out, (static_cast<std::uint64_t>(v) << 1) ^
+                        static_cast<std::uint64_t>(v >> 63));
+}
+
+void put_double(std::string& out, double v) {
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>(bits >> (8 * i)));
+}
+
+// A new SimConfig field changes what a run computes, so it must join the
+// key below before this size is updated.
+static_assert(sizeof(noc::SimConfig) == 48, "add the new SimConfig field to memo_key");
+
+/// Every field is self-delimiting and the sequence is fixed, so distinct
+/// inputs always encode to distinct strings.
+std::string memo_key(std::span<const noc::Demand> demands, const EvalConfig& cfg) {
+    const noc::SimConfig& sim = cfg.sim;
+    std::string key;
+    key.reserve(64 + 6 * demands.size());
+    put_signed(key, sim.flit_bytes);
+    put_signed(key, sim.max_packet_flits);
+    put_signed(key, sim.input_buffer_flits);
+    put_signed(key, sim.router_delay_cycles);
+    put_double(key, sim.mm_per_cycle);
+    put_signed(key, sim.max_cycles);
+    put_double(key, sim.injection_rate);
+    put_varint(key, static_cast<std::uint64_t>(noc::resolved_sim_core(sim.core)));
+    put_double(key, cfg.cost.router_energy_base_pj);
+    put_double(key, cfg.cost.router_energy_per_port_pj);
+    put_double(key, cfg.cost.link_energy_per_mm_pj);
+    for (const noc::Demand& d : demands) {
+        put_signed(key, d.src);
+        put_signed(key, d.dst);
+        put_signed(key, d.bytes);
+    }
+    return key;
+}
+
+}  // namespace
+
+/// Memo entry: waiters block on `done` until the first caller publishes
+/// the result (or the evaluation's exception).
+struct NoiMemo::Entry {
+    std::mutex mu;
+    std::condition_variable done;
+    std::optional<EvalResult> result;
+    std::exception_ptr error;
+};
+
+std::size_t NoiMemo::KeyHash::operator()(const std::string& key) const noexcept {
+    return static_cast<std::size_t>(util::fnv1a(key));
+}
+
+EvalResult NoiMemo::evaluate(std::span<const MappedTask> tasks, const EvalConfig& cfg) {
+    const std::string key = memo_key(noi_demands(tasks, cfg), cfg);
+    std::shared_ptr<Entry> entry;
+    bool owner = false;
+    {
+        const std::lock_guard<std::mutex> lk(mu_);
+        if (const auto it = entries_.find(key); it != entries_.end()) {
+            entry = it->second;
+            ++hits_;
+        } else {
+            ++misses_;
+            if (entries_.size() < kMaxEntries) {
+                entry = std::make_shared<Entry>();
+                entries_.emplace(key, entry);
+                owner = true;
+            }
+        }
+    }
+    auto& metrics = obs::MetricsRegistry::global();
+    const bool hit = entry != nullptr && !owner;
+    metrics.add(hit ? "noi.memo_hits" : "noi.memo_misses");
+    if (entry == nullptr) return evaluate_noi(topo_, routes_, tasks, cfg);  // past the cap
+    if (hit) {
+        std::unique_lock<std::mutex> lk(entry->mu);
+        entry->done.wait(lk, [&] { return entry->result.has_value() || entry->error; });
+        if (entry->error) std::rethrow_exception(entry->error);
+        return *entry->result;
+    }
+
+    EvalResult res;
+    try {
+        res = evaluate_noi(topo_, routes_, tasks, cfg);
+    } catch (...) {
+        // Wake the waiters with the error and drop the entry so a later
+        // call retries instead of finding a poisoned result.
+        {
+            const std::lock_guard<std::mutex> lk(entry->mu);
+            entry->error = std::current_exception();
+        }
+        entry->done.notify_all();
+        {
+            const std::lock_guard<std::mutex> lk(mu_);
+            entries_.erase(key);
+        }
+        throw;
+    }
+    {
+        const std::lock_guard<std::mutex> lk(entry->mu);
+        entry->result = res;
+    }
+    entry->done.notify_all();
+    const auto stored = static_cast<std::int64_t>(key.size() + sizeof(EvalResult));
+    {
+        const std::lock_guard<std::mutex> lk(mu_);
+        bytes_ += stored;
+    }
+    metrics.add("noi.memo_bytes", stored);
+    return res;
+}
+
+std::int64_t NoiMemo::hits() const {
+    const std::lock_guard<std::mutex> lk(mu_);
+    return hits_;
+}
+
+std::int64_t NoiMemo::misses() const {
+    const std::lock_guard<std::mutex> lk(mu_);
+    return misses_;
+}
+
+std::size_t NoiMemo::entries() const {
+    const std::lock_guard<std::mutex> lk(mu_);
+    return entries_.size();
+}
+
+std::int64_t NoiMemo::bytes() const {
+    const std::lock_guard<std::mutex> lk(mu_);
+    return bytes_;
 }
 
 }  // namespace floretsim::core

@@ -1,6 +1,13 @@
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
+#include <memory>
+#include <mutex>
 #include <span>
+#include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "src/core/mapper.h"
 #include "src/cost/models.h"
@@ -55,6 +62,10 @@ struct EvalResult {
     std::int64_t sim_cycles_stepped = 0;
     std::int64_t sim_cycles_skipped = 0;
     std::int64_t sim_horizon_jumps = 0;
+
+    /// Field-wise equality, sim_* included: a NoiMemo hit must equal a
+    /// fresh evaluate_noi bit for bit.
+    [[nodiscard]] bool operator==(const EvalResult&) const = default;
 };
 
 /// Dataflow (pipeline) traffic of one mapped task, the paper's model:
@@ -67,12 +78,70 @@ struct EvalResult {
 [[nodiscard]] std::vector<dnn::Flow> pipeline_flows(const MappedTask& task,
                                                     std::int32_t bytes_per_elem);
 
-/// Projects every mapped task's pipeline flows into demands, runs the
-/// wormhole simulator, and prices the traffic with the cost model.
-/// Unmapped tasks are skipped (they contribute no traffic).
+/// The demand list evaluate_noi hands the simulator, in order: every
+/// mapped task's pipeline flows (then, with include_weight_load, its
+/// weight streams from cfg.io_node), scaled by cfg.traffic_scale and
+/// clamped to one byte. Unmapped tasks contribute nothing.
+[[nodiscard]] std::vector<noc::Demand> noi_demands(std::span<const MappedTask> tasks,
+                                                   const EvalConfig& cfg);
+
+/// Runs the wormhole simulator over noi_demands(tasks, cfg) and prices the
+/// traffic with the cost model.
 [[nodiscard]] EvalResult evaluate_noi(const topo::Topology& topo,
                                       const noc::RouteTable& routes,
                                       std::span<const MappedTask> tasks,
                                       const EvalConfig& cfg);
+
+/// Thread-safe memo of evaluate_noi over one network, so each distinct
+/// input is simulated once for as long as the memo lives (one per
+/// experiment::ArchFabric). The key is everything the stored result
+/// depends on besides the network, and is compared in full — its hash
+/// only picks the bucket:
+///   - the noi_demands list, in order;
+///   - every SimConfig field, with the core resolved through
+///     FLORETSIM_SIM_CORE;
+///   - the energy prices noi_energy_pj reads.
+/// The whole EvalResult is stored, sim_* engine-work fields included, so a
+/// hit returns exactly what a fresh evaluate_noi would. A hit simulates
+/// nothing and records no evaluate_noi span, noi.evals or sim.* counter.
+/// Concurrent callers of one key wait for the first (the ArchCache
+/// pattern); an evaluation that throws reaches every waiter and drops the
+/// entry, so a later call retries. At most kMaxEntries results are
+/// stored; past that, a miss evaluates without storing.
+class NoiMemo {
+public:
+    static constexpr std::size_t kMaxEntries = 4096;
+
+    /// Binds the memo to one network; both must outlive it.
+    NoiMemo(const topo::Topology& topo, const noc::RouteTable& routes)
+        : topo_(topo), routes_(routes) {}
+    NoiMemo(const NoiMemo&) = delete;
+    NoiMemo& operator=(const NoiMemo&) = delete;
+
+    /// evaluate_noi(topo, routes, tasks, cfg), computed once per key.
+    [[nodiscard]] EvalResult evaluate(std::span<const MappedTask> tasks,
+                                      const EvalConfig& cfg);
+
+    [[nodiscard]] std::int64_t hits() const;
+    [[nodiscard]] std::int64_t misses() const;
+    /// Stored or in-flight entries.
+    [[nodiscard]] std::size_t entries() const;
+    /// Key plus value bytes of the stored results.
+    [[nodiscard]] std::int64_t bytes() const;
+
+private:
+    struct Entry;  // result slot + done signal, defined in the .cpp
+    struct KeyHash {
+        [[nodiscard]] std::size_t operator()(const std::string& key) const noexcept;
+    };
+
+    const topo::Topology& topo_;
+    const noc::RouteTable& routes_;
+    mutable std::mutex mu_;
+    std::unordered_map<std::string, std::shared_ptr<Entry>, KeyHash> entries_;
+    std::int64_t hits_ = 0;
+    std::int64_t misses_ = 0;
+    std::int64_t bytes_ = 0;
+};
 
 }  // namespace floretsim::core

@@ -249,7 +249,7 @@ DynamicResult run_mix_dynamic(BuiltArch& arch, const workload::ConcurrentMix& mi
                 snapshot.push_back(r.task);
                 round_compute_ns = std::max(round_compute_ns, r.compute_ns);
             }
-            round_eval = evaluate_noi(arch.topology(), arch.routes(), snapshot, cfg);
+            round_eval = arch.fabric->noi_memo.evaluate(snapshot, cfg);
             out.sim_cycles_stepped += round_eval.sim_cycles_stepped;
             out.sim_cycles_skipped += round_eval.sim_cycles_skipped;
             out.sim_horizon_jumps += round_eval.sim_horizon_jumps;

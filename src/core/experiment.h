@@ -52,6 +52,10 @@ struct ArchFabric {
     topo::Topology topology{"unbuilt"};
     noc::RouteTable routes;
     SfcSet sfc;  ///< Only meaningful for Floret.
+    /// evaluate_noi on this fabric, each distinct input simulated once for
+    /// as long as the fabric lives (an ArchCache keeps it across sweeps).
+    /// Bound to `topology` and `routes`, so a fabric never copies or moves.
+    mutable NoiMemo noi_memo{topology, routes};
 };
 
 /// Builds the shared fabric for one of the compared architectures.

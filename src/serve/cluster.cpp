@@ -152,7 +152,7 @@ ClusterStats serve_cluster(std::span<core::experiment::BuiltArch> fabrics,
     // (mostly-distinct sets) cannot grow memory linearly with rounds; the
     // dominant repeat case — successive rounds under unchanged residency —
     // is served by the epoch short-circuit below without touching the map.
-    constexpr std::size_t kNoiCacheCap = 4096;
+    constexpr std::size_t kNoiCacheCap = core::NoiMemo::kMaxEntries;
 
     const auto reject = [&](const Request& r) {
         ++out.rejected;
@@ -181,8 +181,8 @@ ClusterStats serve_cluster(std::span<core::experiment::BuiltArch> fabrics,
                 snapshot.reserve(f.residents.size());
                 for (const auto& res : f.residents)
                     snapshot.push_back(res.task);
-                const auto eval = core::evaluate_noi(
-                    f.arch->topology(), f.arch->routes(), snapshot, cfg.eval);
+                const auto eval =
+                    f.arch->fabric->noi_memo.evaluate(snapshot, cfg.eval);
                 f.epoch_drain = eval.latency_cycles;
                 out.sim_cycles_stepped += eval.sim_cycles_stepped;
                 out.sim_cycles_skipped += eval.sim_cycles_skipped;

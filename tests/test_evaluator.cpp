@@ -1,13 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <latch>
 #include <map>
 #include <memory>
+#include <stdexcept>
+#include <thread>
 
 #include "src/core/evaluator.h"
+#include "src/core/experiment.h"
 #include "src/core/floret.h"
 #include "src/core/mapper.h"
 #include "src/core/sfc.h"
+#include "src/obs/metrics.h"
 #include "src/topo/mesh.h"
+#include "src/util/rng.h"
+#include "src/workload/tables.h"
 
 namespace floretsim::core {
 namespace {
@@ -198,6 +206,304 @@ TEST(EvaluateNoi, WithoutReleaseSecondMappingMovesOn) {
     ASSERT_TRUE(first.front().mapped);
     ASSERT_TRUE(second.front().mapped);
     EXPECT_NE(first.front().nodes.front(), second.front().nodes.front());
+}
+
+
+/// input -> fc -> fc: placed by one_flow_task, it yields one demand of
+/// `width` bytes at bytes_per_elem 1 and traffic_scale 1.
+dnn::Network two_fc(const char* name, std::int32_t width) {
+    dnn::Network net(name);
+    const auto in = net.add_input({width, 1, 1});
+    const auto f1 = net.add_fc(in, width);
+    net.add_fc(f1, width);
+    return net;
+}
+
+/// A hand-placed two_fc task: the first fc on `from`, the second on `to`.
+MappedTask one_flow_task(const dnn::Network& net, topo::NodeId from, topo::NodeId to) {
+    MappedTask t;
+    t.name = net.name();
+    t.net = &net;
+    t.layer_nodes.resize(net.size());
+    t.layer_nodes[1] = {from};
+    t.layer_nodes[2] = {to};
+    t.nodes = {from, to};
+    t.mapped = true;
+    return t;
+}
+
+EvalConfig exact_cfg() {
+    EvalConfig cfg;
+    cfg.traffic_scale = 1.0;
+    return cfg;
+}
+
+/// Records into the global metrics registry for one test, then leaves it
+/// disabled and empty for the next.
+struct MetricsOn {
+    MetricsOn() {
+        obs::MetricsRegistry::global().reset();
+        obs::MetricsRegistry::global().enable();
+    }
+    ~MetricsOn() {
+        obs::MetricsRegistry::global().disable();
+        obs::MetricsRegistry::global().reset();
+    }
+    MetricsOn(const MetricsOn&) = delete;
+    MetricsOn& operator=(const MetricsOn&) = delete;
+
+    [[nodiscard]] static std::int64_t counter(const char* name) {
+        const util::Json snap = obs::MetricsRegistry::global().snapshot();
+        const util::Json* v = snap.find("counters")->find(name);
+        return v == nullptr ? 0 : v->as_int();
+    }
+};
+
+TEST(NoiDemands, OneFlowTaskYieldsOneDemand) {
+    const auto net = two_fc("n", 40);
+    const std::vector<MappedTask> tasks{one_flow_task(net, 3, 7)};
+    const auto demands = noi_demands(tasks, exact_cfg());
+    ASSERT_EQ(demands.size(), 1u);
+    EXPECT_EQ(demands[0].src, 3);
+    EXPECT_EQ(demands[0].dst, 7);
+    EXPECT_EQ(demands[0].bytes, 40);
+}
+
+TEST(NoiMemo, MatchesAFreshEvaluationBitForBit) {
+    // Seeded random resident sets on every architecture and both cores:
+    // the miss and the hit both equal a fresh evaluate_noi, sim_* included.
+    const auto ids = workload::expand_mix(workload::table2().front());
+    std::vector<std::unique_ptr<dnn::Network>> owner;
+    const auto specs = make_tasks(ids, experiment::kParamsPerChipletM, owner);
+    for (const auto arch : experiment::kAllArchs) {
+        auto built = experiment::make_built_arch(experiment::build_fabric(arch, 8, 8));
+        NoiMemo& memo = built.fabric->noi_memo;
+        std::int64_t repeats = 0;
+        for (const auto core : {noc::SimCore::kReference, noc::SimCore::kActivity}) {
+            for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+                SCOPED_TRACE(testing::Message()
+                             << experiment::arch_name(arch) << " "
+                             << noc::sim_core_name(core) << " seed " << seed);
+                util::Rng rng(seed);
+                built.mapper->reset();
+                std::vector<MappedTask> resident;
+                for (std::size_t i = 0; i < specs.size(); ++i) {
+                    const TaskSpec& spec = specs[rng.below(specs.size())];
+                    auto mapped = built.mapper->map_queue(
+                        std::span<const TaskSpec>(&spec, 1), nullptr);
+                    if (mapped.front().mapped)
+                        resident.push_back(std::move(mapped.front()));
+                }
+                ASSERT_FALSE(resident.empty());
+                auto cfg = experiment::default_eval_config();
+                cfg.traffic_scale = 1.0 / 512.0;
+                cfg.sim.core = core;
+                const auto fresh =
+                    evaluate_noi(built.topology(), built.routes(), resident, cfg);
+                EXPECT_GT(fresh.packets, 0);
+                EXPECT_EQ(memo.evaluate(resident, cfg), fresh);
+                EXPECT_EQ(memo.evaluate(resident, cfg), fresh);
+                ++repeats;
+            }
+        }
+        EXPECT_EQ(memo.hits() + memo.misses(), 2 * repeats);
+        EXPECT_GE(memo.hits(), repeats);
+    }
+}
+
+TEST(NoiMemo, ChangingAnyPartOfTheKeyMisses) {
+    const auto topo = topo::make_mesh(4, 4);
+    const auto routes = noc::RouteTable::build(topo, noc::RoutingPolicy::kUpDown);
+    const auto small = two_fc("small", 64);
+    const auto big = two_fc("big", 96);
+    const std::vector<MappedTask> base{one_flow_task(small, 0, 5),
+                                       one_flow_task(small, 15, 10)};
+    const EvalConfig cfg = exact_cfg();
+
+    struct Variant {
+        const char* what;
+        std::vector<MappedTask> tasks;
+        EvalConfig cfg;
+    };
+    std::vector<Variant> variants;
+    const auto edit = [&](const char* what, auto change) {
+        EvalConfig c = cfg;
+        change(c);
+        variants.push_back({what, base, c});
+    };
+    edit("flit_bytes", [](EvalConfig& c) { c.sim.flit_bytes = 16; });
+    edit("max_packet_flits", [](EvalConfig& c) { c.sim.max_packet_flits = 4; });
+    edit("input_buffer_flits", [](EvalConfig& c) { c.sim.input_buffer_flits = 2; });
+    edit("router_delay_cycles", [](EvalConfig& c) { c.sim.router_delay_cycles = 3; });
+    edit("mm_per_cycle", [](EvalConfig& c) { c.sim.mm_per_cycle = 2.0; });
+    edit("max_cycles", [](EvalConfig& c) { --c.sim.max_cycles; });
+    edit("injection_rate", [](EvalConfig& c) { c.sim.injection_rate = 0.5; });
+    // FLORETSIM_SIM_CORE can force one core for both settings; then they
+    // are the same input and must hit.
+    if (noc::resolved_sim_core(noc::SimCore::kReference) !=
+        noc::resolved_sim_core(noc::SimCore::kActivity)) {
+        edit("core", [](EvalConfig& c) {
+            c.sim.core = c.sim.core == noc::SimCore::kActivity
+                             ? noc::SimCore::kReference
+                             : noc::SimCore::kActivity;
+        });
+    }
+    edit("router_energy_base_pj",
+         [](EvalConfig& c) { c.cost.router_energy_base_pj += 0.125; });
+    edit("router_energy_per_port_pj",
+         [](EvalConfig& c) { c.cost.router_energy_per_port_pj += 0.125; });
+    edit("link_energy_per_mm_pj",
+         [](EvalConfig& c) { c.cost.link_energy_per_mm_pj += 0.125; });
+    variants.push_back({"one demand's bytes",
+                        {one_flow_task(small, 0, 5), one_flow_task(big, 15, 10)},
+                        cfg});
+    variants.push_back({"order of two demands", {base[1], base[0]}, cfg});
+
+    // The two demand-level variants change exactly what they claim to.
+    const auto d0 = noi_demands(base, cfg);
+    const auto d_bytes = noi_demands(variants[variants.size() - 2].tasks, cfg);
+    const auto d_order = noi_demands(variants.back().tasks, cfg);
+    ASSERT_EQ(d0.size(), 2u);
+    ASSERT_EQ(d_bytes.size(), 2u);
+    ASSERT_EQ(d_order.size(), 2u);
+    EXPECT_EQ(d_bytes[0].bytes, d0[0].bytes);
+    EXPECT_NE(d_bytes[1].bytes, d0[1].bytes);
+    EXPECT_EQ(d_bytes[1].src, d0[1].src);
+    EXPECT_EQ(d_bytes[1].dst, d0[1].dst);
+    EXPECT_EQ(d_order[0].src, d0[1].src);
+    EXPECT_EQ(d_order[1].src, d0[0].src);
+
+    NoiMemo memo(topo, routes);
+    (void)memo.evaluate(base, cfg);
+    for (const Variant& v : variants) {
+        SCOPED_TRACE(v.what);
+        const auto misses = memo.misses();
+        EXPECT_EQ(memo.evaluate(v.tasks, v.cfg), evaluate_noi(topo, routes, v.tasks, v.cfg));
+        EXPECT_EQ(memo.misses(), misses + 1);
+    }
+
+    // Fields outside the key do not change the result, so they hit.
+    EvalConfig same = cfg;
+    same.round_epoch_cache = !same.round_epoch_cache;
+    same.cost.router_area_base_mm2 += 1.0;
+    same.cost.router_leakage_base_mw += 1.0;
+    const auto misses = memo.misses();
+    EXPECT_EQ(memo.evaluate(base, same), evaluate_noi(topo, routes, base, cfg));
+    EXPECT_EQ(memo.misses(), misses);
+}
+
+TEST(NoiMemo, EightThreadsOnOneInputSimulateOnce) {
+    const auto fabric = experiment::build_fabric(experiment::Arch::kFloret, 6, 6);
+    auto built = experiment::make_built_arch(fabric);
+    const auto ids = workload::expand_mix(workload::table2().front());
+    std::vector<std::unique_ptr<dnn::Network>> owner;
+    const auto specs = make_tasks(ids, experiment::kParamsPerChipletM, owner);
+    std::vector<MappedTask> resident;
+    for (auto& m : built.mapper->map_queue(specs, nullptr))
+        if (m.mapped) resident.push_back(std::move(m));
+    ASSERT_FALSE(resident.empty());
+    auto cfg = experiment::default_eval_config();
+    cfg.traffic_scale = 1.0 / 512.0;
+
+    const MetricsOn metrics;
+    constexpr int kThreads = 8;
+    std::latch start(kThreads);
+    std::vector<EvalResult> results(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+        threads.emplace_back([&, t] {
+            start.arrive_and_wait();
+            results[static_cast<std::size_t>(t)] = fabric->noi_memo.evaluate(resident, cfg);
+        });
+    for (auto& t : threads) t.join();
+
+    EXPECT_EQ(MetricsOn::counter("sim.runs"), 1);
+    EXPECT_EQ(MetricsOn::counter("noi.evals"), 1);
+    EXPECT_EQ(MetricsOn::counter("noi.memo_misses"), 1);
+    EXPECT_EQ(MetricsOn::counter("noi.memo_hits"), kThreads - 1);
+    EXPECT_EQ(MetricsOn::counter("noi.memo_bytes"), fabric->noi_memo.bytes());
+    EXPECT_GT(fabric->noi_memo.bytes(), 0);
+    EXPECT_EQ(fabric->noi_memo.entries(), 1u);
+    EXPECT_GT(results[0].packets, 0);
+    for (const auto& r : results) EXPECT_EQ(r, results[0]);
+}
+
+TEST(NoiMemo, AnErrorReachesEveryCallerAndALaterCallRetries) {
+    const auto topo = topo::make_mesh(4, 4);
+    const auto routes = noc::RouteTable::build(topo, noc::RoutingPolicy::kUpDown);
+    const auto net = two_fc("n", 64);
+    // Thousands of valid demands before one whose endpoint lies outside
+    // the fabric: Simulator::add_demand rejects it only after the first
+    // caller has spent a while building the list, so the others wait.
+    std::vector<MappedTask> tasks;
+    for (int i = 0; i < 4000; ++i) tasks.push_back(one_flow_task(net, i % 16, (i + 5) % 16));
+    tasks.push_back(one_flow_task(net, 0, 1000));
+    const EvalConfig cfg = exact_cfg();
+
+    NoiMemo memo(topo, routes);
+    constexpr int kThreads = 8;
+    for (int trial = 0; trial < 20 && memo.hits() == 0; ++trial) {
+        std::latch start(kThreads);
+        std::atomic<int> threw{0};
+        std::vector<std::thread> threads;
+        for (int t = 0; t < kThreads; ++t)
+            threads.emplace_back([&] {
+                start.arrive_and_wait();
+                try {
+                    (void)memo.evaluate(tasks, cfg);
+                } catch (const std::out_of_range&) {
+                    ++threw;
+                }
+            });
+        for (auto& t : threads) t.join();
+        EXPECT_EQ(threw.load(), kThreads);
+        EXPECT_EQ(memo.entries(), 0u);
+        EXPECT_EQ(memo.bytes(), 0);
+    }
+    EXPECT_GT(memo.hits(), 0) << "no caller ever waited on a failing evaluation";
+
+    const auto misses = memo.misses();
+    EXPECT_THROW((void)memo.evaluate(tasks, cfg), std::out_of_range);
+    EXPECT_EQ(memo.misses(), misses + 1) << "the failed entry was not dropped";
+
+    tasks.pop_back();
+    EXPECT_EQ(memo.evaluate(tasks, cfg), evaluate_noi(topo, routes, tasks, cfg));
+    EXPECT_EQ(memo.entries(), 1u);
+}
+
+TEST(NoiMemo, PastTheCapResultsStayExactAndNothingMoreIsStored) {
+    const auto topo = topo::make_mesh(4, 4);
+    const auto routes = noc::RouteTable::build(topo, noc::RoutingPolicy::kUpDown);
+    const auto net = two_fc("n", 64);
+    const std::vector<MappedTask> tasks{one_flow_task(net, 0, 15)};
+    // Distinct inputs that simulate the same traffic.
+    const auto input = [](std::size_t i) {
+        EvalConfig cfg = exact_cfg();
+        cfg.sim.max_cycles = 1'000'000 + static_cast<std::int64_t>(i);
+        return cfg;
+    };
+
+    NoiMemo memo(topo, routes);
+    for (std::size_t i = 0; i < NoiMemo::kMaxEntries; ++i)
+        (void)memo.evaluate(tasks, input(i));
+    ASSERT_EQ(memo.entries(), NoiMemo::kMaxEntries);
+    const auto bytes = memo.bytes();
+
+    const MetricsOn metrics;
+    const EvalConfig over = input(NoiMemo::kMaxEntries);
+    const auto fresh = evaluate_noi(topo, routes, tasks, over);
+    EXPECT_EQ(memo.evaluate(tasks, over), fresh);
+    EXPECT_EQ(memo.evaluate(tasks, over), fresh);
+    EXPECT_EQ(MetricsOn::counter("sim.runs"), 3) << "past the cap, every call simulates";
+    EXPECT_EQ(memo.misses(), static_cast<std::int64_t>(NoiMemo::kMaxEntries) + 2);
+    EXPECT_EQ(memo.entries(), NoiMemo::kMaxEntries);
+    EXPECT_EQ(memo.bytes(), bytes);
+    EXPECT_EQ(MetricsOn::counter("noi.memo_bytes"), 0);
+
+    // What was stored before the cap still hits.
+    const auto hits = memo.hits();
+    EXPECT_EQ(memo.evaluate(tasks, input(0)), evaluate_noi(topo, routes, tasks, input(0)));
+    EXPECT_EQ(memo.hits(), hits + 1);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include "src/core/experiment.h"
+#include "src/obs/metrics.h"
 #include "src/util/json.h"
 
 namespace floretsim::scenario {
@@ -206,24 +207,39 @@ TEST(Scenario, Fig5AfterFig3BuildsNoFabrics) {
     // fig3 and fig5 sweep the same arch grid: on one shared engine, fig5
     // must run entirely on fabrics fig3 already built — the cross-scenario
     // cache reuse the floretsim_run driver exists for.
+    // The fabrics carry their NoI memos, so fig5 simulates nothing either.
     const Registry& reg = Registry::builtin();
     core::SweepEngine engine(2);
     std::ostringstream out;
     RunContext ctx{engine, out};
-    std::int64_t misses[2] = {0, 0}, hits[2] = {0, 0};
+    obs::MetricsRegistry& metrics = obs::MetricsRegistry::global();
+    const auto sim_runs = [&] {
+        const util::Json snap = metrics.snapshot();
+        const util::Json* v = snap.find("counters")->find("sim.runs");
+        return v == nullptr ? std::int64_t{0} : v->as_int();
+    };
+    metrics.reset();
+    metrics.enable();
+    std::int64_t misses[2] = {0, 0}, hits[2] = {0, 0}, sims[2] = {0, 0};
     const char* names[2] = {"fig3", "fig5"};
     for (int k = 0; k < 2; ++k) {
         Scenario sc = reg.at(names[k]);
         ASSERT_TRUE(apply_override(sc.spec, "traffic_scale", "1/512"));
         const auto misses0 = engine.cache().misses();
         const auto hits0 = engine.cache().hits();
+        const auto sims0 = sim_runs();
         (void)sc.report(sc.spec, ctx);
         misses[k] = engine.cache().misses() - misses0;
         hits[k] = engine.cache().hits() - hits0;
+        sims[k] = sim_runs() - sims0;
     }
+    metrics.disable();
+    metrics.reset();
     EXPECT_GT(misses[0], 0) << "fig3 built no fabrics";
     EXPECT_EQ(misses[1], 0) << "fig5 rebuilt fabrics fig3 had already built";
     EXPECT_GT(hits[1], 0) << "fig5 never touched the fabric cache";
+    EXPECT_GT(sims[0], 0) << "fig3 simulated nothing";
+    EXPECT_EQ(sims[1], 0) << "fig5 re-simulated NoI inputs fig3 already ran";
 }
 
 TEST(Scenario, ReportFunctionsRejectTheWrongSpecKind) {

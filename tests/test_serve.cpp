@@ -118,7 +118,9 @@ TEST(Arrivals, DeterministicAndSorted) {
         EXPECT_EQ(a[i].arrival_cycle, b[i].arrival_cycle);
         EXPECT_EQ(a[i].workload_id, b[i].workload_id);
         EXPECT_EQ(a[i].rounds, b[i].rounds);
-        if (i) EXPECT_GE(a[i].arrival_cycle, a[i - 1].arrival_cycle);
+        if (i) {
+            EXPECT_GE(a[i].arrival_cycle, a[i - 1].arrival_cycle);
+        }
         EXPECT_GT(a[i].deadline_cycle, a[i].arrival_cycle);
     }
     const auto c = generate_requests(cfg, classes, 10);
@@ -612,13 +614,16 @@ TEST(ServeProperty, InvariantsHoldAcrossSeedsPoliciesAndBatchCaps) {
                              << " cap=" << cap);
                 expect_invariants(s);
                 EXPECT_EQ(s.arrived, 25);
-                if (cap == 1) EXPECT_EQ(s.batched_requests, 0);
+                if (cap == 1) {
+                    EXPECT_EQ(s.batched_requests, 0);
+                }
                 if (policy != AdmissionPolicy::kEdfEvict) {
                     EXPECT_EQ(s.preemptions, 0);
                     EXPECT_EQ(s.evictions, 0);
                 }
-                if (policy != AdmissionPolicy::kRejectOnFull)
+                if (policy != AdmissionPolicy::kRejectOnFull) {
                     EXPECT_EQ(s.rejected, 0);
+                }
             }
         }
     }
