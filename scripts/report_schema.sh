@@ -34,7 +34,10 @@ expect_usage_error "'reference' or 'activity'" \
     env FLORETSIM_SIM_CORE=regional "$driver" --only fig3
 expect_usage_error "reference or activity" "$driver" --core regional
 expect_usage_error "supported: grid" "$driver" --set sim_core=reference
-echo "report schema ok: unknown cores and the sim_core key exit 2"
+# The on-disk result cache is gone; its flag is an unknown argument.
+expect_usage_error "unknown argument --cache-dir" \
+    "$driver" --cache-dir "$out_dir/cache" --only fig3
+echo "report schema ok: unknown cores, the sim_core key and --cache-dir exit 2"
 
 "$driver" --only fig3 --set traffic_scale=1/128 --threads 2 \
     --json "$out_dir/fig3.json" --metrics-out "$out_dir/metrics.json" \
@@ -49,15 +52,11 @@ assert set(doc) == {"driver", "scenarios"}, f"top-level keys: {set(doc)}"
 
 DRIVER_KEYS = {"run_info", "threads", "pool", "sim_core",
                "scenarios_run", "scenarios_failed", "wall_seconds",
-               "fabric_cache_hits", "fabric_cache_misses",
-               "result_cache_hits", "result_cache_misses"}
+               "fabric_cache_hits", "fabric_cache_misses"}
 assert set(doc["driver"]) == DRIVER_KEYS, (
     f"driver keys: {sorted(set(doc['driver']) ^ DRIVER_KEYS)} changed")
 assert doc["driver"]["scenarios_run"] == 1
 assert doc["driver"]["scenarios_failed"] == 0
-# No --cache-dir given: the result-cache counters must exist and be zero.
-assert doc["driver"]["result_cache_hits"] == 0
-assert doc["driver"]["result_cache_misses"] == 0
 assert doc["driver"]["sim_core"] in {"reference", "activity"}
 # No --pool given: fleet off, and the executor is the local thread pool.
 assert doc["driver"]["pool"] == 0

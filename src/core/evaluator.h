@@ -37,12 +37,6 @@ struct EvalConfig {
     /// ablation bench quantifies its one-time cost.
     bool include_weight_load = false;
     topo::NodeId io_node = 0;  ///< Where weights enter the interposer.
-    /// Round-based runners (experiment::run_mix_dynamic): when the resident
-    /// task set is unchanged between successive rounds, reuse the previous
-    /// round's NoI evaluation instead of re-simulating. evaluate_noi is
-    /// deterministic in its inputs, so results are bit-identical either way
-    /// (pinned by tests); off forces a fresh simulation every round.
-    bool round_epoch_cache = true;
 
     /// Field-wise equality for the scenario layer's JSON round-trip contract.
     [[nodiscard]] bool operator==(const EvalConfig&) const = default;

@@ -205,10 +205,10 @@ DynamicResult run_mix_dynamic(BuiltArch& arch, const workload::ConcurrentMix& mi
     };
     std::vector<Resident> resident;
 
-    // Residency-epoch cache: successive rounds with an unchanged resident
-    // set re-run an identical, deterministic NoI evaluation, so the
-    // previous round's result (and the residents' compute maximum) can be
-    // reused verbatim. Cleared on every admit/retire.
+    // Residency epoch: successive rounds with an unchanged resident set
+    // would re-run an identical, deterministic NoI evaluation, so the
+    // previous round's result (and the residents' compute maximum) is
+    // reused verbatim. Set dirty on every admit/retire.
     bool residency_dirty = true;
     EvalResult round_eval;
     double round_compute_ns = 0.0;
@@ -241,7 +241,7 @@ DynamicResult run_mix_dynamic(BuiltArch& arch, const workload::ConcurrentMix& mi
 
         // One inference round of every resident task: compute in parallel
         // on their own chiplets, activations drain over the shared NoI.
-        if (residency_dirty || !cfg.round_epoch_cache) {
+        if (residency_dirty) {
             std::vector<MappedTask> snapshot;
             snapshot.reserve(resident.size());
             round_compute_ns = 0.0;
@@ -283,8 +283,9 @@ DynamicResult run_mix_dynamic(BuiltArch& arch, const workload::ConcurrentMix& mi
             }
         }
     }
-    // Wormhole sims actually run vs reused from the residency-epoch cache
-    // — the reuse ratio is the round-level eval-cache win per mix.
+    // Memo lookups vs rounds reused from the residency epoch — the reuse
+    // ratio is the round-level win per mix. A lookup the fabric's NoiMemo
+    // serves runs no simulation.
     auto& metrics = obs::MetricsRegistry::global();
     if (metrics.enabled()) {
         metrics.add("noi.sims_run", out.noi_evals);

@@ -145,10 +145,11 @@ struct DynamicResult {
     std::int64_t rounds = 0;
     std::int64_t task_rounds = 0;  ///< Sum of resident counts over rounds.
     bool all_completed = true;
-    /// NoI-evaluation economy: rounds that ran the wormhole simulator vs.
-    /// rounds served by the unchanged-residency epoch cache
-    /// (EvalConfig::round_epoch_cache), plus the simulator-engine work
-    /// statistics summed over the rounds that did simulate.
+    /// NoI-evaluation economy: rounds that looked their drain up in the
+    /// fabric's NoiMemo vs. rounds that reused the previous round's result
+    /// because the resident set was unchanged, plus the simulator-engine
+    /// work statistics of each looked-up result. A memo hit runs no
+    /// simulation, so `noi_evals` bounds the simulations from above.
     std::int64_t noi_evals = 0;
     std::int64_t round_epoch_hits = 0;
     std::int64_t sim_cycles_stepped = 0;

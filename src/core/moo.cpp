@@ -72,6 +72,7 @@ PlacementEval evaluate_placement(const dnn::Network& net, const pim::PartitionPl
     // Thermal + accuracy.
     const auto power = thermal::pe_power_map(net, layer_nodes, tcfg.cells(), pcfg);
     const auto thermal_result = thermal::solve_steady_state(tcfg, power);
+    thermal::require_converged(thermal_result);
     ev.peak_k = thermal_result.peak_k();
 
     std::vector<double> weight_frac(static_cast<std::size_t>(tcfg.cells()), 0.0);

@@ -61,92 +61,22 @@ SweepRow evaluate_point(experiment::ArchCache& cache, const SweepPoint& point) {
     return row;
 }
 
-namespace {
-
-/// Interleaves cached rows with freshly computed ones back into point
-/// order. Cached rows are looked up lazily, one per next() — the cache
-/// hit path holds no row buffer at all. A probe() that later fails its
-/// lookup() (entry evicted or corrupted between the two) degrades to a
-/// local recompute, never to a missing row.
-class MergeRowStream final : public RowStream {
-public:
-    MergeRowStream(std::vector<SweepPoint> points, std::vector<char> hit,
-                   std::unique_ptr<RowStream> miss_stream,
-                   PointResultCache* cache, experiment::ArchCache* arch_cache)
-        : points_(std::move(points)),
-          hit_(std::move(hit)),
-          miss_stream_(std::move(miss_stream)),
-          cache_(cache),
-          arch_cache_(arch_cache) {}
-
-    [[nodiscard]] std::optional<SweepRow> next() override {
-        if (pos_ >= points_.size()) return std::nullopt;
-        const std::size_t i = pos_++;
-        if (hit_[i]) {
-            if (auto row = cache_->lookup(points_[i])) return row;
-            SweepRow row = evaluate_point(*arch_cache_, points_[i]);
-            cache_->store(points_[i], row);
-            return row;
-        }
-        auto row = miss_stream_->next();
-        if (!row)
-            throw std::runtime_error("sweep: row stream ended early at point " +
-                                     std::to_string(i) + " of " +
-                                     std::to_string(points_.size()));
-        cache_->store(points_[i], *row);
-        return row;
-    }
-    [[nodiscard]] std::size_t size() const override { return points_.size(); }
-
-private:
-    std::vector<SweepPoint> points_;
-    std::vector<char> hit_;
-    std::unique_ptr<RowStream> miss_stream_;
-    PointResultCache* cache_;
-    experiment::ArchCache* arch_cache_;
-    std::size_t pos_ = 0;
-};
-
-}  // namespace
-
 std::unique_ptr<RowStream> SweepEngine::run_stream(
     const std::vector<SweepPoint>& points) {
-    // Partition into cache hits and misses; only misses are dispatched.
-    std::vector<char> hit(points.size(), 0);
-    std::vector<SweepPoint> misses;
-    if (result_cache_) {
-        misses.reserve(points.size());
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            if (result_cache_->probe(points[i]))
-                hit[i] = 1;
-            else
-                misses.push_back(points[i]);
-        }
-    } else {
-        misses = points;
-    }
-
-    std::unique_ptr<RowStream> miss_stream;
-    if (stream_executor_ && !misses.empty()) {
-        miss_stream = stream_executor_(misses);
-        if (!miss_stream || miss_stream->size() != misses.size())
+    if (stream_executor_ && !points.empty()) {
+        auto stream = stream_executor_(points);
+        if (!stream || stream->size() != points.size())
             throw std::runtime_error(
                 "stream executor returned " +
-                std::to_string(miss_stream ? miss_stream->size() : 0) +
-                " rows for " + std::to_string(misses.size()) + " points");
-    } else {
-        std::vector<SweepRow> rows(misses.size());
-        pool_.parallel_for(misses.size(), [&](std::size_t i) {
-            rows[i] = evaluate_point(cache_, misses[i]);
-        });
-        miss_stream = std::make_unique<VectorRowStream>(std::move(rows));
+                std::to_string(stream ? stream->size() : 0) + " rows for " +
+                std::to_string(points.size()) + " points");
+        return stream;
     }
-    // Without a cache every point is a miss, so the miss stream already
-    // yields all rows in point order.
-    if (!result_cache_) return miss_stream;
-    return std::make_unique<MergeRowStream>(points, std::move(hit),
-                                            std::move(miss_stream),
-                                            result_cache_, &cache_);
+    std::vector<SweepRow> rows(points.size());
+    pool_.parallel_for(points.size(), [&](std::size_t i) {
+        rows[i] = evaluate_point(cache_, points[i]);
+    });
+    return std::make_unique<VectorRowStream>(std::move(rows));
 }
 
 SweepResult SweepEngine::run(const std::vector<SweepPoint>& points) {

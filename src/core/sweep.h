@@ -116,24 +116,6 @@ private:
     std::size_t pos_ = 0;
 };
 
-/// Content-addressed cache of finished sweep rows, keyed by the full
-/// SweepPoint (arch, grid, mix, eval config, seeds — everything that
-/// determines the result). The engine consults it before dispatching
-/// work: a probe() hit skips evaluation entirely and the row is served
-/// from lookup() at stream time; every computed row is store()d back.
-/// Implementations must validate on lookup (a corrupt or mismatched entry
-/// returns nullopt and the engine recomputes — the cache can degrade a
-/// run to uncached speed but never to wrong rows).
-class PointResultCache {
-public:
-    virtual ~PointResultCache() = default;
-    /// Cheap existence probe; true means lookup() is expected to succeed.
-    [[nodiscard]] virtual bool probe(const SweepPoint& point) = 0;
-    /// The cached row, or nullopt when absent/corrupt (recompute then).
-    [[nodiscard]] virtual std::optional<SweepRow> lookup(const SweepPoint& point) = 0;
-    virtual void store(const SweepPoint& point, const SweepRow& row) = 0;
-};
-
 struct SweepResult {
     /// Rows in SweepSpec::expand() order.
     std::vector<SweepRow> rows;
@@ -165,11 +147,11 @@ public:
     [[nodiscard]] SweepResult run(const SweepSpec& spec);
     [[nodiscard]] SweepResult run(const std::vector<SweepPoint>& points);
 
-    /// Streaming execution: evaluates `points` (through the result cache
-    /// and the installed executor, exactly like run()) but returns the
-    /// rows as an ordered stream instead of a vector. With the fleet
-    /// executor installed, rows are read one at a time from the sweep's
-    /// NDJSON rows file — coordinator memory stays O(1) in the row count.
+    /// Streaming execution: evaluates `points` (through the installed
+    /// executor, exactly like run()) but returns the rows as an ordered
+    /// stream instead of a vector. With the fleet executor installed, rows
+    /// are read one at a time from the sweep's NDJSON rows file —
+    /// coordinator memory stays O(1) in the row count.
     /// run(points) is collect(run_stream(points)).
     [[nodiscard]] std::unique_ptr<RowStream> run_stream(
         const std::vector<SweepPoint>& points);
@@ -194,11 +176,6 @@ public:
     /// "fleet"). Must point at a string literal.
     void set_executor_label(const char* label) { executor_label_ = label; }
     [[nodiscard]] const char* executor_label() const { return executor_label_; }
-
-    /// Attaches a result cache (nullptr detaches; not owned). Points that
-    /// probe() as cached are never dispatched to the pool or the
-    /// executor; computed rows are stored back as they stream out.
-    void set_result_cache(PointResultCache* cache) { result_cache_ = cache; }
 
     /// Generic deterministic fan-out for benches whose per-point work is
     /// not run_mix_dynamic: evaluates fn(0..count-1) on the pool and
@@ -243,7 +220,6 @@ private:
     util::ThreadPool pool_;
     experiment::ArchCache cache_;
     StreamExecutor stream_executor_;
-    PointResultCache* result_cache_ = nullptr;
     const char* executor_label_ = "in-process";
 };
 

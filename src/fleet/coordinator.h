@@ -190,8 +190,7 @@ private:
 
 /// Installs the coordinator as `engine`'s stream executor (label
 /// "fleet"): every SweepEngine::run / run_stream dispatches to the
-/// persistent workers, and — because the engine partitions result-cache
-/// hits out first — a warm cache sends nothing over the wire.
+/// persistent workers.
 void install_fleet_executor(core::SweepEngine& engine,
                             std::shared_ptr<Coordinator> coordinator);
 

@@ -4,7 +4,6 @@
 #include <charconv>
 #include <stdexcept>
 
-#include "src/scenario/cache.h"
 #include "src/util/hash.h"
 #include "src/util/rng.h"
 
@@ -167,9 +166,7 @@ SpecVariant spec_from_json(const util::Json& j, const std::string& kind) {
 }
 
 std::uint64_t spec_hash(const SpecVariant& spec) {
-    std::uint64_t h = util::fnv1a(kCacheFormatVersion);
-    h = util::fnv1a(":spec:", h);
-    h = util::fnv1a(spec_kind_name(spec), h);
+    std::uint64_t h = util::fnv1a(spec_kind_name(spec));
     h = util::fnv1a(":", h);
     return util::fnv1a(util::json_serialize_compact(to_json(spec)), h);
 }
@@ -198,15 +195,6 @@ std::vector<core::SweepPoint> scaling_points(const ScalingSpec& s) {
         }
     }
     return points;
-}
-
-std::optional<std::vector<core::SweepPoint>> cacheable_points(
-    const SpecVariant& spec) {
-    if (const auto* sweep = std::get_if<core::SweepSpec>(&spec))
-        return sweep->expand();
-    if (const auto* scaling = std::get_if<ScalingSpec>(&spec))
-        return scaling_points(*scaling);
-    return std::nullopt;
 }
 
 void Registry::add(Scenario s) {

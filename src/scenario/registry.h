@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <variant>
@@ -39,27 +38,17 @@ using SpecVariant = std::variant<core::SweepSpec, ServeGridSpec, ClusterSpec,
 [[nodiscard]] SpecVariant spec_from_json(const util::Json& j,
                                          const std::string& kind);
 
-/// The spec's content hash: FNV-1a over the cache format version, the
-/// kind name, and the canonical compact JSON serialization — the identity
-/// --list prints and the result cache builds on. Invariant under JSON key
-/// order/whitespace of any user representation (hashing happens after
-/// parse -> canonical re-serialization); changes whenever any semantic
-/// field changes.
+/// The spec's content hash: FNV-1a over the kind name and the canonical
+/// compact JSON serialization — the identity --list prints. Invariant
+/// under JSON key order/whitespace of any user representation (hashing
+/// happens after parse -> canonical re-serialization); changes whenever
+/// any semantic field changes.
 [[nodiscard]] std::uint64_t spec_hash(const SpecVariant& spec);
 
 /// The deterministic point list of the scaling ablation: for each side, a
 /// random mix of 3 + side workloads drawn from a fresh Rng(mix_seed),
-/// fanned over the archs. The single expansion shared by the report
-/// function, the result cache, and --list.
+/// fanned over the archs.
 [[nodiscard]] std::vector<core::SweepPoint> scaling_points(const ScalingSpec& s);
-
-/// The evaluate_point work-list of a spec, when its kind has one: sweep
-/// specs expand their grid, scaling specs derive scaling_points(). The
-/// other kinds (serving replications, annealing studies, analytical
-/// Transformer models) do bespoke work the point cache cannot address —
-/// nullopt, and --list reports them as such.
-[[nodiscard]] std::optional<std::vector<core::SweepPoint>> cacheable_points(
-    const SpecVariant& spec);
 
 /// Everything a report function gets to work with: the engine it must run
 /// all parallel work on (shared across scenarios in a driver run — that

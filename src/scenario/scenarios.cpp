@@ -511,7 +511,7 @@ JsonReport serving_report(const SpecVariant& sv, RunContext& ctx) {
     ctx.out << "\nSimulator: " << stepped << " cycles stepped, " << skipped
             << " skipped (" << util::TextTable::fmt(100.0 * skip_fraction, 1)
             << "% of simulated time) in " << jumps << " horizon jumps; " << rounds
-            << " NoI rounds, " << hits << " served from the resident-set cache\n";
+            << " NoI rounds, " << hits << " reused under an unchanged residency\n";
     report.add_metric("sim_cycles_stepped", static_cast<double>(stepped));
     report.add_metric("sim_cycles_skipped", static_cast<double>(skipped));
     report.add_metric("sim_horizon_jumps", static_cast<double>(jumps));
@@ -680,7 +680,7 @@ JsonReport cluster_report(const SpecVariant& sv, RunContext& ctx) {
             << " arrivals routed onto a warm residency; " << total_batched
             << " requests rode a batch, " << total_preempt
             << " preempted across " << total_evict << " evictions; " << rounds
-            << " NoI rounds, " << hits << " served from the resident-set cache\n";
+            << " NoI rounds, " << hits << " reused under an unchanged residency\n";
     report.add_metric("serve_batched_requests",
                       static_cast<double>(total_batched));
     report.add_metric("serve_preemptions", static_cast<double>(total_preempt));
@@ -942,6 +942,7 @@ JsonReport fig7_report(const SpecVariant& sv, RunContext& ctx) {
         const auto assign = pim::assign_layers(net, plan, order);
         const auto power = thermal::pe_power_map(net, assign, tcfg.cells(), pcfg);
         const auto res = thermal::solve_steady_state(tcfg, power);
+        thermal::require_converged(res);
         ctx.out << title << "\n"
                 << thermal::render_tier(res, 0) << "peak " << res.peak_k()
                 << " K, bottom-tier hotspots >340K: " << res.hotspot_count(0, 340.0)
@@ -1154,8 +1155,7 @@ JsonReport ablation_report(const SpecVariant& sv, RunContext& ctx) {
     auto& engine = ctx.engine;
     // The mix depends on the grid size (bigger systems run it more
     // concurrently), so the point list is derived, not a cartesian
-    // SweepSpec — scaling_points() is the single expansion the report,
-    // the result cache, and --list share.
+    // SweepSpec — scaling_points() expands it.
     const auto sweep = engine.run(scaling_points(spec));
 
     util::TextTable t({"Chiplets", "NoI", "Mean hops", "Makespan (kcyc)",

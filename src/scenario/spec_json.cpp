@@ -241,7 +241,6 @@ Json to_json(const core::EvalConfig& c) {
     j.set("traffic_scale", c.traffic_scale);
     j.set("include_weight_load", c.include_weight_load);
     j.set("io_node", c.io_node);
-    j.set("round_epoch_cache", c.round_epoch_cache);
     return j;
 }
 
@@ -254,7 +253,6 @@ core::EvalConfig eval_config_from_json(const Json& j) {
     r.read("traffic_scale", c.traffic_scale);
     r.read("include_weight_load", c.include_weight_load);
     r.read("io_node", c.io_node);
-    r.read("round_epoch_cache", c.round_epoch_cache);
     r.finish();
     return c;
 }

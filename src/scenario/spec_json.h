@@ -240,8 +240,7 @@ struct TransformerSpec {
 /// is independent of list order), plus the petal-count (lambda) sweep at
 /// 100 chiplets and the weight-loading ablation. Unlike SweepSpec the
 /// point list is derived, not enumerated: scaling_points() in the
-/// registry layer is the single expansion both the report and the result
-/// cache use.
+/// registry layer expands it.
 struct ScalingSpec {
     std::vector<std::int32_t> sides{6, 8, 10, 12};
     std::vector<core::experiment::Arch> archs{

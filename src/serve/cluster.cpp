@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -48,12 +47,6 @@ struct Resident {
     }
 };
 
-/// Exact (collision-free) memo key for a resident set: the placements in
-/// resident order — the order matters because it is the order the demand
-/// list reaches the wormhole simulator.
-using ResidentKey =
-    std::vector<std::pair<std::string, std::vector<topo::NodeId>>>;
-
 /// Per-fabric scheduler state. Every field the legacy single-fabric loop
 /// kept as a local now lives here, once per fabric; the shared virtual
 /// clock and the output statistics stay global so a one-fabric cluster
@@ -63,7 +56,6 @@ struct Fabric {
     std::vector<Resident> residents;
     std::vector<Request> queue;  ///< Waiting line, policy-ordered.
     double busy_nodes = 0.0;
-    std::map<ResidentKey, double> noi_cache;  ///< Resident set -> drain.
     double epoch_drain = 0.0;  ///< Drain of the current residency epoch.
     bool epoch_valid = false;  ///< Cleared on every admit/release/evict.
 
@@ -148,11 +140,6 @@ ClusterStats serve_cluster(std::span<core::experiment::BuiltArch> fabrics,
     double wait_accum = 0.0;
     util::RunningStats latency;
     util::P2Quantile p50(0.50), p95(0.95), p99(0.99);
-    // The memo is bounded so a long trace replay with high residency churn
-    // (mostly-distinct sets) cannot grow memory linearly with rounds; the
-    // dominant repeat case — successive rounds under unchanged residency —
-    // is served by the epoch short-circuit below without touching the map.
-    constexpr std::size_t kNoiCacheCap = core::NoiMemo::kMaxEntries;
 
     const auto reject = [&](const Request& r) {
         ++out.rejected;
@@ -160,36 +147,24 @@ ClusterStats serve_cluster(std::span<core::experiment::BuiltArch> fabrics,
         ++out.per_class[static_cast<std::size_t>(r.class_idx)].violations;
     };
 
-    // Round duration = drain latency of the whole resident set (memoized)
-    // plus the batch's PIM compute, both at the same sampling scale. A
-    // round serving m members shares the drain; the compute term grows by
-    // batch_traffic_alpha per extra member (m == 1 is the exact
-    // pre-batching formula).
+    // Round duration = drain latency of the whole resident set plus the
+    // batch's PIM compute, both at the same sampling scale. The drain is
+    // reused while the residency is unchanged (the epoch short-circuit);
+    // otherwise the fabric's NoiMemo supplies it. A round serving m members
+    // shares the drain; the compute term grows by batch_traffic_alpha per
+    // extra member (m == 1 is the exact pre-batching formula).
     const auto schedule_round = [&](Fabric& f, Resident& r) {
         const obs::Span span("serve_round", "serve");
         ++out.noi_rounds;
         if (!f.epoch_valid) {
-            ResidentKey key;
-            key.reserve(f.residents.size());
-            for (const auto& res : f.residents)
-                key.emplace_back(res.workload_id, res.task.nodes);
-            if (const auto it = f.noi_cache.find(key); it != f.noi_cache.end()) {
-                ++out.noi_cache_hits;
-                f.epoch_drain = it->second;
-            } else {
-                std::vector<core::MappedTask> snapshot;
-                snapshot.reserve(f.residents.size());
-                for (const auto& res : f.residents)
-                    snapshot.push_back(res.task);
-                const auto eval =
-                    f.arch->fabric->noi_memo.evaluate(snapshot, cfg.eval);
-                f.epoch_drain = eval.latency_cycles;
-                out.sim_cycles_stepped += eval.sim_cycles_stepped;
-                out.sim_cycles_skipped += eval.sim_cycles_skipped;
-                out.sim_horizon_jumps += eval.sim_horizon_jumps;
-                if (f.noi_cache.size() < kNoiCacheCap)
-                    f.noi_cache.emplace(std::move(key), f.epoch_drain);
-            }
+            std::vector<core::MappedTask> snapshot;
+            snapshot.reserve(f.residents.size());
+            for (const auto& res : f.residents) snapshot.push_back(res.task);
+            const auto eval = f.arch->fabric->noi_memo.evaluate(snapshot, cfg.eval);
+            f.epoch_drain = eval.latency_cycles;
+            out.sim_cycles_stepped += eval.sim_cycles_stepped;
+            out.sim_cycles_skipped += eval.sim_cycles_skipped;
+            out.sim_horizon_jumps += eval.sim_horizon_jumps;
             f.epoch_valid = true;
         } else {
             ++out.noi_cache_hits;
@@ -436,7 +411,7 @@ ClusterStats serve_cluster(std::span<core::experiment::BuiltArch> fabrics,
             }
             if (!r.members.empty()) {
                 // Batch not drained: next round under the unchanged
-                // residency (an epoch cache hit), with m reduced.
+                // residency (an epoch reuse), with m reduced.
                 if (finished_any) out.makespan_cycles = now;
                 schedule_round(f, r);
                 continue;
@@ -470,6 +445,22 @@ ClusterStats serve_cluster(std::span<core::experiment::BuiltArch> fabrics,
             try_admit(f);
         }
     }
+
+    // Conservation over a drained run, checked in every build type: each
+    // arrival completes or bounces, each admission completes or is
+    // preempted back into a queue, and each eviction preempts at least one
+    // member.
+    if (out.drained && (out.arrived != out.completed + out.rejected ||
+                        out.admitted != out.completed + out.preemptions ||
+                        out.preemptions < out.evictions))
+        throw std::logic_error(
+            "serve_cluster: conservation violated: arrived " +
+            std::to_string(out.arrived) + ", admitted " +
+            std::to_string(out.admitted) + ", completed " +
+            std::to_string(out.completed) + ", rejected " +
+            std::to_string(out.rejected) + ", preemptions " +
+            std::to_string(out.preemptions) + ", evictions " +
+            std::to_string(out.evictions));
 
     out.makespan_cycles = std::max(out.makespan_cycles, now);
     if (now > 0.0) {

@@ -18,9 +18,10 @@ const char* admission_policy_name(AdmissionPolicy p) {
 
 ServeConfig default_serve_config() {
     ServeConfig cfg;
-    // The experiment eval defaults (1/64 sampling) carry over: the
-    // resident-set memo absorbs the per-round NoI cost, so serving stays
-    // directly comparable with the batch Table II numbers.
+    // The experiment eval defaults (1/64 sampling) carry over: the epoch
+    // short-circuit and the fabric's NoI memo absorb the per-round NoI
+    // cost, so serving stays directly comparable with the batch Table II
+    // numbers.
     cfg.eval = core::experiment::default_eval_config();
     return cfg;
 }

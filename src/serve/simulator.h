@@ -16,9 +16,10 @@ namespace floretsim::serve {
 /// (model residency, as in core::simulate_dynamic), execute their
 /// inference rounds, and release. Round duration is the evaluate_noi
 /// drain latency of the *current* resident set (frozen at round start)
-/// plus the request's own PIM compute time; resident-set evaluations are
-/// memoized, so successive rounds under unchanged residency never
-/// re-simulate the NoC. Everything is deterministic in the config seed.
+/// plus the request's own PIM compute time. Successive rounds under
+/// unchanged residency reuse the drain, and a changed resident set is
+/// looked up in the fabric's NoiMemo, so no set is simulated twice.
+/// Everything is deterministic in the config seed.
 
 enum class AdmissionPolicy {
     kFifo,              ///< Strict arrival order; the head blocks the line.
@@ -93,11 +94,13 @@ struct ServeStats {
     double p50_latency_cycles = 0.0;
     double p95_latency_cycles = 0.0;
     double p99_latency_cycles = 0.0;
-    /// NoI evaluation economy: rounds scheduled vs. resident-set cache
-    /// hits. `noi_rounds - noi_cache_hits` is the number of wormhole
-    /// simulations actually run — an admission burst of k requests costs
-    /// one (the round schedule is deferred until the burst drains, so every
-    /// admit sees the final resident set).
+    /// NoI evaluation economy: rounds scheduled vs. rounds that reused the
+    /// previous round's drain because the fabric's resident set was
+    /// unchanged. `noi_rounds - noi_cache_hits` is the number of NoiMemo
+    /// lookups — an admission burst of k requests costs one (the round
+    /// schedule is deferred until the burst drains, so every admit sees the
+    /// final resident set). A lookup the memo serves runs no simulation,
+    /// so the simulations actually run can be fewer.
     std::int64_t noi_rounds = 0;
     std::int64_t noi_cache_hits = 0;
     /// Batching/preemption accounting. batched_requests counts members that
@@ -110,8 +113,9 @@ struct ServeStats {
     std::int64_t batched_requests = 0;
     std::int64_t preemptions = 0;
     std::int64_t evictions = 0;
-    /// Simulator-engine work statistics summed over the evaluate_noi calls
+    /// Simulator-engine work statistics summed over the NoiMemo lookups
     /// (see noc::SimResult): cycles executed vs. proven no-op and skipped.
+    /// A memo hit contributes the stored result's counts.
     std::int64_t sim_cycles_stepped = 0;
     std::int64_t sim_cycles_skipped = 0;
     std::int64_t sim_horizon_jumps = 0;

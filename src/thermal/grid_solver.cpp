@@ -93,6 +93,15 @@ ThermalResult solve_steady_state(const ThermalConfig& cfg, std::span<const doubl
     return res;
 }
 
+void require_converged(const ThermalResult& result) {
+    if (result.converged) return;
+    std::ostringstream os;
+    os << "thermal solve did not converge: " << result.iterations
+       << " iterations without every cell update falling below "
+       << result.config.tolerance_k << " K";
+    throw std::runtime_error(os.str());
+}
+
 std::string render_tier(const ThermalResult& result, std::int32_t z) {
     const ThermalConfig& cfg = result.config;
     double lo = 1e30;

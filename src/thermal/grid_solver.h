@@ -53,6 +53,12 @@ struct ThermalResult {
 [[nodiscard]] ThermalResult solve_steady_state(const ThermalConfig& cfg,
                                                std::span<const double> power_w);
 
+/// Throws std::runtime_error, naming the iteration count and tolerance,
+/// when `result` stopped at max_iterations without converging. Callers
+/// that price the temperatures use it so an unconverged field is never
+/// priced silently.
+void require_converged(const ThermalResult& result);
+
 /// ASCII rendering of one tier's temperature field (for Fig. 7-style
 /// visual comparison): one glyph per cell bucketed between the tier's min
 /// and max, plus a legend line.

@@ -6,13 +6,11 @@
 
 namespace floretsim::util {
 
-/// Stable content hashing for the result cache and spec identity. FNV-1a
-/// over bytes: deterministic across platforms, processes, and builds (no
-/// pointer or layout dependence), which is the whole point — a cache
-/// entry written by one run must be findable by every later run. Not
-/// cryptographic; collision resistance comes from 64 bits plus the
-/// cache's read-back validation (a looked-up row's point must equal the
-/// requested point).
+/// Stable content hashing for spec identity and the NoI memo's buckets.
+/// FNV-1a over bytes: deterministic across platforms, processes, and
+/// builds (no pointer or layout dependence), so a spec hash printed by one
+/// run names the same spec in every later run. Not cryptographic; the
+/// memo compares its full key, so a collision costs only a bucket scan.
 
 inline constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ULL;
 inline constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
@@ -29,8 +27,7 @@ inline constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
     return h;
 }
 
-/// Fixed-width lowercase hex (16 digits) — the cache's file-name and
-/// --list display form.
+/// Fixed-width lowercase hex (16 digits) — the --list display form.
 [[nodiscard]] std::string hash_hex(std::uint64_t h);
 
 }  // namespace floretsim::util

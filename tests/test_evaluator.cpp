@@ -384,7 +384,6 @@ TEST(NoiMemo, ChangingAnyPartOfTheKeyMisses) {
 
     // Fields outside the key do not change the result, so they hit.
     EvalConfig same = cfg;
-    same.round_epoch_cache = !same.round_epoch_cache;
     same.cost.router_area_base_mm2 += 1.0;
     same.cost.router_leakage_base_mw += 1.0;
     const auto misses = memo.misses();

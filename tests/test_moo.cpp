@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "src/core/moo.h"
 #include "src/dnn/model_zoo.h"
@@ -62,6 +64,23 @@ TEST(EvaluatePlacement, ProducesFiniteSaneMetrics) {
     EXPECT_GT(ev.peak_k, f.tcfg.t_ambient_k);
     EXPECT_GE(ev.accuracy_drop, 0.0);
     EXPECT_LT(ev.accuracy_drop, f.acc.degradation_at_zero_window);
+}
+
+TEST(EvaluatePlacement, ThrowsWhenTheThermalSolveDoesNotConverge) {
+    // One SOR sweep from the ambient start cannot converge; the placement
+    // must not be priced on that field, and the error names the budget.
+    Fixture f;
+    f.tcfg.max_iterations = 1;
+    const auto order = sfc3d_order(5, 5, 4);
+    try {
+        (void)evaluate_placement(f.net, f.plan, order, f.routes, f.tcfg, f.pcfg,
+                                 f.rcfg, f.acc, f.perf);
+        FAIL() << "expected a non-convergence error";
+    } catch (const std::runtime_error& e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("1 iterations"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("1e-07 K"), std::string::npos) << msg;
+    }
 }
 
 TEST(EvaluatePlacement, ScatteredPlacementHasWorseCommCost) {

@@ -1,20 +1,25 @@
 /// Scenario-layer serialization contract: strict round-trip
 /// (from_json(to_json(x)) == x) for every spec type, partial specs keep
-/// defaults, unknown keys are rejected, and workload mixes serialize by
-/// Table II / Table I name rather than inlined.
+/// defaults, unknown keys are rejected, workload mixes serialize by
+/// Table II / Table I name rather than inlined, and the spec hash is
+/// invariant under user-side JSON layout but sensitive to every field.
 
 #include "src/scenario/spec_json.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <span>
 #include <vector>
 
 #include "src/core/experiment.h"
+#include "src/scenario/registry.h"
 #include "src/scenario/report.h"
 #include "src/util/json.h"
+#include "src/workload/tables.h"
 
 namespace floretsim::scenario {
 namespace {
@@ -64,7 +69,6 @@ TEST(ScenarioJson, EvalConfigRoundTrip) {
     c.traffic_scale = 1.0 / 128.0;
     c.include_weight_load = true;
     c.io_node = 7;
-    c.round_epoch_cache = false;
     EXPECT_EQ(round_trip(c, eval_config_from_json), c);
     EXPECT_EQ(round_trip(core::EvalConfig{}, eval_config_from_json),
               core::EvalConfig{});
@@ -389,6 +393,14 @@ TEST(ScenarioJson, SimConfigAdversarialCorpus) {
                 << e.what();
         }
     }
+    // The epoch reuse is unconditional: its old switch is an unknown key.
+    try {
+        (void)eval_config_from_json(json_parse(R"({"round_epoch_cache": false})"));
+        FAIL() << "expected unknown-key rejection of round_epoch_cache";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("round_epoch_cache"), std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(ScenarioJson, UnknownKeysAreRejectedAtEveryLevel) {
@@ -422,6 +434,103 @@ TEST(ScenarioJson, TypeMismatchesAreRejected) {
         std::invalid_argument);
     EXPECT_THROW((void)sweep_spec_from_json(json_parse(R"([1, 2, 3])")),
                  std::invalid_argument);
+}
+
+// ---- Spec hash identity -----------------------------------------------------
+
+/// Recursively reverses every object's member order — a different but
+/// semantically identical user-side representation of the same document.
+util::Json reorder_keys(const util::Json& j) {
+    if (j.kind() == util::Json::Kind::kObject) {
+        auto members = j.as_object();
+        std::reverse(members.begin(), members.end());
+        auto out = util::Json::object();
+        for (auto& [k, v] : members) out.set(k, reorder_keys(v));
+        return out;
+    }
+    if (j.kind() == util::Json::Kind::kArray) {
+        auto out = util::Json::array();
+        for (const auto& v : j.as_array()) out.push_back(reorder_keys(v));
+        return out;
+    }
+    return j;
+}
+
+TEST(SpecHash, InvariantUnderJsonKeyOrderAndWhitespace) {
+    for (const auto& scenario : Registry::builtin().scenarios()) {
+        const std::string kind = spec_kind_name(scenario.spec);
+        const auto canonical = to_json(scenario.spec);
+
+        // Key order: reverse every object, round-trip through text.
+        const auto reordered = util::json_parse(
+            util::json_serialize_compact(reorder_keys(canonical)));
+        const auto from_reordered = spec_from_json(reordered, kind);
+        EXPECT_EQ(spec_hash(from_reordered), spec_hash(scenario.spec))
+            << scenario.name << ": hash depends on user-side key order";
+
+        // Whitespace: the pretty and compact serializations parse equal.
+        const auto pretty = spec_from_json(
+            util::json_parse(util::json_serialize(canonical)), kind);
+        EXPECT_EQ(spec_hash(pretty), spec_hash(scenario.spec))
+            << scenario.name << ": hash depends on whitespace";
+    }
+}
+
+TEST(SpecHash, RoundTripsThroughJson) {
+    for (const auto& scenario : Registry::builtin().scenarios()) {
+        const auto back = spec_from_json(to_json(scenario.spec),
+                                         spec_kind_name(scenario.spec));
+        EXPECT_EQ(spec_hash(back), spec_hash(scenario.spec)) << scenario.name;
+    }
+}
+
+core::SweepSpec tiny_spec() {
+    core::SweepSpec spec;
+    spec.archs = {experiment::Arch::kSiamMesh, experiment::Arch::kFloret};
+    spec.grids = {{6, 6}};
+    spec.mixes = {workload::table2().front()};
+    auto cfg = experiment::default_eval_config();
+    cfg.traffic_scale = 1.0 / 512.0;
+    spec.evals = {cfg};
+    spec.greedy_max_gap = 2;
+    return spec;
+}
+
+TEST(SpecHash, ChangesOnEverySemanticField) {
+    const auto base = SpecVariant{tiny_spec()};
+    const auto h0 = spec_hash(base);
+
+    auto archs = tiny_spec();
+    archs.archs = {experiment::Arch::kFloret};
+    auto grids = tiny_spec();
+    grids.grids = {{8, 8}};
+    auto traffic = tiny_spec();
+    traffic.evals.front().traffic_scale *= 2.0;
+    auto swap = tiny_spec();
+    swap.swap_seed += 1;
+    auto gap = tiny_spec();
+    gap.greedy_max_gap += 1;
+    for (const auto& changed :
+         {SpecVariant{archs}, SpecVariant{grids}, SpecVariant{traffic},
+          SpecVariant{swap}, SpecVariant{gap}})
+        EXPECT_NE(spec_hash(changed), h0);
+}
+
+TEST(SpecHash, DistinguishesRegisteredScenarios) {
+    // fig3/fig5/table2 deliberately share one sweep spec (and so one
+    // hash); every other registered spec must hash distinctly.
+    const auto& reg = Registry::builtin();
+    const auto shared = spec_hash(reg.at("fig3").spec);
+    EXPECT_EQ(spec_hash(reg.at("fig5").spec), shared);
+    EXPECT_EQ(spec_hash(reg.at("table2").spec), shared);
+
+    std::vector<std::uint64_t> rest;
+    for (const auto& s : reg.scenarios())
+        if (s.name != "fig5" && s.name != "table2")
+            rest.push_back(spec_hash(s.spec));
+    std::sort(rest.begin(), rest.end());
+    EXPECT_EQ(std::adjacent_find(rest.begin(), rest.end()), rest.end())
+        << "two registered scenarios with different specs hash equal";
 }
 
 // ---- JsonReport (satellite bugfix pins) -------------------------------------

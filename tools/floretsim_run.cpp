@@ -45,7 +45,6 @@
 #include "src/obs/build_info.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
-#include "src/scenario/cache.h"
 #include "src/scenario/registry.h"
 #include "src/util/hash.h"
 #include "src/util/json.h"
@@ -68,7 +67,6 @@ struct DriverOptions {
     bool serve = false;         ///< --serve (persistent fleet worker mode).
     std::string trace_out;      ///< --trace-out FILE (Chrome trace JSON).
     std::string metrics_out;    ///< --metrics-out FILE (metrics snapshot).
-    std::string cache_dir;      ///< --cache-dir DIR (on-disk result cache).
 };
 
 [[noreturn]] void usage(const char* argv0, const std::string& msg) {
@@ -78,8 +76,7 @@ struct DriverOptions {
                  "       [--set KEY=VALUE]... [--threads N] [--seed N] "
                  "[--json PATH] [--pool N]\n"
                  "       [--core reference|activity]\n"
-                 "       [--trace-out FILE] [--metrics-out FILE] "
-                 "[--cache-dir DIR]\n"
+                 "       [--trace-out FILE] [--metrics-out FILE]\n"
                  "       %s --worker --serve [--threads N]\n"
                  "override keys: %s\n",
                  argv0, msg.c_str(), argv0, argv0,
@@ -147,8 +144,6 @@ DriverOptions parse(int argc, char** argv) {
             opt.trace_out = need_value(i++, "--trace-out");
         } else if (arg == "--metrics-out") {
             opt.metrics_out = need_value(i++, "--metrics-out");
-        } else if (arg == "--cache-dir") {
-            opt.cache_dir = need_value(i++, "--cache-dir");
         } else if (arg == "--help" || arg == "-h") {
             usage(argv[0], "help");
         } else {
@@ -168,8 +163,7 @@ DriverOptions parse(int argc, char** argv) {
 /// outlasting individual sweeps is all about.
 int run_serve(const DriverOptions& opt, const char* argv0) {
     if (opt.list || !opt.only.empty() || !opt.spec_files.empty() ||
-        !opt.sets.empty() || !opt.json_path.empty() || opt.has_seed ||
-        !opt.cache_dir.empty())
+        !opt.sets.empty() || !opt.json_path.empty() || opt.has_seed)
         usage(argv0,
               "--worker --serve only takes --threads, --trace-out, "
               "--metrics-out (sweeps and points arrive over stdin)");
@@ -209,44 +203,13 @@ int main(int argc, char** argv) {
     const auto& registry = scenario::Registry::builtin();
 
     if (opt.list) {
-        // With --cache-dir, each point-cacheable scenario also reports how
-        // much of its expansion the cache already holds. contains_hash is a
-        // pure existence check, so listing never skews the run counters.
-        std::unique_ptr<scenario::ResultCache> cache;
-        if (!opt.cache_dir.empty()) {
-            try {
-                cache = std::make_unique<scenario::ResultCache>(opt.cache_dir);
-            } catch (const std::exception& e) {
-                std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-                return 2;
-            }
-        }
         std::printf("registered scenarios:\n");
         for (const auto& s : registry.scenarios()) {
             const std::string hash =
                 util::hash_hex(scenario::spec_hash(s.spec)).substr(0, 12);
-            std::string status;
-            if (cache) {
-                const auto points = scenario::cacheable_points(s.spec);
-                if (!points || points->empty()) {
-                    // fig2's sweep expands to nothing (its report reads
-                    // topology structure, not rows), so it caches like
-                    // the bespoke-work kinds: not at all.
-                    status = "  [not point-cacheable]";
-                } else {
-                    std::size_t held = 0;
-                    for (const auto& p : *points)
-                        if (cache->contains_hash(scenario::point_hash(p))) ++held;
-                    status = held == points->size()
-                                 ? "  [cached]"
-                                 : "  [" + std::to_string(held) + "/" +
-                                       std::to_string(points->size()) +
-                                       " cached]";
-                }
-            }
-            std::printf("  %-19s [%-11s] %s  %s%s\n", s.name.c_str(),
+            std::printf("  %-19s [%-11s] %s  %s\n", s.name.c_str(),
                         scenario::spec_kind_name(s.spec), hash.c_str(),
-                        s.summary.c_str(), status.c_str());
+                        s.summary.c_str());
         }
         return 0;
     }
@@ -305,21 +268,6 @@ int main(int argc, char** argv) {
     // fabric cache — the reason fig3+fig5 no longer rebuild identical
     // sweep fabrics.
     core::SweepEngine engine(opt.threads);
-    // The on-disk result cache sits under the engine: run_stream partitions
-    // known points out before dispatch (local or fleet) and stores every
-    // newly computed row back — so a fully warm cache replays a sweep with
-    // zero point evaluations and zero spawned workers (pinned by the
-    // cache_parity ctest).
-    std::unique_ptr<scenario::ResultCache> result_cache;
-    if (!opt.cache_dir.empty()) {
-        try {
-            result_cache = std::make_unique<scenario::ResultCache>(opt.cache_dir);
-        } catch (const std::exception& e) {
-            std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-            return 2;
-        }
-        engine.set_result_cache(result_cache.get());
-    }
     std::shared_ptr<fleet::Coordinator> coordinator;
     if (opt.pool > 0) {
         // Fleet mode: every spec-driven sweep a report function runs is
@@ -446,12 +394,6 @@ int main(int argc, char** argv) {
                    .count());
     driver.set("fabric_cache_hits", engine.cache().hits());
     driver.set("fabric_cache_misses", engine.cache().misses());
-    // Always present (0 without --cache-dir) so report consumers see one
-    // stable key set either way.
-    driver.set("result_cache_hits",
-               result_cache ? result_cache->hits() : std::int64_t{0});
-    driver.set("result_cache_misses",
-               result_cache ? result_cache->misses() : std::int64_t{0});
     doc.set("driver", std::move(driver));
     doc.set("scenarios", std::move(scenario_reports));
 
@@ -459,13 +401,7 @@ int main(int argc, char** argv) {
               << selected.size() - static_cast<std::size_t>(failures) << "/"
               << selected.size() << " scenarios on " << engine.thread_count()
               << " thread(s); fabric cache " << engine.cache().hits()
-              << " hits / " << engine.cache().misses() << " misses\n";
-    if (result_cache)
-        std::cout << "result cache (" << result_cache->dir() << "): "
-                  << result_cache->hits() << " hits / " << result_cache->misses()
-                  << " misses, " << result_cache->stores() << " stored, "
-                  << result_cache->evictions() << " evicted\n";
-    std::cout
+              << " hits / " << engine.cache().misses() << " misses\n"
               << "build " << obs::build_type() << " (" << obs::compiler_id()
               << "), git " << obs::git_sha() << ", sim core "
               << noc::sim_core_name(noc::resolved_sim_core(noc::SimConfig{}.core))
