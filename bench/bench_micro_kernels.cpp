@@ -1,7 +1,8 @@
 /// Micro-benchmarks (google-benchmark) for the hot kernels of the
 /// framework: SFC generation + placement optimization, route-table
 /// construction, flit simulation throughput, the steady-state thermal
-/// solve, and model-zoo graph construction.
+/// solve, model-zoo graph construction, and the Floret and SWAP fabric
+/// builds.
 
 #include <benchmark/benchmark.h>
 
@@ -12,6 +13,7 @@
 #include "src/noc/simulator.h"
 #include "src/thermal/grid_solver.h"
 #include "src/topo/mesh.h"
+#include "src/topo/swap.h"
 #include "src/util/rng.h"
 
 namespace {
@@ -110,6 +112,17 @@ void BM_FloretTopologyBuild(benchmark::State& state) {
     }
 }
 
+// SWAP synthesis (backbone, shortcut seeding and the 400-move anneal) at
+// the registry's default swap_seed.
+void BM_SwapSynthesis(benchmark::State& state) {
+    const auto side = static_cast<std::int32_t>(state.range(0));
+    for (auto _ : state) {
+        util::Rng rng(13);
+        auto t = topo::make_swap(side, side, rng);
+        benchmark::DoNotOptimize(t);
+    }
+}
+
 }  // namespace
 
 BENCHMARK(BM_SfcGeneration)->Arg(6)->Arg(10)->Arg(16);
@@ -119,5 +132,6 @@ BENCHMARK(BM_SimulatorSparse)->ArgName("activity")->Arg(0)->Arg(1);
 BENCHMARK(BM_ThermalSolve);
 BENCHMARK(BM_ModelZooResNet50);
 BENCHMARK(BM_FloretTopologyBuild);
+BENCHMARK(BM_SwapSynthesis)->Arg(6)->Arg(10)->Arg(16)->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

@@ -72,7 +72,8 @@ for core in activity reference; do
         --set max_requests=24 --set replications=1
 
     # The bench binaries: the per-binary loop. bench_micro_kernels is
-    # google-benchmark-driven and has no --json contract, so it is skipped.
+    # google-benchmark-driven and has no --json contract, so it is skipped
+    # here and run once below.
     for bench in "$build_dir"/bench_*; do
         [ -x "$bench" ] || continue
         name=$(basename "$bench")
@@ -84,6 +85,23 @@ done
 if [ "$ran" -eq 0 ]; then
     echo "bench_smoke: nothing ran in $build_dir" >&2
     exit 2
+fi
+
+# Micro-kernel smoke: bench_micro_kernels (built only when google-benchmark
+# is found) runs once, on the two fabric-build kernels, and must exit zero.
+# No --benchmark_min_time: its syntax differs between google-benchmark 1.7
+# and 1.8.
+micro="$build_dir/bench_micro_kernels"
+if [ -x "$micro" ]; then
+    if "$micro" --benchmark_filter='BM_(SwapSynthesis|FloretTopologyBuild)' \
+            > "$out_dir/micro_kernels.log" 2>&1; then
+        echo "ok   bench_micro_kernels (SWAP synthesis, Floret build)"
+        ran=$((ran + 1))
+    else
+        echo "FAIL bench_micro_kernels: non-zero exit" >&2
+        tail -20 "$out_dir/micro_kernels.log" >&2
+        fail=1
+    fi
 fi
 
 # Perf smoke: bench_skip_traffic with no forced core runs its in-binary

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/obs/metrics.h"
 #include "src/pim/reram.h"
 
 namespace floretsim::core {
@@ -34,6 +35,7 @@ PlacementEval evaluate_placement(const dnn::Network& net, const pim::PartitionPl
                                  const pim::ReramConfig& rcfg,
                                  const pim::ThermalAccuracyModel& acc,
                                  const PerfParams& perf) {
+    obs::MetricsRegistry::global().add("moo.evals");
     const auto layer_nodes = pim::assign_layers(net, plan, pe_order);
 
     PlacementEval ev;
@@ -251,6 +253,7 @@ MooResult optimize_joint(const dnn::Network& net, const pim::PartitionPlan& plan
 
     res.pe_order = std::move(best_order);
     res.eval = best_eval;
+    obs::MetricsRegistry::global().add("moo.accepted", res.accepted_moves);
     return res;
 }
 

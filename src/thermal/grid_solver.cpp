@@ -5,6 +5,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "src/obs/metrics.h"
+
 namespace floretsim::thermal {
 
 double ThermalResult::peak_k() const {
@@ -89,6 +91,11 @@ ThermalResult solve_steady_state(const ThermalConfig& cfg, std::span<const doubl
             res.converged = true;
             break;
         }
+    }
+    auto& m = obs::MetricsRegistry::global();
+    if (m.enabled()) {
+        m.add("thermal.solves");
+        m.add("thermal.sor_iterations", res.iterations);
     }
     return res;
 }

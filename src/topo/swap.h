@@ -24,9 +24,12 @@ struct SwapConfig {
 /// small-world NoI synthesized at design time for pipelined DNN traffic.
 /// We reproduce it as: a serpentine backbone (degree <= 2) plus power-law
 /// sampled shortcut links under a 3-port budget, refined with simulated
-/// annealing that minimizes hop cost for consecutive-chiplet (pipeline)
-/// traffic. Produces the paper's Fig. 2 profile: 2-3 port routers, fewer
-/// links than mesh, a few 4-5 hop long links.
+/// annealing. Its objective is the mean hop count between consecutive
+/// chiplets (pipeline traffic) plus 0.2 x the mean all-pairs hop count;
+/// the backbone links every consecutive pair, so the pipeline term is
+/// always 1 and the anneal minimizes only the mean all-pairs hops.
+/// Produces the paper's Fig. 2 profile: 2-3 port routers, fewer links than
+/// mesh, a few 4-5 hop long links.
 [[nodiscard]] Topology make_swap(std::int32_t width, std::int32_t height,
                                  util::Rng& rng, const SwapConfig& cfg = {},
                                  double pitch_mm = 4.0);

@@ -5,8 +5,11 @@
 #include <string>
 
 #include "src/core/moo.h"
+#include "src/core/sweep.h"
 #include "src/dnn/model_zoo.h"
+#include "src/obs/metrics.h"
 #include "src/topo/mesh.h"
+#include "src/util/json.h"
 
 namespace floretsim::core {
 namespace {
@@ -151,6 +154,50 @@ TEST(OptimizeJoint, DeterministicForSeed) {
                                   f.acc, f.perf, cfg);
     EXPECT_EQ(a.pe_order, b.pe_order);
     EXPECT_DOUBLE_EQ(a.eval.edp, b.eval.edp);
+}
+
+TEST(OptimizeJoint, WorkCountersMatchAcrossThreadCounts) {
+    // moo.evals, moo.accepted, thermal.solves and thermal.sor_iterations
+    // count deterministic work: two anneals fanned out on 1 or 4 threads
+    // record the same counters, one solve per placement evaluation.
+    Fixture f;
+    auto& metrics = obs::MetricsRegistry::global();
+    metrics.reset();
+    metrics.enable();
+    std::string serialized[2];
+    std::int64_t accepted = 0;
+    std::int64_t evals = 0;
+    std::int64_t solves = 0;
+    std::int64_t sor_iterations = 0;
+    int i = 0;
+    for (const std::int32_t threads : {1, 4}) {
+        SweepEngine engine(threads);
+        const auto results = engine.map(2, [&](std::size_t k) {
+            MooConfig cfg;
+            cfg.iterations = 60;
+            cfg.seed = 1 + k;
+            return optimize_joint(f.net, f.plan, f.routes, f.tcfg, f.pcfg, f.rcfg, f.acc,
+                                  f.perf, cfg);
+        });
+        const util::Json snap = metrics.snapshot();
+        const util::Json& counters = *snap.find("counters");
+        auto count = [&](const char* name) -> std::int64_t {
+            const util::Json* v = counters.find(name);
+            return v == nullptr ? 0 : v->as_int();
+        };
+        serialized[i++] = util::json_serialize(counters);
+        accepted = results[0].accepted_moves + results[1].accepted_moves;
+        evals = count("moo.evals");
+        solves = count("thermal.solves");
+        sor_iterations = count("thermal.sor_iterations");
+        EXPECT_EQ(count("moo.accepted"), accepted);
+        metrics.reset();
+    }
+    metrics.disable();
+    EXPECT_EQ(serialized[0], serialized[1]);
+    EXPECT_EQ(evals, solves);
+    EXPECT_GT(evals, 2 * 60);
+    EXPECT_GT(sor_iterations, solves);
 }
 
 }  // namespace
