@@ -23,6 +23,10 @@
 # Extra arguments (e.g. --core reference) are passed through to every
 # driver invocation, so the parity contract can be pinned per simulator
 # core.
+#
+# Every fleet run gets a fresh, empty TMPDIR, which must be empty again
+# when the run exits: the coordinator removes its scratch directory even
+# after a worker was SIGKILLed.
 set -eu
 
 driver=$1
@@ -34,27 +38,49 @@ trap 'rm -rf "$out_dir"' EXIT
 common="--set grid=8x8 --set traffic_scale=1/128 \
         --set max_requests=16 --set replications=1 --set iterations=40"
 
+# Makes the fresh TMPDIR for one fleet run and prints its path.
+fresh_tmp() {
+    mkdir "$out_dir/tmp.$1"
+    echo "$out_dir/tmp.$1"
+}
+
+# Fails if a fleet run left anything in its TMPDIR.
+expect_no_scratch() {
+    if [ -n "$(ls -A "$1")" ]; then
+        echo "fleet run left scratch behind in $1:" >&2
+        ls -lAR "$1" >&2
+        exit 1
+    fi
+}
+
 # shellcheck disable=SC2086
 "$driver" $common --threads 2            "$@" --json "$out_dir/p1.json" \
     > "$out_dir/p1.log"
+tmp=$(fresh_tmp f4)
 # shellcheck disable=SC2086
-"$driver" $common --threads 1 --pool 4   "$@" --json "$out_dir/f4.json" \
+TMPDIR=$tmp \
+    "$driver" $common --threads 1 --pool 4 "$@" --json "$out_dir/f4.json" \
     > "$out_dir/f4.log" 2> "$out_dir/f4.err"
+expect_no_scratch "$tmp"
 # Same fleet run, but worker 1's first incarnation SIGKILLs itself after
 # its 3rd row: the report must not change at all.
+tmp=$(fresh_tmp f4k)
 # shellcheck disable=SC2086
-FLORETSIM_FLEET_KILL="1:0:3" \
+TMPDIR=$tmp FLORETSIM_FLEET_KILL="1:0:3" \
     "$driver" $common --threads 1 --pool 4 "$@" --json "$out_dir/f4k.json" \
     > "$out_dir/f4k.log" 2> "$out_dir/f4k.err"
+expect_no_scratch "$tmp"
 
 # Warm-affinity pass: fig3 and fig5 share the 6x6 arch grid. Stealing is
 # disabled (huge threshold) so fabric groups never migrate off the worker
 # that owns them — the second scenario must be a pure cache hit fleetwide.
+tmp=$(fresh_tmp warm)
 # shellcheck disable=SC2086
-FLORETSIM_FLEET_STEAL_AFTER=1000000000 \
+TMPDIR=$tmp FLORETSIM_FLEET_STEAL_AFTER=1000000000 \
     "$driver" --only fig3,fig5 --set grid=6x6 --set traffic_scale=1/512 \
     --threads 1 --pool 2 "$@" --json "$out_dir/warm.json" \
     > "$out_dir/warm.log" 2> "$out_dir/warm.err"
+expect_no_scratch "$tmp"
 
 python3 - "$out_dir/p1.json" "$out_dir/f4.json" "$out_dir/f4k.json" \
     "$out_dir/warm.json" <<'EOF'

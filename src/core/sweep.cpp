@@ -61,37 +61,25 @@ SweepRow evaluate_point(experiment::ArchCache& cache, const SweepPoint& point) {
     return row;
 }
 
-std::unique_ptr<RowStream> SweepEngine::run_stream(
-    const std::vector<SweepPoint>& points) {
-    if (stream_executor_ && !points.empty()) {
-        auto stream = stream_executor_(points);
-        if (!stream || stream->size() != points.size())
-            throw std::runtime_error(
-                "stream executor returned " +
-                std::to_string(stream ? stream->size() : 0) + " rows for " +
-                std::to_string(points.size()) + " points");
-        return stream;
-    }
-    std::vector<SweepRow> rows(points.size());
-    pool_.parallel_for(points.size(), [&](std::size_t i) {
-        rows[i] = evaluate_point(cache_, points[i]);
-    });
-    return std::make_unique<VectorRowStream>(std::move(rows));
-}
-
 SweepResult SweepEngine::run(const std::vector<SweepPoint>& points) {
     const auto hits_before = cache_.hits();
     const auto misses_before = cache_.misses();
     const auto t0 = std::chrono::steady_clock::now();
 
     SweepResult res;
-    auto stream = run_stream(points);
-    res.rows.reserve(points.size());
-    while (auto row = stream->next()) res.rows.push_back(std::move(*row));
-    if (res.rows.size() != points.size())
-        throw std::runtime_error("sweep: row stream yielded " +
-                                 std::to_string(res.rows.size()) + " rows for " +
-                                 std::to_string(points.size()) + " points");
+    if (executor_ && !points.empty()) {
+        res.rows = executor_(points);
+        if (res.rows.size() != points.size())
+            throw std::runtime_error("sweep: executor returned " +
+                                     std::to_string(res.rows.size()) +
+                                     " rows for " +
+                                     std::to_string(points.size()) + " points");
+    } else {
+        res.rows.resize(points.size());
+        pool_.parallel_for(points.size(), [&](std::size_t i) {
+            res.rows[i] = evaluate_point(cache_, points[i]);
+        });
+    }
 
     const auto t1 = std::chrono::steady_clock::now();
     res.wall_seconds = std::chrono::duration<double>(t1 - t0).count();

@@ -4,8 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <optional>
 #include <stdexcept>
 #include <type_traits>
 #include <utility>
@@ -84,38 +82,6 @@ struct SweepRow {
 [[nodiscard]] SweepRow evaluate_point(experiment::ArchCache& cache,
                                       const SweepPoint& point);
 
-/// Ordered stream of sweep rows: next() yields rows in point order until
-/// exhausted. The streaming seam that bounds coordinator memory — a
-/// consumer that folds rows as they arrive never holds more than one row,
-/// no matter how many points the sweep has. Implementations may compute
-/// lazily (the fleet's NDJSON merge reads one row per next()) or wrap an
-/// already-materialized vector (the local in-process path).
-class RowStream {
-public:
-    virtual ~RowStream() = default;
-    /// The next row in point order; nullopt when exhausted.
-    [[nodiscard]] virtual std::optional<SweepRow> next() = 0;
-    /// Total rows this stream will yield (known up front: one per point).
-    [[nodiscard]] virtual std::size_t size() const = 0;
-};
-
-/// RowStream over a materialized vector — the adapter between the
-/// collect-everything API (SweepResult::rows) and streaming consumers.
-class VectorRowStream final : public RowStream {
-public:
-    explicit VectorRowStream(std::vector<SweepRow> rows)
-        : rows_(std::move(rows)) {}
-    [[nodiscard]] std::optional<SweepRow> next() override {
-        if (pos_ >= rows_.size()) return std::nullopt;
-        return std::move(rows_[pos_++]);
-    }
-    [[nodiscard]] std::size_t size() const override { return rows_.size(); }
-
-private:
-    std::vector<SweepRow> rows_;
-    std::size_t pos_ = 0;
-};
-
 struct SweepResult {
     /// Rows in SweepSpec::expand() order.
     std::vector<SweepRow> rows;
@@ -147,29 +113,17 @@ public:
     [[nodiscard]] SweepResult run(const SweepSpec& spec);
     [[nodiscard]] SweepResult run(const std::vector<SweepPoint>& points);
 
-    /// Streaming execution: evaluates `points` (through the installed
-    /// executor, exactly like run()) but returns the rows as an ordered
-    /// stream instead of a vector. With the fleet executor installed, rows
-    /// are read one at a time from the sweep's NDJSON rows file —
-    /// coordinator memory stays O(1) in the row count.
-    /// run(points) is collect(run_stream(points)).
-    [[nodiscard]] std::unique_ptr<RowStream> run_stream(
-        const std::vector<SweepPoint>& points);
-
     /// Pluggable transport for point lists: when set, run() hands the
-    /// expanded points to the executor (which must return a stream of one
-    /// row per point, in point order) instead of evaluating them on the
-    /// local pool. This is the process-distribution seam — the
-    /// floretsim_run coordinator installs the worker fleet here, and
-    /// every report function distributes without knowing it. Returning a
-    /// stream rather than a vector means a distributed backend never
-    /// materializes every row in the coordinator. map()/timed_map()
-    /// fan-outs are bespoke local work and always stay in-process.
-    using StreamExecutor = std::function<std::unique_ptr<RowStream>(
+    /// expanded points to the executor (which must return one row per
+    /// point, in point order; run() throws std::runtime_error on a wrong
+    /// row count) instead of evaluating them on the local pool. This is
+    /// the process-distribution seam — the floretsim_run coordinator
+    /// installs the worker fleet here, and every report function
+    /// distributes without knowing it. map()/timed_map() fan-outs are
+    /// bespoke local work and always stay in-process.
+    using Executor = std::function<std::vector<SweepRow>(
         const std::vector<SweepPoint>&)>;
-    void set_stream_executor(StreamExecutor executor) {
-        stream_executor_ = std::move(executor);
-    }
+    void set_executor(Executor executor) { executor_ = std::move(executor); }
 
     /// Human-readable name of the installed transport, surfaced in report
     /// provenance ("in-process" locally; the fleet installer sets
@@ -219,7 +173,7 @@ public:
 private:
     util::ThreadPool pool_;
     experiment::ArchCache cache_;
-    StreamExecutor stream_executor_;
+    Executor executor_;
     const char* executor_label_ = "in-process";
 };
 

@@ -31,6 +31,23 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Least time between two progress lines for one worker.
+constexpr double kProgressIntervalS = 0.5;
+/// Adaptive steal threshold floor: a worker silent for less than this is
+/// never a straggler.
+constexpr double kStealAfterFloorS = 0.25;
+/// A point leased this many times without an ack fails the sweep — the
+/// bounded-retry guarantee (a poison point cannot restart workers
+/// forever).
+constexpr std::int32_t kMaxAttemptsPerPoint = 3;
+/// The most points one lease carries.
+constexpr std::size_t kMaxLeasePoints = 32;
+/// Lease sizing aims for about this many leases per worker over the
+/// sweep, so the tail of the sweep stays steal-able.
+constexpr std::size_t kLeasesPerWorker = 4;
+/// Stderr lines kept per worker for its death report.
+constexpr std::size_t kStderrTailLines = 20;
+
 /// The fabric identity of a point — exactly experiment::ArchCache's key.
 /// Points sharing a FabricKey share one expensive topology build, so
 /// leases are drawn fabric-group-at-a-time and each worker remembers
@@ -98,101 +115,6 @@ void absorb_worker_obs(const std::string& trace_path,
 
 }  // namespace
 
-// ---- The streaming row merge ------------------------------------------------
-
-MergedRowFileStream::MergedRowFileStream(std::string row_path,
-                                         std::size_t n_points,
-                                         std::function<void()> cleanup)
-    : row_path_(std::move(row_path)), cleanup_(std::move(cleanup)) {
-    offsets_.assign(n_points, 0);
-    std::vector<char> seen(n_points, 0);
-    // One indexing pass: record where every point's row starts, so next()
-    // can seek straight to it. Rows land in completion order — the
-    // offsets are what turn that back into point order without holding
-    // any parsed row.
-    auto f = std::make_unique<std::ifstream>(row_path_);
-    if (!*f) throw std::runtime_error("fleet: rows file missing: " + row_path_);
-    std::string line;
-    std::uint64_t offset = 0;
-    while (std::getline(*f, line)) {
-        const std::uint64_t line_start = offset;
-        offset += line.size() + 1;  // +1: the '\n' getline consumed
-        std::string_view text(line);
-        while (!text.empty() && text.back() == '\r') text.remove_suffix(1);
-        if (text.empty()) continue;
-        try {
-            // Index-only parse: pull out the point index, defer the
-            // (allocation-heavy) row conversion to next().
-            const util::Json j = util::json_parse(text);
-            if (j.kind() != util::Json::Kind::kObject)
-                throw std::invalid_argument("row line: expected an object, got " +
-                                            std::string(j.kind_name()));
-            for (const auto& [key, value] : j.as_object()) {
-                (void)value;
-                if (key != "index" && key != "row")
-                    throw std::invalid_argument("row line: unknown key \"" +
-                                                key + "\"");
-            }
-            const util::Json* index = j.find("index");
-            if (!index || !j.find("row"))
-                throw std::invalid_argument(
-                    "row line: need both \"index\" and \"row\"");
-            const std::size_t i = static_cast<std::size_t>(index->as_uint());
-            if (i >= n_points)
-                throw std::invalid_argument("row index " + std::to_string(i) +
-                                            " out of range for " +
-                                            std::to_string(n_points) + " points");
-            if (seen[i])
-                throw std::invalid_argument("duplicate row for point " +
-                                            std::to_string(i));
-            seen[i] = 1;
-            offsets_[i] = line_start;
-        } catch (const std::invalid_argument& e) {
-            throw std::runtime_error("fleet: " + row_path_ + ": " + e.what());
-        }
-    }
-    f->clear();  // getline hit EOF; next() seeks on this same stream
-    file_ = std::move(f);
-    for (std::size_t i = 0; i < seen.size(); ++i)
-        if (!seen[i])
-            throw std::runtime_error(
-                "fleet: no worker returned a row for point " + std::to_string(i));
-    // On any throw above, the already-constructed cleanup_ member is
-    // destroyed during unwinding — scratch never outlives a failed merge.
-}
-
-MergedRowFileStream::~MergedRowFileStream() {
-    file_.reset();  // close the reader before releasing its scratch
-    cleanup_ = nullptr;
-}
-
-std::optional<core::SweepRow> MergedRowFileStream::next() {
-    if (pos_ >= offsets_.size()) return std::nullopt;
-    file_->clear();
-    file_->seekg(static_cast<std::streamoff>(offsets_[pos_]));
-    std::string line;
-    if (!std::getline(*file_, line))
-        throw std::runtime_error("fleet: " + row_path_ +
-                                 ": rows file shrank under point " +
-                                 std::to_string(pos_));
-    try {
-        // Exactly one parsed row resident at a time — the streaming-merge
-        // memory contract (see peak_resident_rows).
-        peak_resident_ = std::max<std::size_t>(peak_resident_, 1);
-        IndexedRow r = worker_row_from_line(line);
-        if (r.index != pos_)
-            throw std::invalid_argument("row index changed from " +
-                                        std::to_string(pos_) + " to " +
-                                        std::to_string(r.index) +
-                                        " between indexing and read");
-        ++pos_;
-        obs::MetricsRegistry::global().add("fleet.rows_merged");
-        return std::move(r.row);
-    } catch (const std::invalid_argument& e) {
-        throw std::runtime_error("fleet: " + row_path_ + ": " + e.what());
-    }
-}
-
 struct Coordinator::WorkerState {
     bool ready = false;
     bool retired = false;
@@ -219,14 +141,23 @@ struct Coordinator::WorkerState {
 struct Coordinator::SweepRun {
     std::int64_t id = 0;
     const std::vector<core::SweepPoint>* points = nullptr;
-    std::string points_path, rows_path;
-    std::ofstream rows_out;
+    std::string points_path;
+    std::vector<core::SweepRow> rows;  ///< The first acked row per point.
     std::vector<bool> acked;
     std::vector<std::int32_t> attempts;
     std::size_t n_acked = 0;
     std::map<FabricKey, std::deque<std::size_t>> groups;
     std::size_t lease_size = 1;
     Clock::time_point t0 = Clock::now();
+
+    SweepRun() = default;
+    SweepRun(const SweepRun&) = delete;
+    SweepRun& operator=(const SweepRun&) = delete;
+    /// The points file lives as long as the sweep: it is removed whether
+    /// the sweep finishes or throws.
+    ~SweepRun() {
+        if (!points_path.empty()) (void)std::remove(points_path.c_str());
+    }
 };
 
 Coordinator::Coordinator(FleetOptions opt) : opt_(std::move(opt)) {
@@ -234,13 +165,8 @@ Coordinator::Coordinator(FleetOptions opt) : opt_(std::move(opt)) {
         throw std::invalid_argument("fleet: n_workers must be >= 1");
     if (opt_.worker_exe.empty())
         throw std::invalid_argument("fleet: worker_exe is empty");
-    steal_after_s_ = opt_.steal_after_s;
-    if (const char* env = std::getenv("FLORETSIM_FLEET_STEAL_AFTER")) {
-        if (*env) {
-            steal_after_s_ = std::atof(env);
-            steal_after_forced_ = true;
-        }
-    }
+    if (const char* env = std::getenv("FLORETSIM_FLEET_STEAL_AFTER"))
+        if (*env) steal_after_env_ = std::atof(env);
 }
 
 Coordinator::~Coordinator() {
@@ -273,7 +199,6 @@ void Coordinator::ensure_started() {
     popt.exe = opt_.worker_exe;
     popt.args = opt_.worker_args;
     popt.n_workers = static_cast<std::size_t>(opt_.n_workers);
-    popt.shutdown_grace_s = opt_.shutdown_grace_s;
     const bool trace_on = obs::Tracer::global().enabled();
     const bool metrics_on = obs::MetricsRegistry::global().enabled();
     if (trace_on || metrics_on) {
@@ -332,7 +257,7 @@ void Coordinator::drain_stderr(std::size_t w) {
         ws.err_buf.erase(0, nl + 1);
         if (line.empty()) continue;
         ws.stderr_tail.push_back(std::move(line));
-        while (ws.stderr_tail.size() > opt_.stderr_tail_lines)
+        while (ws.stderr_tail.size() > kStderrTailLines)
             ws.stderr_tail.pop_front();
     }
 }
@@ -392,7 +317,7 @@ void Coordinator::handle_death(std::size_t w, SweepRun* run) {
                 }
             }
             if (held_elsewhere) continue;
-            if (run->attempts[i] >= opt_.max_attempts_per_point)
+            if (run->attempts[i] >= kMaxAttemptsPerPoint)
                 throw std::runtime_error(
                     "fleet: point " + std::to_string(i) + " lost " +
                     std::to_string(run->attempts[i]) +
@@ -458,15 +383,16 @@ void Coordinator::send_lease(std::size_t w, SweepRun& run,
 }
 
 bool Coordinator::try_steal_for(std::size_t w, SweepRun& run) {
-    if (steal_after_s_ <= 0.0) return false;
-    // Straggler threshold: silence longer than steal_after_s AND longer
-    // than ~3x the sweep's observed mean point time — a uniformly slow
-    // sweep has slow points everywhere, not stragglers.
-    std::size_t n_live = 0;
-    for (std::size_t v = 0; v < workers_.size(); ++v)
-        if (!workers_[v].retired && pool_->alive(v)) ++n_live;
-    double threshold = steal_after_s_;
-    if (!steal_after_forced_ && run.n_acked > 0) {
+    // Straggler threshold: silence longer than the floor AND longer than
+    // ~3x the sweep's observed mean point time — a uniformly slow sweep
+    // has slow points everywhere, not stragglers. The env override is
+    // exact.
+    double threshold = steal_after_env_.value_or(kStealAfterFloorS);
+    if (threshold <= 0.0) return false;
+    if (!steal_after_env_ && run.n_acked > 0) {
+        std::size_t n_live = 0;
+        for (std::size_t v = 0; v < workers_.size(); ++v)
+            if (!workers_[v].retired && pool_->alive(v)) ++n_live;
         const double mean_point_s = seconds_since(run.t0) *
                                     static_cast<double>(n_live) /
                                     static_cast<double>(run.n_acked);
@@ -494,7 +420,7 @@ bool Coordinator::try_steal_for(std::size_t w, SweepRun& run) {
     for (auto it = out.rbegin(); it != out.rend(); ++it) {
         if (idx.size() >= run.lease_size) break;
         if (run.acked[*it]) continue;
-        if (run.attempts[*it] >= opt_.max_attempts_per_point) continue;
+        if (run.attempts[*it] >= kMaxAttemptsPerPoint) continue;
         if (workers_[w].outstanding.count(*it)) continue;
         idx.push_back(*it);
     }
@@ -634,9 +560,7 @@ void Coordinator::handle_stdout_line(std::size_t w, std::string_view line,
         ++run.n_acked;
         ++stats_.rows;
         obs::MetricsRegistry::global().add("fleet.rows");
-        // Re-serialize as a rows-file line for MergedRowFileStream: one
-        // row per point, in completion order.
-        run.rows_out << worker_row_line(i, frame.row->row) << "\n";
+        run.rows[i] = std::move(frame.row->row);
         for (auto& other : workers_) other.outstanding.erase(i);
         return;
     }
@@ -650,7 +574,7 @@ void Coordinator::handle_stdout_line(std::size_t w, std::string_view line,
                 std::chrono::duration<double>(Clock::now() - ws.last_print)
                     .count();
             if (!ws.printed || first || final_hb ||
-                since >= opt_.progress_interval_s) {
+                since >= kProgressIntervalS) {
                 char sec_buf[32];
                 std::snprintf(sec_buf, sizeof sec_buf, "%.1f",
                               ws.last_hb.seconds);
@@ -685,11 +609,9 @@ void Coordinator::handle_stdout_line(std::size_t w, std::string_view line,
                                  " failed: " + frame.perr->what);
 }
 
-std::unique_ptr<core::RowStream> Coordinator::run_sweep(
+std::vector<core::SweepRow> Coordinator::run_sweep(
     const std::vector<core::SweepPoint>& points) {
-    if (points.empty())
-        return std::make_unique<core::VectorRowStream>(
-            std::vector<core::SweepRow>{});
+    if (points.empty()) return {};
     ensure_started();
     const obs::Span sweep_span("fleet_sweep", "fleet");
     obs::MetricsRegistry::global().add("fleet.sweeps");
@@ -699,7 +621,6 @@ std::unique_ptr<core::RowStream> Coordinator::run_sweep(
     run.points = &points;
     run.points_path =
         scratch_ + "/points." + std::to_string(run.id) + ".json";
-    run.rows_path = scratch_ + "/rows." + std::to_string(run.id) + ".ndjson";
     {
         std::ofstream f(run.points_path);
         f << util::json_serialize(scenario::to_json(points));
@@ -707,10 +628,7 @@ std::unique_ptr<core::RowStream> Coordinator::run_sweep(
             throw std::runtime_error("fleet: cannot write points file " +
                                      run.points_path);
     }
-    run.rows_out.open(run.rows_path);
-    if (!run.rows_out)
-        throw std::runtime_error("fleet: cannot open rows file " +
-                                 run.rows_path);
+    run.rows.resize(points.size());
     run.acked.assign(points.size(), false);
     run.attempts.assign(points.size(), 0);
     for (std::size_t i = 0; i < points.size(); ++i)
@@ -727,11 +645,9 @@ std::unique_ptr<core::RowStream> Coordinator::run_sweep(
     }
     if (n_live == 0)
         throw std::runtime_error("fleet: no live workers left");
-    const std::size_t denom = std::max<std::size_t>(
-        1, n_live * std::max<std::size_t>(1, opt_.leases_per_worker_hint));
-    run.lease_size =
-        std::clamp<std::size_t>((points.size() + denom - 1) / denom, 1,
-                                std::max<std::size_t>(1, opt_.max_lease_points));
+    const std::size_t denom = n_live * kLeasesPerWorker;
+    run.lease_size = std::clamp<std::size_t>((points.size() + denom - 1) / denom,
+                                             1, kMaxLeasePoints);
 
     // Announce the sweep to every worker that is already ready; workers
     // mid-(re)spawn get it when their ready frame arrives.
@@ -746,7 +662,7 @@ std::unique_ptr<core::RowStream> Coordinator::run_sweep(
     }
 
     // The coordinator's whole job from here is this drain loop: keep
-    // every worker topped up with leases, fold rows into the rows file,
+    // every worker topped up with leases, keep each point's first row,
     // and react to heartbeat lag (steal) and EOF (restart + reassign).
     while (run.n_acked < points.size()) {
         bool any_live = false;
@@ -799,12 +715,6 @@ std::unique_ptr<core::RowStream> Coordinator::run_sweep(
         }
     }
 
-    run.rows_out.flush();
-    if (!run.rows_out)
-        throw std::runtime_error("fleet: cannot write rows file " +
-                                 run.rows_path);
-    run.rows_out.close();
-
     ++stats_.sweeps;
     stats_.points += static_cast<std::int64_t>(points.size());
     if (obs::MetricsRegistry::global().enabled())
@@ -818,17 +728,7 @@ std::unique_ptr<core::RowStream> Coordinator::run_sweep(
                 static_cast<double>(ws.prev_fabric_misses +
                                     ws.gen_fabric_misses));
         }
-
-    // The stream releases its cleanup hook without calling it, so the
-    // sweep's files are removed by an owner the hook captures: the
-    // deleter runs when the stream is destroyed or fails to construct.
-    const std::shared_ptr<void> sweep_files(
-        nullptr, [rows_path = run.rows_path, points_path = run.points_path](void*) {
-            (void)std::remove(rows_path.c_str());
-            (void)std::remove(points_path.c_str());
-        });
-    return std::make_unique<MergedRowFileStream>(run.rows_path, points.size(),
-                                                 [sweep_files] {});
+    return std::move(run.rows);
 }
 
 util::Json Coordinator::stats_json() const {
@@ -889,7 +789,7 @@ void Coordinator::shutdown() {
 void install_fleet_executor(core::SweepEngine& engine,
                             std::shared_ptr<Coordinator> coordinator) {
     engine.set_executor_label("fleet");
-    engine.set_stream_executor(
+    engine.set_executor(
         [coordinator](const std::vector<core::SweepPoint>& points) {
             return coordinator->run_sweep(points);
         });

@@ -4,7 +4,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <optional>
@@ -17,47 +16,7 @@
 
 namespace floretsim::fleet {
 
-/// Streaming merge over one sweep's NDJSON rows file ({"index","row"}
-/// lines in completion order): one up-front indexing scan records each
-/// point's byte offset — validating that every point has exactly one row
-/// — and next() then seeks and parses ONE line per call, yielding rows in
-/// point order. Coordinator memory is O(points) small fixed-size offsets
-/// plus a single resident row, never O(rows) of parsed results — the
-/// property that lets a million-point sweep merge in constant memory,
-/// pinned by peak_resident_rows(). The indexing scan throws
-/// std::runtime_error on an unreadable file, an unparseable line, an
-/// unknown key, an out-of-range index, or a duplicate/missing point.
-/// `cleanup` is an opaque owner of whatever must stay alive while rows
-/// are being read (the sweep's scratch files): it is released — running
-/// its captured destructors — when the stream is destroyed or its
-/// construction fails, so scratch never outlives the stream, even when
-/// the consumer abandons it mid-iteration.
-class MergedRowFileStream final : public core::RowStream {
-public:
-    MergedRowFileStream(std::string row_path, std::size_t n_points,
-                        std::function<void()> cleanup = {});
-    ~MergedRowFileStream() override;
-    MergedRowFileStream(const MergedRowFileStream&) = delete;
-    MergedRowFileStream& operator=(const MergedRowFileStream&) = delete;
-
-    [[nodiscard]] std::optional<core::SweepRow> next() override;
-    [[nodiscard]] std::size_t size() const override { return offsets_.size(); }
-
-    /// The most parsed rows this stream ever held at once — 1 by
-    /// construction; a regression back to materialize-then-merge would
-    /// make it the row count.
-    [[nodiscard]] std::size_t peak_resident_rows() const { return peak_resident_; }
-
-private:
-    std::string row_path_;
-    std::unique_ptr<std::istream> file_;
-    std::vector<std::uint64_t> offsets_;  ///< Per point, in point order.
-    std::function<void()> cleanup_;
-    std::size_t pos_ = 0;
-    std::size_t peak_resident_ = 0;
-};
-
-/// Tuning for the fleet coordinator.
+/// Fleet coordinator settings.
 struct FleetOptions {
     /// Worker executable (normally self_exe_path(argv[0])).
     std::string worker_exe;
@@ -68,26 +27,7 @@ struct FleetOptions {
     std::int32_t n_workers = 2;
     /// Live progress + death diagnostics stream (null = silent).
     std::ostream* progress = nullptr;
-    double progress_interval_s = 0.5;
-    /// A worker silent for longer than this (and longer than ~3x the
-    /// sweep's estimated per-point time — slow points are not stragglers)
-    /// may have its outstanding work stolen. <= 0 disables stealing.
-    /// Overridden by the FLORETSIM_FLEET_STEAL_AFTER env var (seconds)
-    /// when set — and the env value is used as the *exact* threshold
-    /// (the mean-point heuristic is bypassed), the deterministic knob
-    /// the fleet tests use.
-    double steal_after_s = 0.25;
     std::int32_t max_restarts_per_worker = 3;
-    /// A point evaluated this many times without an ack fails the sweep —
-    /// the bounded-retry guarantee (a poison point cannot restart workers
-    /// forever).
-    std::int32_t max_attempts_per_point = 3;
-    std::size_t max_lease_points = 32;
-    /// Lease sizing aims for about this many leases per worker over the
-    /// sweep, so the tail of the sweep stays steal-able.
-    std::size_t leases_per_worker_hint = 4;
-    std::size_t stderr_tail_lines = 20;
-    double shutdown_grace_s = 2.0;
 };
 
 /// Cumulative coordinator statistics, across every sweep since startup.
@@ -120,11 +60,16 @@ struct FleetStats {
 /// scenario over the same arch grid evaluates with zero fabric-cache
 /// misses anywhere in the fleet.
 ///
-/// Rows are re-serialized (first ack per index wins; stale and duplicate
-/// rows from stolen leases are dropped and counted) into one NDJSON file
-/// merged by MergedRowFileStream, so reports see exactly the rows a local
+/// Each row frame is parsed once and kept at its point index (first ack
+/// per index wins; stale and duplicate rows from stolen leases are
+/// dropped and counted), so reports see exactly the rows a local
 /// SweepEngine::run would have produced — bit-identical, as pinned by the
 /// fleet_parity ctest.
+///
+/// Work stealing is adaptive: a worker silent for longer than 0.25 s and
+/// ~3x the sweep's mean point time may lose its outstanding points to an
+/// idle worker. FLORETSIM_FLEET_STEAL_AFTER (seconds) replaces that with
+/// an exact threshold; <= 0 disables stealing (the fleet tests' knob).
 ///
 /// Single-threaded and not reentrant: one run_sweep at a time, from one
 /// thread. Scratch state is RAII-owned — destruction (or shutdown())
@@ -142,7 +87,7 @@ public:
     /// Throws std::runtime_error when a point fails (perr frame), a point
     /// exhausts its retry budget, or every worker has exhausted its
     /// restart budget.
-    [[nodiscard]] std::unique_ptr<core::RowStream> run_sweep(
+    [[nodiscard]] std::vector<core::SweepRow> run_sweep(
         const std::vector<core::SweepPoint>& points);
 
     [[nodiscard]] const FleetStats& stats() const { return stats_; }
@@ -177,8 +122,8 @@ private:
     void absorb_worker_files(std::size_t w);
 
     FleetOptions opt_;
-    double steal_after_s_ = 0.25;  ///< opt_.steal_after_s after env override.
-    bool steal_after_forced_ = false;  ///< Env override: exact threshold.
+    /// FLORETSIM_FLEET_STEAL_AFTER when set: the exact steal threshold.
+    std::optional<double> steal_after_env_;
     std::unique_ptr<WorkerPool> pool_;
     std::vector<WorkerState> workers_;
     std::string scratch_;
@@ -188,9 +133,8 @@ private:
     bool shut_down_ = false;
 };
 
-/// Installs the coordinator as `engine`'s stream executor (label
-/// "fleet"): every SweepEngine::run / run_stream dispatches to the
-/// persistent workers.
+/// Installs the coordinator as `engine`'s executor (label "fleet"):
+/// every SweepEngine::run dispatches to the persistent workers.
 void install_fleet_executor(core::SweepEngine& engine,
                             std::shared_ptr<Coordinator> coordinator);
 

@@ -17,6 +17,10 @@
 namespace floretsim::fleet {
 namespace {
 
+/// Seconds to wait for a worker to exit on its own before escalating
+/// during reap/shutdown.
+constexpr double kShutdownGraceS = 2.0;
+
 void close_if_open(int& fd) {
     if (fd >= 0) {
         ::close(fd);
@@ -25,10 +29,10 @@ void close_if_open(int& fd) {
 }
 
 /// waitpid with a deadline: polls WNOHANG until the child exits or
-/// `grace_s` elapses. Returns true (and the status) on exit.
-bool wait_with_grace(pid_t pid, double grace_s, int& status) {
+/// kShutdownGraceS elapses. Returns true (and the status) on exit.
+bool wait_with_grace(pid_t pid, int& status) {
     const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::duration<double>(grace_s);
+                          std::chrono::duration<double>(kShutdownGraceS);
     for (;;) {
         const pid_t r = ::waitpid(pid, &status, WNOHANG);
         if (r == pid) return true;
@@ -208,7 +212,7 @@ int WorkerPool::reap(std::size_t w) {
     if (!worker.alive) return worker.exit_status;
     close_fds(worker);
     int status = 0;
-    if (!wait_with_grace(worker.pid, opt_.shutdown_grace_s, status)) {
+    if (!wait_with_grace(worker.pid, status)) {
         (void)::kill(worker.pid, SIGKILL);
         while (::waitpid(worker.pid, &status, 0) < 0 && errno == EINTR) {
         }
@@ -228,7 +232,7 @@ void WorkerPool::terminate_all() {
     for (auto& w : workers_) {
         if (!w.alive) continue;
         int status = 0;
-        if (wait_with_grace(w.pid, opt_.shutdown_grace_s, status)) {
+        if (wait_with_grace(w.pid, status)) {
             close_fds(w);
             w.exit_status = status;
             w.alive = false;
@@ -242,7 +246,7 @@ void WorkerPool::terminate_all() {
     for (auto& w : workers_) {
         if (!w.alive) continue;
         int status = 0;
-        if (!wait_with_grace(w.pid, opt_.shutdown_grace_s, status)) {
+        if (!wait_with_grace(w.pid, status)) {
             (void)::kill(w.pid, SIGKILL);
             while (::waitpid(w.pid, &status, 0) < 0 && errno == EINTR) {
             }

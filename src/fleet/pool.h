@@ -40,9 +40,6 @@ struct PoolOptions {
     /// for per-worker --trace-out/--metrics-out paths.
     std::vector<std::vector<std::string>> per_worker_args;
     std::size_t n_workers = 2;
-    /// Seconds to wait for a worker to exit on its own before escalating
-    /// during reap/shutdown.
-    double shutdown_grace_s = 2.0;
 };
 
 /// Owns N long-lived worker subprocesses and their pipes. Pure process
@@ -79,10 +76,10 @@ public:
     [[nodiscard]] int stdout_fd(std::size_t w) const;
     [[nodiscard]] int stderr_fd(std::size_t w) const;
 
-    /// Closes the worker's pipes and reaps it: waits up to
-    /// shutdown_grace_s for a voluntary exit, then SIGKILLs and waits for
-    /// real. Returns the wait status (0 if the worker was already
-    /// reaped). Idempotent.
+    /// Closes the worker's pipes and reaps it: waits up to a 2 s grace
+    /// period for a voluntary exit, then SIGKILLs and waits for real.
+    /// Returns the wait status (0 if the worker was already reaped).
+    /// Idempotent.
     int reap(std::size_t w);
 
     /// Orderly pool shutdown: closes every stdin (a serving worker sees

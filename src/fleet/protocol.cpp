@@ -68,16 +68,16 @@ util::Json obj1(const char* key, util::Json inner) {
     return j;
 }
 
-/// The strict heartbeat validator: exactly the five keys, a valid shard
+/// The strict heartbeat validator: exactly the five keys, a valid worker
 /// range, done <= total, and finite non-negative seconds.
 Heartbeat heartbeat_from_json(const util::Json& v) {
     expect_keys(v, 5, "hb");
     Heartbeat hb;
-    hb.shard = need_i32(v, "shard", "hb");
-    hb.n_shards = need_i32(v, "n_shards", "hb");
-    if (hb.n_shards < 1 || hb.shard < 0 || hb.shard >= hb.n_shards)
-        bad("hb.shard " + std::to_string(hb.shard) + "/" +
-            std::to_string(hb.n_shards) + " out of range");
+    hb.worker = need_i32(v, "worker", "hb");
+    hb.n_workers = need_i32(v, "n_workers", "hb");
+    if (hb.n_workers < 1 || hb.worker < 0 || hb.worker >= hb.n_workers)
+        bad("hb.worker " + std::to_string(hb.worker) + "/" +
+            std::to_string(hb.n_workers) + " out of range");
     hb.done = need(v, "done", "hb").as_uint();
     hb.total = need(v, "total", "hb").as_uint();
     if (hb.done > hb.total)
@@ -91,7 +91,7 @@ Heartbeat heartbeat_from_json(const util::Json& v) {
 
 }  // namespace
 
-// ---- Points and rows --------------------------------------------------------
+// ---- Points -----------------------------------------------------------------
 
 std::vector<core::SweepPoint> points_from_text(std::string_view text,
                                                const std::string& context) {
@@ -106,38 +106,6 @@ std::vector<core::SweepPoint> points_from_text(std::string_view text,
                                     ": point list is empty — a worker with no "
                                     "work is a coordinator bug");
     return points;
-}
-
-std::string worker_row_line(std::size_t index, const core::SweepRow& row) {
-    util::Json j = util::Json::object();
-    j.set("index", static_cast<std::uint64_t>(index));
-    j.set("row", scenario::to_json(row));
-    return util::json_serialize_compact(j);
-}
-
-IndexedRow worker_row_from_line(std::string_view line) {
-    util::Json j;
-    try {
-        j = util::json_parse(line);
-    } catch (const std::invalid_argument& e) {
-        throw std::invalid_argument(std::string("row line: ") + e.what());
-    }
-    if (j.kind() != util::Json::Kind::kObject)
-        throw std::invalid_argument("row line: expected an object, got " +
-                                    std::string(j.kind_name()));
-    for (const auto& [key, value] : j.as_object()) {
-        (void)value;
-        if (key != "index" && key != "row")
-            throw std::invalid_argument("row line: unknown key \"" + key + "\"");
-    }
-    const util::Json* index = j.find("index");
-    const util::Json* row = j.find("row");
-    if (!index || !row)
-        throw std::invalid_argument("row line: need both \"index\" and \"row\"");
-    IndexedRow out;
-    out.index = static_cast<std::size_t>(index->as_uint());
-    out.row = scenario::sweep_row_from_json(*row);
-    return out;
 }
 
 std::int32_t clamp_worker_threads(std::int32_t requested, std::ostream& err) {
@@ -277,8 +245,8 @@ std::string fleet_row_line(const FleetRow& r) {
 
 std::string heartbeat_line(const Heartbeat& hb) {
     util::Json inner = util::Json::object();
-    inner.set("shard", hb.shard);
-    inner.set("n_shards", hb.n_shards);
+    inner.set("worker", hb.worker);
+    inner.set("n_workers", hb.n_workers);
     inner.set("done", hb.done);
     inner.set("total", hb.total);
     inner.set("seconds", hb.seconds);
@@ -484,8 +452,8 @@ int serve_worker(std::istream& in, std::ostream& out, std::ostream& err,
             const obs::Span lease_span("fleet_lease", "fleet");
             const auto emit_hb = [&] {
                 Heartbeat hb;
-                hb.shard = init->worker;
-                hb.n_shards = init->n_workers;
+                hb.worker = init->worker;
+                hb.n_workers = init->n_workers;
                 hb.done = done_this_sweep;
                 hb.total = leased_this_sweep;
                 hb.seconds = std::chrono::duration<double>(

@@ -13,11 +13,12 @@
 namespace floretsim::fleet {
 
 /// The fleet wire protocol: a framed request/response layer for
-/// *persistent* workers over a points-file + NDJSON row contract. One
-/// `floretsim_run --worker --serve` process handles many sweeps over its
-/// lifetime, keeping its ArchCache warm across them — the coordinator
-/// streams lease frames down the worker's stdin and reads rows,
-/// heartbeats, and acks back from its stdout.
+/// *persistent* workers. Points go down by file and rows come back as
+/// frames on the worker's stdout. One `floretsim_run --worker --serve`
+/// process handles many sweeps over its lifetime, keeping its ArchCache
+/// warm across them — the coordinator streams lease frames down the
+/// worker's stdin and reads rows, heartbeats, and acks back from its
+/// stdout.
 ///
 /// Every frame is one compact JSON object per line (NDJSON), dispatched
 /// on its single distinguishing top-level key. Parsing is strict in both
@@ -35,45 +36,29 @@ namespace floretsim::fleet {
 ///   {"ready":  {"worker": i, "gen": g, "pid": p}}
 ///   {"loaded": {"sweep": S, "n_points": n}}
 ///   {"sweep": S, "index": i, "row": {..}}          (one per finished point)
-///   {"hb":     {"shard": i, "n_shards": N, "done": d, "total": t,
+///   {"hb":     {"worker": i, "n_workers": N, "done": d, "total": t,
 ///               "seconds": s}}                     (live progress)
 ///   {"done":   {"lease": L, "fabric_hits": H, "fabric_misses": M}}
 ///   {"perr":   {"sweep": S, "index": i, "what": ".."}}
 ///
-/// The coordinator keeps one rows file per sweep of {"index": i,
-/// "row": {..}} lines (worker_row_line), merged back into point order by
-/// MergedRowFileStream.
+/// The coordinator parses each row frame once and keeps the first row
+/// acked for each point at that point's index, so a sweep's rows come
+/// back in point order. The points file is removed when the sweep ends.
 ///
-/// Points still travel by file (the sweep frame names a points file on
+/// Points travel by file (the sweep frame names a points file on
 /// shared disk), not through the stdin pipe: a pipe holds ~64KB, and a
 /// coordinator blocked writing a million points to one worker while
 /// another worker's stdout fills is a deadlock. Lease frames are small
 /// and bounded-in-flight, so stdin never backs up; rows flow up the
 /// stdout pipe because the coordinator's poll loop drains it continuously.
 
-// ---- Points and rows --------------------------------------------------------
+// ---- Points -----------------------------------------------------------------
 
 /// Parses a points file's text. Rejects (std::invalid_argument) malformed
 /// JSON, malformed points, and the empty list — a worker handed no work
 /// is a coordinator bug, not a successful no-op.
 [[nodiscard]] std::vector<core::SweepPoint> points_from_text(
     std::string_view text, const std::string& context);
-
-/// One line of the coordinator's rows file: the global point index plus
-/// the finished row.
-struct IndexedRow {
-    std::size_t index = 0;
-    core::SweepRow row;
-};
-
-/// Serializes one rows-file line: {"index": i, "row": {...}}, compact
-/// (single line, no trailing newline).
-[[nodiscard]] std::string worker_row_line(std::size_t index,
-                                          const core::SweepRow& row);
-
-/// Parses one rows-file line; strict (exactly the keys index and row).
-/// Throws std::invalid_argument on anything else.
-[[nodiscard]] IndexedRow worker_row_from_line(std::string_view line);
 
 /// Validates and clamps a worker's --threads request: negative requests
 /// are an error (throws std::invalid_argument — the coordinator must see
@@ -187,14 +172,14 @@ struct FleetRow {
     core::SweepRow row;
 };
 
-/// Live progress from a worker: which worker it is (`shard` of
-/// `n_shards`, the pool size), how many of the points leased to it this
+/// Live progress from a worker: which worker it is (`worker` of
+/// `n_workers`, the pool size), how many of the points leased to it this
 /// sweep are finished, and its wall clock since the sweep began. The
 /// coordinator prints per-worker progress from these and uses them as
 /// liveness for straggler detection.
 struct Heartbeat {
-    std::int32_t shard = 0;
-    std::int32_t n_shards = 1;
+    std::int32_t worker = 0;
+    std::int32_t n_workers = 1;
     std::uint64_t done = 0;   ///< Points finished (rows + failures).
     std::uint64_t total = 0;  ///< Points leased so far this sweep.
     double seconds = 0.0;     ///< Worker wall clock since sweep start.
@@ -221,7 +206,7 @@ struct CoordinatorBound {
 
 /// Parses one worker->coordinator line. Throws std::invalid_argument on
 /// anything malformed; heartbeats are held to exactly their five keys,
-/// a valid shard range, done <= total, and finite non-negative seconds.
+/// a valid worker range, done <= total, and finite non-negative seconds.
 [[nodiscard]] CoordinatorBound coordinator_bound_from_line(
     std::string_view line);
 

@@ -1,11 +1,10 @@
 /// Unit and fault-injection pins for the persistent worker fleet
 /// (src/fleet/): the framed NDJSON protocol (strict both directions,
-/// byte-stable row and heartbeat lines), the constant-memory rows-file
-/// merge, the serve_worker loop, and the Coordinator end to end — lease
-/// dispatch, fabric affinity, work stealing from deterministic
-/// stragglers, dead-worker recovery (SIGKILL mid-lease -> restart +
-/// reassign, bit-identical report), bounded retry, and RAII scratch /
-/// child-process cleanup.
+/// byte-stable row and heartbeat lines), the serve_worker loop, and the
+/// Coordinator end to end — lease dispatch, fabric affinity, work
+/// stealing from deterministic stragglers, dead-worker recovery (SIGKILL
+/// mid-lease -> restart + reassign, bit-identical report), bounded
+/// retry, and RAII scratch / child-process cleanup.
 ///
 /// This binary is its own fleet worker: `test_fleet --fleet-worker`
 /// runs serve_worker over stdin/stdout (see main below), so the
@@ -29,7 +28,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -80,12 +78,6 @@ const std::vector<core::SweepRow>& expected_rows(std::size_t n_mixes) {
     return it->second;
 }
 
-std::vector<core::SweepRow> drain(std::unique_ptr<core::RowStream> stream) {
-    std::vector<core::SweepRow> rows;
-    while (auto row = stream->next()) rows.push_back(std::move(*row));
-    return rows;
-}
-
 void expect_rows_bit_identical(const std::vector<core::SweepRow>& got,
                                const std::vector<core::SweepRow>& want) {
     ASSERT_EQ(got.size(), want.size());
@@ -116,10 +108,14 @@ struct TempDir {
 
 /// Clears the fleet fault-injection env vars around every test, so one
 /// test's injected fault can never leak into another (or into a later
-/// suite run in the same environment).
+/// suite run in the same environment). Stealing starts disabled; tests
+/// opt in by setting FLORETSIM_FLEET_STEAL_AFTER themselves.
 class FleetEnv : public ::testing::Test {
 protected:
-    void SetUp() override { clear(); }
+    void SetUp() override {
+        clear();
+        setenv("FLORETSIM_FLEET_STEAL_AFTER", "0", 1);
+    }
     void TearDown() override { clear(); }
     static void clear() {
         unsetenv("FLORETSIM_FLEET_KILL");
@@ -134,7 +130,6 @@ FleetOptions self_fleet_options(std::int32_t n_workers) {
     opt.worker_exe = g_self_exe;
     opt.worker_args = {"--fleet-worker"};
     opt.n_workers = n_workers;
-    opt.steal_after_s = 0;  // tests opt in to stealing explicitly via env
     return opt;
 }
 
@@ -218,17 +213,23 @@ TEST(FleetProtocol, CoordinatorBoundFramesRoundTrip) {
     FleetRow row;
     row.sweep = 9;
     row.index = 3;
-    row.row = tagged_row(3);
-    const CoordinatorBound got_row =
-        coordinator_bound_from_line(fleet_row_line(row));
+    row.row.point = fleet_spec(1).expand().front();
+    row.row.result.total_cycles = 123456.5;
+    row.row.result.flit_hops = 99;
+    row.row.result.all_completed = false;
+    row.row.seconds = 0.125;
+    const std::string row_text = fleet_row_line(row);
+    EXPECT_EQ(row_text.find('\n'), std::string::npos)
+        << "NDJSON lines are one line";
+    const CoordinatorBound got_row = coordinator_bound_from_line(row_text);
     ASSERT_TRUE(got_row.row.has_value());
     EXPECT_EQ(got_row.row->sweep, 9);
     EXPECT_EQ(got_row.row->index, 3u);
     EXPECT_EQ(got_row.row->row, row.row);
 
     Heartbeat hb;
-    hb.shard = 1;
-    hb.n_shards = 2;
+    hb.worker = 1;
+    hb.n_workers = 2;
     hb.done = 3;
     hb.total = 9;
     hb.seconds = 1.5;
@@ -238,48 +239,24 @@ TEST(FleetProtocol, CoordinatorBoundFramesRoundTrip) {
 }
 
 TEST(FleetProtocol, HeartbeatAndRowLinesAreByteStable) {
-    // The two line formats other tools may parse: pinned byte for byte.
+    // The two frames a worker streams per finished point: pinned byte for
+    // byte.
     Heartbeat hb;
-    hb.shard = 2;
-    hb.n_shards = 4;
+    hb.worker = 2;
+    hb.n_workers = 4;
     hb.done = 3;
     hb.total = 9;
     hb.seconds = 1.5;
     EXPECT_EQ(heartbeat_line(hb),
-              "{\"hb\":{\"shard\":2,\"n_shards\":4,\"done\":3,\"total\":9,"
+              "{\"hb\":{\"worker\":2,\"n_workers\":4,\"done\":3,\"total\":9,"
               "\"seconds\":1.5}}");
-    const core::SweepRow row = tagged_row(17);
-    EXPECT_EQ(worker_row_line(17, row),
-              "{\"index\":17,\"row\":" +
-                  util::json_serialize_compact(scenario::to_json(row)) + "}");
-}
-
-TEST(FleetProtocol, WorkerRowLineRoundTrips) {
-    core::SweepRow row;
-    row.point = fleet_spec(1).expand().front();
-    row.result.total_cycles = 123456.5;
-    row.result.flit_hops = 99;
-    row.result.all_completed = false;
-    row.seconds = 0.125;
-    const std::string line = worker_row_line(17, row);
-    EXPECT_EQ(line.find('\n'), std::string::npos) << "NDJSON lines are one line";
-    const IndexedRow back = worker_row_from_line(line);
-    EXPECT_EQ(back.index, 17u);
-    EXPECT_EQ(back.row, row);
-}
-
-TEST(FleetProtocol, RowLineRejectsMalformedEnvelopes) {
-    for (const char* bad : {
-             "",                                  // empty
-             "{",                                 // truncated
-             "[1, 2]",                            // not an object
-             "{\"index\": 1}",                    // missing row
-             "{\"row\": {}}",                     // missing index
-             "{\"index\": -1, \"row\": {}}",      // negative index
-             "{\"index\": 1, \"row\": 3}",        // row not an object
-             "{\"index\": 1, \"row\": {}, \"extra\": 0}",  // unknown key
-         })
-        EXPECT_THROW((void)worker_row_from_line(bad), std::invalid_argument) << bad;
+    FleetRow row;
+    row.sweep = 9;
+    row.index = 17;
+    row.row = tagged_row(17);
+    EXPECT_EQ(fleet_row_line(row),
+              "{\"sweep\":9,\"index\":17,\"row\":" +
+                  util::json_serialize_compact(scenario::to_json(row.row)) + "}");
 }
 
 TEST(FleetProtocol, PointsFromTextRejectsEmptyAndMalformed) {
@@ -359,8 +336,13 @@ TEST(FleetProtocol, CoordinatorBoundRejectsMalformedFrames) {
              "{\"done\": {\"lease\": 0, \"fabric_hits\": 0}}",
              "{\"perr\": {\"sweep\": 0, \"index\": 0, \"what\": 3}}",
              "{\"perr\": {\"sweep\": 0, \"what\": \"x\"}}",  // missing index
+             "{",                                   // truncated
+             "[1, 2]",                              // not an object
              "{\"sweep\": 0, \"index\": 0}",        // row without a row
+             "{\"sweep\": 0, \"row\": {}}",          // row without an index
              "{\"sweep\": -1, \"index\": 0, \"row\": {}}",
+             "{\"sweep\": 0, \"index\": -1, \"row\": {}}",  // negative index
+             "{\"sweep\": 0, \"index\": 0, \"row\": 3}",   // row not an object
              "{\"sweep\": 0, \"index\": 0, \"row\": {}, \"x\": 1}",
              "{\"hb\": {\"bogus\": 1}}",            // strict hb parse
              "{\"rows\": []}",                      // unknown frame
@@ -368,91 +350,6 @@ TEST(FleetProtocol, CoordinatorBoundRejectsMalformedFrames) {
         EXPECT_THROW((void)coordinator_bound_from_line(bad),
                      std::invalid_argument)
             << bad;
-}
-
-// ------------------------------------------------------- streaming merge
-
-/// Writes a rows file: the given global indices in the given (arbitrary)
-/// completion order — exactly what the coordinator writes per sweep.
-std::string write_row_file(const TempDir& tmp, const std::string& name,
-                           const std::vector<std::size_t>& indices) {
-    const std::string path = tmp.path + "/" + name + ".ndjson";
-    std::ofstream f(path);
-    for (const auto i : indices) f << worker_row_line(i, tagged_row(i)) << '\n';
-    return path;
-}
-
-TEST(MergedStream, YieldsPointOrderHoldingOneRowAtATime) {
-    TempDir tmp;
-    MergedRowFileStream stream(write_row_file(tmp, "rows", {4, 0, 5, 2, 3, 1}), 6);
-    EXPECT_EQ(stream.size(), 6u);
-    for (std::size_t i = 0; i < 6; ++i) {
-        const auto row = stream.next();
-        ASSERT_TRUE(row.has_value()) << i;
-        EXPECT_EQ(row->result.total_cycles, 1000.0 + static_cast<double>(i));
-    }
-    EXPECT_FALSE(stream.next().has_value());
-    // The merge never materializes the row set: one parsed row resident,
-    // regardless of row count — the constant-memory coordinator contract.
-    EXPECT_EQ(stream.peak_resident_rows(), 1u);
-}
-
-TEST(MergedStream, ReleasesItsCleanupOwnerOnDestruction) {
-    TempDir tmp;
-    const auto path = write_row_file(tmp, "rows", {0, 1});
-    bool released = false;
-    {
-        auto guard = std::shared_ptr<void>(
-            nullptr, [&released](void*) { released = true; });
-        MergedRowFileStream stream(path, 2, [guard] {});
-        guard.reset();
-        ASSERT_TRUE(stream.next().has_value());
-        // Abandoned mid-iteration: the owner must still be released.
-        EXPECT_FALSE(released);
-    }
-    EXPECT_TRUE(released);
-}
-
-TEST(MergedStream, ReleasesItsCleanupOwnerWhenConstructionFails) {
-    TempDir tmp;
-    bool released = false;
-    auto guard =
-        std::shared_ptr<void>(nullptr, [&released](void*) { released = true; });
-    EXPECT_THROW(MergedRowFileStream(tmp.path + "/no-such-file.ndjson", 1,
-                                     [guard = std::move(guard)] {}),
-                 std::runtime_error);
-    EXPECT_TRUE(released) << "a failed merge leaked its scratch owner";
-}
-
-TEST(MergedStream, IndexScanRejectsBadRowFiles) {
-    TempDir tmp;
-    // Missing file.
-    EXPECT_THROW(MergedRowFileStream(tmp.path + "/missing", 1), std::runtime_error);
-    // Duplicate point.
-    EXPECT_THROW(MergedRowFileStream(write_row_file(tmp, "dup", {0, 0}), 2),
-                 std::runtime_error);
-    // Out-of-range index.
-    EXPECT_THROW(MergedRowFileStream(write_row_file(tmp, "range", {7}), 2),
-                 std::runtime_error);
-    // A point no worker covered.
-    try {
-        MergedRowFileStream stream(write_row_file(tmp, "gap", {0}), 2);
-        FAIL() << "missing point accepted";
-    } catch (const std::runtime_error& e) {
-        EXPECT_NE(std::string(e.what()).find("no worker returned a row"),
-                  std::string::npos)
-            << e.what();
-    }
-    // Unparseable line.
-    const std::string garbled = tmp.path + "/garbled.ndjson";
-    std::ofstream(garbled) << "{\"index\": 0, \"row\": \n";
-    EXPECT_THROW(MergedRowFileStream(garbled, 1), std::runtime_error);
-    // Unknown key: the coordinator writes only row lines, so anything
-    // else (a heartbeat included) is corruption, not something to skip.
-    const std::string hb_line = tmp.path + "/hb.ndjson";
-    std::ofstream(hb_line) << worker_row_line(0, tagged_row(0)) << '\n'
-                           << heartbeat_line(Heartbeat{}) << '\n';
-    EXPECT_THROW(MergedRowFileStream(hb_line, 1), std::runtime_error);
 }
 
 // --------------------------------------------------------- serve_worker loop
@@ -522,8 +419,8 @@ TEST(FleetServeWorker, ServesInitSweepLeaseQuit) {
             rows[frame.row->index] = frame.row->row;
             ++n_rows;
         } else if (frame.hb) {
-            EXPECT_EQ(frame.hb->shard, 0);
-            EXPECT_EQ(frame.hb->n_shards, 1);
+            EXPECT_EQ(frame.hb->worker, 0);
+            EXPECT_EQ(frame.hb->n_workers, 1);
             EXPECT_EQ(frame.hb->total, points.size());
             ++n_hb;
         } else if (frame.done) {
@@ -668,7 +565,7 @@ TEST_F(FleetEnv, SweepMatchesInProcessRunAndStaysWarmAcrossSweeps) {
     const auto points = fleet_spec(3).expand();
     ASSERT_EQ(points.size(), 6u);
     Coordinator fleet(self_fleet_options(2));
-    expect_rows_bit_identical(drain(fleet.run_sweep(points)),
+    expect_rows_bit_identical(fleet.run_sweep(points),
                               expected_rows(3));
     EXPECT_EQ(fleet.stats().sweeps, 1);
     EXPECT_EQ(fleet.stats().rows, 6);
@@ -683,7 +580,7 @@ TEST_F(FleetEnv, SweepMatchesInProcessRunAndStaysWarmAcrossSweeps) {
     EXPECT_LE(fleet.stats().fleet_fabric_misses, 4);
 
     // Same points again on the now-warm fleet.
-    expect_rows_bit_identical(drain(fleet.run_sweep(points)),
+    expect_rows_bit_identical(fleet.run_sweep(points),
                               expected_rows(3));
     EXPECT_EQ(fleet.stats().sweeps, 2);
     EXPECT_EQ(fleet.stats().rows, 12);
@@ -699,10 +596,10 @@ TEST_F(FleetEnv, WarmPoolNeverRebuildsAFabric) {
     // process's warm ArchCache — zero new misses, all affinity hits.
     const auto points = fleet_spec(3).expand();
     Coordinator fleet(self_fleet_options(1));
-    expect_rows_bit_identical(drain(fleet.run_sweep(points)),
+    expect_rows_bit_identical(fleet.run_sweep(points),
                               expected_rows(3));
     EXPECT_EQ(fleet.stats().fleet_fabric_misses, 2);
-    expect_rows_bit_identical(drain(fleet.run_sweep(points)),
+    expect_rows_bit_identical(fleet.run_sweep(points),
                               expected_rows(3));
     EXPECT_EQ(fleet.stats().fleet_fabric_misses, 2)
         << "the warm pool rebuilt a fabric";
@@ -722,7 +619,7 @@ TEST_F(FleetEnv, KilledWorkerIsRestartedAndReportIsBitIdentical) {
     auto opt = self_fleet_options(1);
     opt.progress = &progress;
     Coordinator fleet(opt);
-    expect_rows_bit_identical(drain(fleet.run_sweep(points)),
+    expect_rows_bit_identical(fleet.run_sweep(points),
                               expected_rows(3));
     EXPECT_EQ(fleet.stats().worker_deaths, 1);
     EXPECT_EQ(fleet.stats().worker_restarts, 1);
@@ -735,7 +632,7 @@ TEST_F(FleetEnv, KilledWorkerIsRestartedAndReportIsBitIdentical) {
 
     // The restarted worker serves the next sweep on its own.
     unsetenv("FLORETSIM_FLEET_KILL");
-    expect_rows_bit_identical(drain(fleet.run_sweep(points)),
+    expect_rows_bit_identical(fleet.run_sweep(points),
                               expected_rows(3));
     EXPECT_EQ(fleet.stats().worker_deaths, 1) << "the gen-1 worker died too";
 }
@@ -755,6 +652,9 @@ TEST_F(FleetEnv, PointFailureFailsTheSweepNamingThePoint) {
         EXPECT_NE(what.find("injected fleet fault"), std::string::npos) << what;
     }
     EXPECT_EQ(fleet.stats().worker_deaths, 0);
+    // The failed sweep removed its points file on the way out.
+    EXPECT_TRUE(std::filesystem::is_empty(fleet.scratch_dir()))
+        << "a failed sweep left files in " << fleet.scratch_dir();
 }
 
 TEST_F(FleetEnv, IdleWorkerStealsFromDeterministicStraggler) {
@@ -769,7 +669,7 @@ TEST_F(FleetEnv, IdleWorkerStealsFromDeterministicStraggler) {
     auto opt = self_fleet_options(2);
     opt.progress = &progress;
     Coordinator fleet(opt);
-    expect_rows_bit_identical(drain(fleet.run_sweep(points)),
+    expect_rows_bit_identical(fleet.run_sweep(points),
                               expected_rows(3));
     EXPECT_GE(fleet.stats().leases_stolen, 1) << progress.str();
     EXPECT_EQ(fleet.stats().worker_deaths, 0)
@@ -811,13 +711,13 @@ TEST_F(FleetEnv, ShutdownReapsWorkersAndRemovesScratch) {
     std::string scratch;
     {
         Coordinator fleet(self_fleet_options(2));
-        expect_rows_bit_identical(drain(fleet.run_sweep(fleet_spec(1).expand())),
+        expect_rows_bit_identical(fleet.run_sweep(fleet_spec(1).expand()),
                                   expected_rows(1));
         scratch = fleet.scratch_dir();
         ASSERT_FALSE(scratch.empty());
         EXPECT_TRUE(std::filesystem::exists(scratch));
-        // The drained stream is gone, and with it the sweep's points and
-        // rows files: scratch does not grow with the number of sweeps.
+        // A finished sweep removes its points file: scratch does not grow
+        // with the number of sweeps.
         EXPECT_TRUE(std::filesystem::is_empty(scratch))
             << "a finished sweep left files in " << scratch;
         for (std::int32_t w = 0; w < fleet.n_workers(); ++w) {
@@ -845,9 +745,7 @@ TEST_F(FleetEnv, ShutdownReapsWorkersAndRemovesScratch) {
 
 TEST_F(FleetEnv, EmptySweepNeedsNoFleet) {
     Coordinator fleet(self_fleet_options(2));
-    auto stream = fleet.run_sweep({});
-    EXPECT_EQ(stream->size(), 0u);
-    EXPECT_FALSE(stream->next().has_value());
+    EXPECT_TRUE(fleet.run_sweep({}).empty());
     EXPECT_TRUE(fleet.scratch_dir().empty()) << "an empty sweep spawned workers";
 }
 

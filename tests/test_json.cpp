@@ -224,33 +224,36 @@ TEST(JsonAdversarial, MalformedHeartbeatEnvelopesAllThrowCleanly) {
     // must reject every malformed shape as cleanly as the row parsers do.
     const char* corpus[] = {
         // Truncated / not an object.
-        "{\"hb\": {\"shard\": 0",
+        "{\"hb\": {\"worker\": 0",
         "{\"hb\": 3}",
         "{\"hb\": [1, 2]}",
         "[{\"hb\": {}}]",
         // Missing and unknown fields.
         "{\"hb\": {}}",
-        "{\"hb\": {\"shard\":0,\"n_shards\":1,\"done\":0,\"total\":1}}",
-        "{\"hb\": {\"shard\":0,\"n_shards\":1,\"done\":0,\"total\":1,"
+        "{\"hb\": {\"worker\":0,\"n_workers\":1,\"done\":0,\"total\":1}}",
+        "{\"hb\": {\"worker\":0,\"n_workers\":1,\"done\":0,\"total\":1,"
         "\"seconds\":0,\"extra\":1}}",
-        // Heartbeat must be the only top-level key.
+        // shard/n_shards are not heartbeat fields.
         "{\"hb\": {\"shard\":0,\"n_shards\":1,\"done\":0,\"total\":1,"
+        "\"seconds\":0}}",
+        // Heartbeat must be the only top-level key.
+        "{\"hb\": {\"worker\":0,\"n_workers\":1,\"done\":0,\"total\":1,"
         "\"seconds\":0}, \"index\": 0}",
         // Wrong-typed fields.
-        "{\"hb\": {\"shard\":\"zero\",\"n_shards\":1,\"done\":0,\"total\":1,"
+        "{\"hb\": {\"worker\":\"zero\",\"n_workers\":1,\"done\":0,\"total\":1,"
         "\"seconds\":0}}",
-        "{\"hb\": {\"shard\":0,\"n_shards\":1,\"done\":-1,\"total\":1,"
+        "{\"hb\": {\"worker\":0,\"n_workers\":1,\"done\":-1,\"total\":1,"
         "\"seconds\":0}}",
-        // Domain validation: shard range, done <= total, finite seconds.
-        "{\"hb\": {\"shard\":4,\"n_shards\":4,\"done\":0,\"total\":1,"
+        // Domain validation: worker range, done <= total, finite seconds.
+        "{\"hb\": {\"worker\":4,\"n_workers\":4,\"done\":0,\"total\":1,"
         "\"seconds\":0}}",
-        "{\"hb\": {\"shard\":-1,\"n_shards\":4,\"done\":0,\"total\":1,"
+        "{\"hb\": {\"worker\":-1,\"n_workers\":4,\"done\":0,\"total\":1,"
         "\"seconds\":0}}",
-        "{\"hb\": {\"shard\":0,\"n_shards\":0,\"done\":0,\"total\":1,"
+        "{\"hb\": {\"worker\":0,\"n_workers\":0,\"done\":0,\"total\":1,"
         "\"seconds\":0}}",
-        "{\"hb\": {\"shard\":0,\"n_shards\":1,\"done\":5,\"total\":1,"
+        "{\"hb\": {\"worker\":0,\"n_workers\":1,\"done\":5,\"total\":1,"
         "\"seconds\":0}}",
-        "{\"hb\": {\"shard\":0,\"n_shards\":1,\"done\":0,\"total\":1,"
+        "{\"hb\": {\"worker\":0,\"n_workers\":1,\"done\":0,\"total\":1,"
         "\"seconds\":-0.5}}",
     };
     for (const char* text : corpus) {
@@ -260,7 +263,7 @@ TEST(JsonAdversarial, MalformedHeartbeatEnvelopesAllThrowCleanly) {
     }
     // After the whole corpus, a good heartbeat still parses.
     const auto good = fleet::coordinator_bound_from_line(
-        "{\"hb\": {\"shard\":1,\"n_shards\":2,\"done\":3,\"total\":4,"
+        "{\"hb\": {\"worker\":1,\"n_workers\":2,\"done\":3,\"total\":4,"
         "\"seconds\":0.25}}");
     ASSERT_TRUE(good.hb.has_value());
     EXPECT_EQ(good.hb->done, 4u - 1u);

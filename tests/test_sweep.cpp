@@ -220,7 +220,7 @@ TEST(SweepEngine, AtIndexesTheGrid) {
 
 // ------------------------------------------------------- the executor seam
 
-TEST(SweepEngine, EngineRunDispatchesThroughTheStreamExecutor) {
+TEST(SweepEngine, EngineRunDispatchesThroughTheExecutor) {
     const auto spec = small_spec();
     SweepEngine plain(1);
     const auto expect = plain.run(spec);
@@ -229,10 +229,10 @@ TEST(SweepEngine, EngineRunDispatchesThroughTheStreamExecutor) {
     std::size_t calls = 0;
     // A stand-in transport: evaluate the handed points on a second engine,
     // exactly what the worker fleet does across processes.
-    engine.set_stream_executor([&](const std::vector<SweepPoint>& points) {
+    engine.set_executor([&](const std::vector<SweepPoint>& points) {
         ++calls;
         SweepEngine inner(2);
-        return std::make_unique<VectorRowStream>(inner.run(points).rows);
+        return inner.run(points).rows;
     });
     const auto got = engine.run(spec);
     EXPECT_EQ(calls, 1u);
@@ -247,10 +247,10 @@ TEST(SweepEngine, EngineRunDispatchesThroughTheStreamExecutor) {
     EXPECT_EQ(got.at(1, 0, 0).result, expect.at(1, 0, 0).result);
 }
 
-TEST(SweepEngine, ShortRowStreamIsAnError) {
+TEST(SweepEngine, ShortRowListIsAnError) {
     SweepEngine engine(1);
-    engine.set_stream_executor([](const std::vector<SweepPoint>&) {
-        return std::make_unique<VectorRowStream>(std::vector<SweepRow>{});
+    engine.set_executor([](const std::vector<SweepPoint>&) {
+        return std::vector<SweepRow>{};
     });
     EXPECT_THROW((void)engine.run(small_spec()), std::runtime_error);
 }
