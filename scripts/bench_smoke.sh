@@ -196,15 +196,15 @@ assert metrics["counters"].get("sweep.points", 0) > 0, "no sweep.points"
 assert "sim.run_cycles" in metrics["histograms"], "no sim.run_cycles histogram"
 
 err = open(f"{out}/obs_pool.err").read().splitlines()
-hb_lines = [l for l in err if l.startswith("[fleet ") and "leased points" in l]
-assert hb_lines, "no live per-worker progress lines on coordinator stderr"
+progress_lines = [l for l in err if l.startswith("[fleet ") and "leased points" in l]
+assert progress_lines, "no live per-worker progress lines on coordinator stderr"
 assert any(l.startswith("[fleet] 2 workers") for l in err), (
     "no end-of-run fleet summary")
 print(f"obs smoke ok: parity held, {len(trace['traceEvents'])} trace events, "
-      f"{len(pids)} processes merged, {len(hb_lines)} heartbeat lines")
+      f"{len(pids)} processes merged, {len(progress_lines)} progress lines")
 EOF
 then
-    echo "ok   observability (parity, trace, metrics, heartbeats)"
+    echo "ok   observability (parity, trace, metrics, progress lines)"
     ran=$((ran + 1))
 else
     echo "FAIL observability smoke" >&2

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <condition_variable>
-#include <exception>
-#include <optional>
 
 #include "src/dnn/traffic.h"
 #include "src/obs/metrics.h"
@@ -154,97 +151,26 @@ std::string memo_key(std::span<const noc::Demand> demands, const EvalConfig& cfg
 
 }  // namespace
 
-/// Memo entry: waiters block on `done` until the first caller publishes
-/// the result (or the evaluation's exception).
-struct NoiMemo::Entry {
-    std::mutex mu;
-    std::condition_variable done;
-    std::optional<EvalResult> result;
-    std::exception_ptr error;
-};
-
 std::size_t NoiMemo::KeyHash::operator()(const std::string& key) const noexcept {
     return static_cast<std::size_t>(util::fnv1a(key));
 }
 
 EvalResult NoiMemo::evaluate(std::span<const MappedTask> tasks, const EvalConfig& cfg) {
     const std::string key = memo_key(noi_demands(tasks, cfg), cfg);
-    std::shared_ptr<Entry> entry;
-    bool owner = false;
-    {
-        const std::lock_guard<std::mutex> lk(mu_);
-        if (const auto it = entries_.find(key); it != entries_.end()) {
-            entry = it->second;
-            ++hits_;
-        } else {
-            ++misses_;
-            if (entries_.size() < kMaxEntries) {
-                entry = std::make_shared<Entry>();
-                entries_.emplace(key, entry);
-                owner = true;
-            }
-        }
-    }
     auto& metrics = obs::MetricsRegistry::global();
-    const bool hit = entry != nullptr && !owner;
-    metrics.add(hit ? "noi.memo_hits" : "noi.memo_misses");
-    if (entry == nullptr) return evaluate_noi(topo_, routes_, tasks, cfg);  // past the cap
-    if (hit) {
-        std::unique_lock<std::mutex> lk(entry->mu);
-        entry->done.wait(lk, [&] { return entry->result.has_value() || entry->error; });
-        if (entry->error) std::rethrow_exception(entry->error);
-        return *entry->result;
+    bool stored = false;
+    EvalResult res = results_.get(
+        key, [&] { return evaluate_noi(topo_, routes_, tasks, cfg); },
+        [&](util::Lookup lookup) {
+            metrics.add(lookup == util::Lookup::kHit ? "noi.memo_hits" : "noi.memo_misses");
+            stored = lookup == util::Lookup::kMiss;
+        });
+    if (stored) {
+        const auto bytes = static_cast<std::int64_t>(key.size() + sizeof(EvalResult));
+        bytes_ += bytes;
+        metrics.add("noi.memo_bytes", bytes);
     }
-
-    EvalResult res;
-    try {
-        res = evaluate_noi(topo_, routes_, tasks, cfg);
-    } catch (...) {
-        // Wake the waiters with the error and drop the entry so a later
-        // call retries instead of finding a poisoned result.
-        {
-            const std::lock_guard<std::mutex> lk(entry->mu);
-            entry->error = std::current_exception();
-        }
-        entry->done.notify_all();
-        {
-            const std::lock_guard<std::mutex> lk(mu_);
-            entries_.erase(key);
-        }
-        throw;
-    }
-    {
-        const std::lock_guard<std::mutex> lk(entry->mu);
-        entry->result = res;
-    }
-    entry->done.notify_all();
-    const auto stored = static_cast<std::int64_t>(key.size() + sizeof(EvalResult));
-    {
-        const std::lock_guard<std::mutex> lk(mu_);
-        bytes_ += stored;
-    }
-    metrics.add("noi.memo_bytes", stored);
     return res;
-}
-
-std::int64_t NoiMemo::hits() const {
-    const std::lock_guard<std::mutex> lk(mu_);
-    return hits_;
-}
-
-std::int64_t NoiMemo::misses() const {
-    const std::lock_guard<std::mutex> lk(mu_);
-    return misses_;
-}
-
-std::size_t NoiMemo::entries() const {
-    const std::lock_guard<std::mutex> lk(mu_);
-    return entries_.size();
-}
-
-std::int64_t NoiMemo::bytes() const {
-    const std::lock_guard<std::mutex> lk(mu_);
-    return bytes_;
 }
 
 }  // namespace floretsim::core

@@ -1,12 +1,10 @@
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/core/mapper.h"
@@ -15,6 +13,7 @@
 #include "src/noc/routing.h"
 #include "src/noc/simulator.h"
 #include "src/topo/topology.h"
+#include "src/util/compute_once.h"
 
 namespace floretsim::core {
 
@@ -98,10 +97,10 @@ struct EvalResult {
 /// The whole EvalResult is stored, sim_* engine-work fields included, so a
 /// hit returns exactly what a fresh evaluate_noi would. A hit simulates
 /// nothing and records no evaluate_noi span, noi.evals or sim.* counter.
-/// Concurrent callers of one key wait for the first (the ArchCache
-/// pattern); an evaluation that throws reaches every waiter and drops the
-/// entry, so a later call retries. At most kMaxEntries results are
-/// stored; past that, a miss evaluates without storing.
+/// Concurrent callers of one key wait for the first, an evaluation that
+/// throws reaches every waiter and drops the entry, and at most
+/// kMaxEntries results are stored (util::ComputeOnce); past that, a miss
+/// evaluates without storing.
 class NoiMemo {
 public:
     static constexpr std::size_t kMaxEntries = 4096;
@@ -116,26 +115,22 @@ public:
     [[nodiscard]] EvalResult evaluate(std::span<const MappedTask> tasks,
                                       const EvalConfig& cfg);
 
-    [[nodiscard]] std::int64_t hits() const;
-    [[nodiscard]] std::int64_t misses() const;
+    [[nodiscard]] std::int64_t hits() const { return results_.hits(); }
+    [[nodiscard]] std::int64_t misses() const { return results_.misses(); }
     /// Stored or in-flight entries.
-    [[nodiscard]] std::size_t entries() const;
+    [[nodiscard]] std::size_t entries() const { return results_.entries(); }
     /// Key plus value bytes of the stored results.
-    [[nodiscard]] std::int64_t bytes() const;
+    [[nodiscard]] std::int64_t bytes() const { return bytes_.load(); }
 
 private:
-    struct Entry;  // result slot + done signal, defined in the .cpp
     struct KeyHash {
         [[nodiscard]] std::size_t operator()(const std::string& key) const noexcept;
     };
 
     const topo::Topology& topo_;
     const noc::RouteTable& routes_;
-    mutable std::mutex mu_;
-    std::unordered_map<std::string, std::shared_ptr<Entry>, KeyHash> entries_;
-    std::int64_t hits_ = 0;
-    std::int64_t misses_ = 0;
-    std::int64_t bytes_ = 0;
+    util::ComputeOnce<std::string, EvalResult, KeyHash> results_{kMaxEntries};
+    std::atomic<std::int64_t> bytes_{0};
 };
 
 }  // namespace floretsim::core

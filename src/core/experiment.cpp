@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <condition_variable>
-#include <exception>
 #include <stdexcept>
 
 #include "src/cost/models.h"
@@ -12,6 +10,7 @@
 #include "src/topo/kite.h"
 #include "src/topo/mesh.h"
 #include "src/topo/swap.h"
+#include "src/util/hash.h"
 
 namespace floretsim::core::experiment {
 
@@ -66,83 +65,28 @@ std::shared_ptr<const ArchFabric> build_fabric(Arch a, std::int32_t w, std::int3
     return f;
 }
 
-/// Cache entry: losers of the insertion race block on `built` until the
-/// winner publishes the fabric (or the build's exception).
-struct ArchCache::Entry {
-    std::mutex mu;
-    std::condition_variable built;
-    std::shared_ptr<const ArchFabric> fabric;
-    std::exception_ptr error;
-};
+std::size_t ArchCache::KeyHash::operator()(const Key& key) const noexcept {
+    const auto& [arch, w, h, swap_seed] = key;
+    std::uint64_t v = swap_seed;
+    for (const std::int32_t part : {arch, w, h})
+        v = (v ^ static_cast<std::uint32_t>(part)) * util::kFnvPrime;
+    return static_cast<std::size_t>(v);
+}
 
 std::shared_ptr<const ArchFabric> ArchCache::get(Arch a, std::int32_t w,
                                                  std::int32_t h,
                                                  std::uint64_t swap_seed) {
-    const Key key{static_cast<std::int32_t>(a), w, h, swap_seed};
-    std::shared_ptr<Entry> entry;
-    bool builder = false;
-    {
-        const std::lock_guard<std::mutex> lk(mu_);
-        auto it = entries_.find(key);
-        if (it == entries_.end()) {
-            entry = std::make_shared<Entry>();
-            entries_.emplace(key, entry);
-            builder = true;
-            ++misses_;
-        } else {
-            entry = it->second;
-            ++hits_;
-        }
-    }
-    obs::MetricsRegistry::global().add(builder ? "arch_cache.misses"
-                                               : "arch_cache.hits");
-    if (builder) {
-        std::shared_ptr<const ArchFabric> fabric;
-        try {
+    return fabrics_.get(
+        Key{static_cast<std::int32_t>(a), w, h, swap_seed},
+        [&] {
             const obs::Span span("build_fabric", "fabric");
-            fabric = build_fabric(a, w, h, swap_seed);
-        } catch (...) {
-            // Wake the losers with the error and drop the entry so a
-            // later get() retries instead of blocking forever.
-            {
-                const std::lock_guard<std::mutex> lk(entry->mu);
-                entry->error = std::current_exception();
-            }
-            entry->built.notify_all();
-            {
-                const std::lock_guard<std::mutex> lk(mu_);
-                entries_.erase(key);
-            }
-            throw;
-        }
-        {
-            const std::lock_guard<std::mutex> lk(entry->mu);
-            entry->fabric = fabric;
-        }
-        entry->built.notify_all();
-        return fabric;
-    }
-    std::unique_lock<std::mutex> lk(entry->mu);
-    entry->built.wait(lk, [&] { return entry->fabric != nullptr || entry->error; });
-    if (entry->error) std::rethrow_exception(entry->error);
-    return entry->fabric;
-}
-
-std::int64_t ArchCache::hits() const {
-    const std::lock_guard<std::mutex> lk(mu_);
-    return hits_;
-}
-
-std::int64_t ArchCache::misses() const {
-    const std::lock_guard<std::mutex> lk(mu_);
-    return misses_;
-}
-
-void ArchCache::clear() {
-    const std::lock_guard<std::mutex> lk(mu_);
-    entries_.clear();
-    hits_ = 0;
-    misses_ = 0;
+            return build_fabric(a, w, h, swap_seed);
+        },
+        [](util::Lookup lookup) {
+            obs::MetricsRegistry::global().add(lookup == util::Lookup::kHit
+                                                   ? "arch_cache.hits"
+                                                   : "arch_cache.misses");
+        });
 }
 
 BuiltArch make_built_arch(std::shared_ptr<const ArchFabric> fabric,

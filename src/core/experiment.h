@@ -1,10 +1,9 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -15,6 +14,7 @@
 #include "src/core/sfc.h"
 #include "src/noc/routing.h"
 #include "src/topo/topology.h"
+#include "src/util/compute_once.h"
 #include "src/util/rng.h"
 #include "src/workload/tables.h"
 
@@ -66,25 +66,26 @@ struct ArchFabric {
 /// (arch, w, h, swap_seed) — topology synthesis and up*/down* route-table
 /// construction dominate a sweep point's setup cost, and every point of a
 /// sweep at the same grid shares them. Concurrent requests for the same
-/// key build once; the losers block on the winner's result.
+/// key build once; the losers block on the winner's result, and a build
+/// that throws reaches them all and leaves the key retryable
+/// (util::ComputeOnce).
 class ArchCache {
 public:
     [[nodiscard]] std::shared_ptr<const ArchFabric> get(Arch a, std::int32_t w,
                                                         std::int32_t h,
                                                         std::uint64_t swap_seed = 13);
 
-    [[nodiscard]] std::int64_t hits() const;
-    [[nodiscard]] std::int64_t misses() const;
-    void clear();
+    [[nodiscard]] std::int64_t hits() const { return fabrics_.hits(); }
+    [[nodiscard]] std::int64_t misses() const { return fabrics_.misses(); }
+    void clear() { fabrics_.clear(); }
 
 private:
     using Key = std::tuple<std::int32_t, std::int32_t, std::int32_t, std::uint64_t>;
-    struct Entry;  // fabric slot + once-flag, defined in the .cpp
+    struct KeyHash {
+        [[nodiscard]] std::size_t operator()(const Key& key) const noexcept;
+    };
 
-    mutable std::mutex mu_;
-    std::map<Key, std::shared_ptr<Entry>> entries_;
-    std::int64_t hits_ = 0;
-    std::int64_t misses_ = 0;
+    util::ComputeOnce<Key, std::shared_ptr<const ArchFabric>, KeyHash> fabrics_;
 };
 
 /// One fully built architecture: a (possibly shared) fabric plus a mapper

@@ -7,7 +7,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <deque>
 #include <filesystem>
 #include <fstream>
@@ -33,9 +32,6 @@ using Clock = std::chrono::steady_clock;
 
 /// Least time between two progress lines for one worker.
 constexpr double kProgressIntervalS = 0.5;
-/// Adaptive steal threshold floor: a worker silent for less than this is
-/// never a straggler.
-constexpr double kStealAfterFloorS = 0.25;
 /// A point leased this many times without an ack fails the sweep — the
 /// bounded-retry guarantee (a poison point cannot restart workers
 /// forever).
@@ -43,17 +39,17 @@ constexpr std::int32_t kMaxAttemptsPerPoint = 3;
 /// The most points one lease carries.
 constexpr std::size_t kMaxLeasePoints = 32;
 /// Lease sizing aims for about this many leases per worker over the
-/// sweep, so the tail of the sweep stays steal-able.
+/// sweep, so a worker's threads stay busy while its next lease is queued.
 constexpr std::size_t kLeasesPerWorker = 4;
 /// Stderr lines kept per worker for its death report.
 constexpr std::size_t kStderrTailLines = 20;
 
 /// The fabric identity of a point — exactly experiment::ArchCache's key.
-/// Points sharing a FabricKey share one expensive topology build, so
-/// leases are drawn fabric-group-at-a-time and each worker remembers
-/// which fabrics it has built (its affinity): the second scenario over
-/// the same arch grid re-lands every group on the worker that already
-/// holds it warm.
+/// Points sharing a FabricKey share one expensive topology build, so a
+/// sweep is placed fabric-group-at-a-time and each worker remembers which
+/// fabrics were placed on it (its affinity): the second scenario over the
+/// same arch grid re-lands every group on the worker that already holds
+/// it warm.
 using FabricKey = std::tuple<std::int32_t, std::int32_t, std::int32_t,
                              std::uint64_t>;
 
@@ -122,18 +118,18 @@ struct Coordinator::WorkerState {
     bool loaded = false;
     std::int32_t restarts = 0;
     std::int32_t leases_in_flight = 0;
-    std::set<std::size_t> outstanding;  ///< Leased, not yet acked.
-    std::set<FabricKey> affinity;       ///< Fabrics this worker has built.
+    std::deque<std::size_t> queue;        ///< Placed here, not yet leased.
+    std::vector<std::size_t> outstanding;  ///< Leased, not yet acked.
+    std::set<FabricKey> affinity;          ///< Fabrics placed on this worker.
     std::string out_buf, err_buf;
     std::deque<std::string> stderr_tail;
-    Clock::time_point last_activity = Clock::now();
     /// ArchCache counters: cumulative within the current process
     /// generation (from done frames), plus the folded totals of dead
     /// generations.
     std::int64_t gen_fabric_hits = 0, gen_fabric_misses = 0;
     std::int64_t prev_fabric_hits = 0, prev_fabric_misses = 0;
-    Heartbeat last_hb;
-    bool saw_hb = false, printed = false;
+    /// This sweep's progress: points leased to and acked from the worker.
+    std::size_t leased = 0, acked = 0;
     Clock::time_point last_print = Clock::now();
     std::string trace_path, metrics_path;
 };
@@ -142,11 +138,10 @@ struct Coordinator::SweepRun {
     std::int64_t id = 0;
     const std::vector<core::SweepPoint>* points = nullptr;
     std::string points_path;
-    std::vector<core::SweepRow> rows;  ///< The first acked row per point.
+    std::vector<core::SweepRow> rows;  ///< The acked row of each point.
     std::vector<bool> acked;
     std::vector<std::int32_t> attempts;
     std::size_t n_acked = 0;
-    std::map<FabricKey, std::deque<std::size_t>> groups;
     std::size_t lease_size = 1;
     Clock::time_point t0 = Clock::now();
 
@@ -165,8 +160,6 @@ Coordinator::Coordinator(FleetOptions opt) : opt_(std::move(opt)) {
         throw std::invalid_argument("fleet: n_workers must be >= 1");
     if (opt_.worker_exe.empty())
         throw std::invalid_argument("fleet: worker_exe is empty");
-    if (const char* env = std::getenv("FLORETSIM_FLEET_STEAL_AFTER"))
-        if (*env) steal_after_env_ = std::atof(env);
 }
 
 Coordinator::~Coordinator() {
@@ -273,7 +266,53 @@ void Coordinator::absorb_worker_files(std::size_t w) {
     if (!ws.metrics_path.empty()) std::filesystem::remove(ws.metrics_path, ec);
 }
 
-void Coordinator::handle_death(std::size_t w, SweepRun* run) {
+bool Coordinator::live(std::size_t w) const {
+    return !workers_[w].retired && pool_->alive(w);
+}
+
+void Coordinator::place(SweepRun& run,
+                        const std::vector<std::size_t>& indices) {
+    std::vector<std::size_t> live_workers;
+    for (std::size_t w = 0; w < workers_.size(); ++w)
+        if (live(w)) live_workers.push_back(w);
+    if (live_workers.empty())
+        throw std::runtime_error("fleet: no live workers left");
+    const std::size_t share =
+        (indices.size() + live_workers.size() - 1) / live_workers.size();
+    std::map<FabricKey, std::vector<std::size_t>> groups;
+    for (const std::size_t i : indices)
+        groups[key_of((*run.points)[i])].push_back(i);
+
+    // Each worker keeps the groups it already holds, up to its share.
+    std::vector<std::size_t> load(workers_.size(), 0);
+    std::vector<std::size_t> rest;
+    std::int64_t kept = 0;
+    for (const auto& [key, group] : groups) {
+        auto it = group.begin();
+        for (const std::size_t w : live_workers) {
+            if (!workers_[w].affinity.count(key)) continue;
+            for (; it != group.end() && load[w] < share; ++it, ++load[w])
+                workers_[w].queue.push_back(*it);
+        }
+        kept += it - group.begin();
+        rest.insert(rest.end(), it, group.end());
+    }
+    // The rest, in group order, fills the live workers one after another.
+    auto w = live_workers.begin();
+    for (const std::size_t i : rest) {
+        while (load[*w] >= share) ++w;
+        workers_[*w].affinity.insert(key_of((*run.points)[i]));
+        workers_[*w].queue.push_back(i);
+        ++load[*w];
+    }
+    const auto adopted = static_cast<std::int64_t>(rest.size());
+    stats_.affinity_hits += kept;
+    stats_.affinity_misses += adopted;
+    obs::MetricsRegistry::global().add("fleet.affinity_hits", kept);
+    obs::MetricsRegistry::global().add("fleet.affinity_misses", adopted);
+}
+
+void Coordinator::handle_death(std::size_t w, SweepRun& run) {
     WorkerState& ws = workers_[w];
     drain_stderr(w);
     const int status = pool_->reap(w);
@@ -300,33 +339,21 @@ void Coordinator::handle_death(std::size_t w, SweepRun* run) {
     ws.prev_fabric_misses += ws.gen_fabric_misses;
     ws.gen_fabric_hits = ws.gen_fabric_misses = 0;
 
-    if (run) {
-        // Requeue every un-acked point this worker held, unless a steal
-        // already placed it with another live worker. Bounded retry: a
-        // point that has been leased max_attempts times and still has no
-        // row fails the sweep — a poison point must not restart workers
-        // forever.
-        for (const std::size_t i : ws.outstanding) {
-            if (run->acked[i]) continue;
-            bool held_elsewhere = false;
-            for (std::size_t v = 0; v < workers_.size(); ++v) {
-                if (v == w || workers_[v].retired || !pool_->alive(v)) continue;
-                if (workers_[v].outstanding.count(i)) {
-                    held_elsewhere = true;
-                    break;
-                }
-            }
-            if (held_elsewhere) continue;
-            if (run->attempts[i] >= kMaxAttemptsPerPoint)
-                throw std::runtime_error(
-                    "fleet: point " + std::to_string(i) + " lost " +
-                    std::to_string(run->attempts[i]) +
-                    " times to worker deaths; giving up");
-            run->groups[key_of((*run->points)[i])].push_front(i);
-            ++stats_.points_reassigned;
-            obs::MetricsRegistry::global().add("fleet.points_reassigned");
-        }
-    }
+    // Every un-acked point this worker held goes back to the front of its
+    // queue, in lease order. Bounded retry: a point that has been leased
+    // kMaxAttemptsPerPoint times and still has no row fails the sweep — a
+    // poison point must not restart workers forever.
+    for (const std::size_t i : ws.outstanding)
+        if (run.attempts[i] >= kMaxAttemptsPerPoint)
+            throw std::runtime_error(
+                "fleet: point " + std::to_string(i) + " lost " +
+                std::to_string(run.attempts[i]) +
+                " times to worker deaths; giving up");
+    ws.queue.insert(ws.queue.begin(), ws.outstanding.begin(),
+                    ws.outstanding.end());
+    const auto requeued = static_cast<std::int64_t>(ws.outstanding.size());
+    stats_.points_reassigned += requeued;
+    obs::MetricsRegistry::global().add("fleet.points_reassigned", requeued);
     ws.outstanding.clear();
     ws.leases_in_flight = 0;
     ws.ready = ws.loaded = ws.sweep_sent = false;
@@ -337,7 +364,6 @@ void Coordinator::handle_death(std::size_t w, SweepRun* run) {
         send_init(w);
         ++ws.restarts;
         ++stats_.worker_restarts;
-        ws.last_activity = Clock::now();
         obs::MetricsRegistry::global().add("fleet.worker_restarts");
         obs::Tracer::global().record_instant("fleet_worker_restart", "fleet",
                                              obs::Tracer::now_us());
@@ -345,21 +371,23 @@ void Coordinator::handle_death(std::size_t w, SweepRun* run) {
             *opt_.progress << "[fleet] worker " << w << " restarted (gen "
                            << pool_->gen(w) << ")\n"
                            << std::flush;
-    } else {
-        ws.retired = true;
-        bool any_live = false;
-        for (std::size_t v = 0; v < workers_.size(); ++v)
-            if (!workers_[v].retired && pool_->alive(v)) any_live = true;
-        if (!any_live)
-            throw std::runtime_error(
-                "fleet: every worker exhausted its restart budget (" +
-                std::to_string(opt_.max_restarts_per_worker) +
-                " restarts each)");
+        return;
     }
+    ws.retired = true;
+    bool any_live = false;
+    for (std::size_t v = 0; v < workers_.size(); ++v) any_live |= live(v);
+    if (!any_live)
+        throw std::runtime_error(
+            "fleet: every worker exhausted its restart budget (" +
+            std::to_string(opt_.max_restarts_per_worker) + " restarts each)");
+    // The retired worker's queue is placed on the live workers.
+    const std::vector<std::size_t> orphans(ws.queue.begin(), ws.queue.end());
+    ws.queue.clear();
+    place(run, orphans);
 }
 
 void Coordinator::send_lease(std::size_t w, SweepRun& run,
-                             std::vector<std::size_t> idx, bool stolen) {
+                             std::vector<std::size_t> idx) {
     WorkerState& ws = workers_[w];
     LeaseFrame lease;
     lease.id = next_lease_id_++;
@@ -367,132 +395,29 @@ void Coordinator::send_lease(std::size_t w, SweepRun& run,
     lease.indices = std::move(idx);
     for (const std::size_t i : lease.indices) {
         ++run.attempts[i];
-        ws.outstanding.insert(i);
-        if (stolen) ws.affinity.insert(key_of((*run.points)[i]));
+        ws.outstanding.push_back(i);
     }
+    ws.leased += lease.indices.size();
     ++ws.leases_in_flight;
     ++stats_.leases_issued;
     obs::MetricsRegistry::global().add("fleet.leases_issued");
-    if (stolen) {
-        ++stats_.leases_stolen;
-        obs::MetricsRegistry::global().add("fleet.leases_stolen");
-        obs::Tracer::global().record_instant("fleet_steal", "fleet",
-                                             obs::Tracer::now_us());
-    }
-    if (!pool_->send(w, lease_line(lease))) handle_death(w, &run);
-}
-
-bool Coordinator::try_steal_for(std::size_t w, SweepRun& run) {
-    // Straggler threshold: silence longer than the floor AND longer than
-    // ~3x the sweep's observed mean point time — a uniformly slow sweep
-    // has slow points everywhere, not stragglers. The env override is
-    // exact.
-    double threshold = steal_after_env_.value_or(kStealAfterFloorS);
-    if (threshold <= 0.0) return false;
-    if (!steal_after_env_ && run.n_acked > 0) {
-        std::size_t n_live = 0;
-        for (std::size_t v = 0; v < workers_.size(); ++v)
-            if (!workers_[v].retired && pool_->alive(v)) ++n_live;
-        const double mean_point_s = seconds_since(run.t0) *
-                                    static_cast<double>(n_live) /
-                                    static_cast<double>(run.n_acked);
-        threshold = std::max(threshold, 3.0 * mean_point_s);
-    }
-    std::size_t victim = workers_.size();
-    std::size_t victim_outstanding = 0;
-    for (std::size_t v = 0; v < workers_.size(); ++v) {
-        if (v == w || workers_[v].retired || !pool_->alive(v)) continue;
-        if (workers_[v].outstanding.empty()) continue;
-        if (seconds_since(workers_[v].last_activity) <= threshold) continue;
-        if (workers_[v].outstanding.size() > victim_outstanding) {
-            victim = v;
-            victim_outstanding = workers_[v].outstanding.size();
-        }
-    }
-    if (victim == workers_.size()) return false;
-    // Take from the back of the victim's outstanding set: the victim
-    // works its lease front to back, so the highest indices are the ones
-    // it is least likely to be about to finish. The victim keeps its
-    // claim — whichever copy finishes first wins the ack, the other is
-    // counted a duplicate.
-    std::vector<std::size_t> idx;
-    const auto& out = workers_[victim].outstanding;
-    for (auto it = out.rbegin(); it != out.rend(); ++it) {
-        if (idx.size() >= run.lease_size) break;
-        if (run.acked[*it]) continue;
-        if (run.attempts[*it] >= kMaxAttemptsPerPoint) continue;
-        if (workers_[w].outstanding.count(*it)) continue;
-        idx.push_back(*it);
-    }
-    if (idx.empty()) return false;
-    if (opt_.progress)
-        *opt_.progress << "[fleet] worker " << w << " stealing " << idx.size()
-                       << " points from straggler " << victim << "\n"
-                       << std::flush;
-    send_lease(w, run, std::move(idx), /*stolen=*/true);
-    return true;
+    if (!pool_->send(w, lease_line(lease))) handle_death(w, run);
 }
 
 void Coordinator::top_up(std::size_t w, SweepRun& run) {
     WorkerState& ws = workers_[w];
-    while (!ws.retired && pool_->alive(w) && ws.loaded &&
-           ws.leases_in_flight < 2) {
-        // Pick a fabric group for this worker: affine first (the fabric
-        // is warm in its ArchCache), then an unclaimed group (adopt it),
-        // then any remaining work (shared fabric; someone must do it).
+    while (live(w) && ws.loaded && ws.leases_in_flight < 2 &&
+           !ws.queue.empty()) {
+        // One lease: the front of the worker's queue, at most lease_size
+        // points, all of one fabric group.
+        const FabricKey key = key_of((*run.points)[ws.queue.front()]);
         std::vector<std::size_t> idx;
-        const auto take = [&](std::deque<std::size_t>& dq) {
-            while (!dq.empty() && idx.size() < run.lease_size) {
-                idx.push_back(dq.front());
-                dq.pop_front();
-            }
-        };
-        bool hit = false, found = false;
-        for (auto& [key, dq] : run.groups) {
-            if (dq.empty() || !ws.affinity.count(key)) continue;
-            hit = found = true;
-            take(dq);
-            break;
+        while (!ws.queue.empty() && idx.size() < run.lease_size &&
+               key_of((*run.points)[ws.queue.front()]) == key) {
+            idx.push_back(ws.queue.front());
+            ws.queue.pop_front();
         }
-        if (!found) {
-            for (auto& [key, dq] : run.groups) {
-                if (dq.empty()) continue;
-                bool claimed = false;
-                for (std::size_t v = 0; v < workers_.size() && !claimed; ++v)
-                    if (v != w && !workers_[v].retired && pool_->alive(v) &&
-                        workers_[v].affinity.count(key))
-                        claimed = true;
-                if (claimed) continue;
-                ws.affinity.insert(key);
-                found = true;
-                take(dq);
-                break;
-            }
-        }
-        if (!found) {
-            for (auto& [key, dq] : run.groups) {
-                if (dq.empty()) continue;
-                ws.affinity.insert(key);
-                found = true;
-                take(dq);
-                break;
-            }
-        }
-        if (!found) {
-            // No unassigned work left. An idle worker may still help by
-            // stealing a straggler's outstanding lease.
-            if (ws.outstanding.empty() && ws.leases_in_flight == 0)
-                (void)try_steal_for(w, run);
-            return;
-        }
-        if (hit) {
-            ++stats_.affinity_hits;
-            obs::MetricsRegistry::global().add("fleet.affinity_hits");
-        } else {
-            ++stats_.affinity_misses;
-            obs::MetricsRegistry::global().add("fleet.affinity_misses");
-        }
-        send_lease(w, run, std::move(idx), /*stolen=*/false);
+        send_lease(w, run, std::move(idx));
     }
 }
 
@@ -501,7 +426,6 @@ void Coordinator::handle_stdout_line(std::size_t w, std::string_view line,
     while (!line.empty() && line.back() == '\r') line.remove_suffix(1);
     if (line.empty()) return;
     WorkerState& ws = workers_[w];
-    ws.last_activity = Clock::now();
     CoordinatorBound frame;
     try {
         frame = coordinator_bound_from_line(line);
@@ -513,12 +437,12 @@ void Coordinator::handle_stdout_line(std::size_t w, std::string_view line,
             *opt_.progress << "[fleet] worker " << w
                            << " protocol violation: " << e.what() << "\n"
                            << std::flush;
-        handle_death(w, &run);
+        handle_death(w, run);
         return;
     }
     if (frame.ready) {
         if (frame.ready->worker != static_cast<std::int32_t>(w)) {
-            handle_death(w, &run);
+            handle_death(w, run);
             return;
         }
         ws.ready = true;
@@ -545,15 +469,12 @@ void Coordinator::handle_stdout_line(std::size_t w, std::string_view line,
             obs::MetricsRegistry::global().add("fleet.stale_rows");
             return;
         }
+        // Each point is leased to one worker at a time, so a row for an
+        // index the sweep lacks or has already acked is a protocol
+        // violation.
         const std::size_t i = frame.row->index;
-        if (i >= run.acked.size()) {
-            handle_death(w, &run);
-            return;
-        }
-        if (run.acked[i]) {
-            ++stats_.duplicate_rows;
-            obs::MetricsRegistry::global().add("fleet.duplicate_rows");
-            ws.outstanding.erase(i);
+        if (i >= run.acked.size() || run.acked[i]) {
+            handle_death(w, run);
             return;
         }
         run.acked[i] = true;
@@ -561,31 +482,19 @@ void Coordinator::handle_stdout_line(std::size_t w, std::string_view line,
         ++stats_.rows;
         obs::MetricsRegistry::global().add("fleet.rows");
         run.rows[i] = std::move(frame.row->row);
-        for (auto& other : workers_) other.outstanding.erase(i);
-        return;
-    }
-    if (frame.hb) {
-        ws.last_hb = *frame.hb;
-        const bool first = !ws.saw_hb;
-        ws.saw_hb = true;
-        if (opt_.progress) {
-            const bool final_hb = run.n_acked + 1 >= run.acked.size();
-            const double since =
-                std::chrono::duration<double>(Clock::now() - ws.last_print)
-                    .count();
-            if (!ws.printed || first || final_hb ||
-                since >= kProgressIntervalS) {
-                char sec_buf[32];
-                std::snprintf(sec_buf, sizeof sec_buf, "%.1f",
-                              ws.last_hb.seconds);
-                *opt_.progress << "[fleet " << w << "/" << opt_.n_workers
-                               << "] " << ws.last_hb.done << "/"
-                               << ws.last_hb.total << " leased points "
-                               << sec_buf << "s\n"
-                               << std::flush;
-                ws.printed = true;
-                ws.last_print = Clock::now();
-            }
+        std::erase(ws.outstanding, i);
+        ++ws.acked;
+        if (opt_.progress &&
+            (ws.acked == 1 || run.n_acked == run.acked.size() ||
+             seconds_since(ws.last_print) >= kProgressIntervalS)) {
+            char sec_buf[32];
+            std::snprintf(sec_buf, sizeof sec_buf, "%.1f",
+                          seconds_since(run.t0));
+            *opt_.progress << "[fleet " << w << "/" << opt_.n_workers << "] "
+                           << ws.acked << "/" << ws.leased << " leased points "
+                           << sec_buf << "s\n"
+                           << std::flush;
+            ws.last_print = Clock::now();
         }
         return;
     }
@@ -631,29 +540,31 @@ std::vector<core::SweepRow> Coordinator::run_sweep(
     run.rows.resize(points.size());
     run.acked.assign(points.size(), false);
     run.attempts.assign(points.size(), 0);
-    for (std::size_t i = 0; i < points.size(); ++i)
-        run.groups[key_of(points[i])].push_back(i);
 
     std::size_t n_live = 0;
     for (std::size_t w = 0; w < workers_.size(); ++w) {
         WorkerState& ws = workers_[w];
+        ws.queue.clear();
         ws.outstanding.clear();
         ws.leases_in_flight = 0;
         ws.loaded = ws.sweep_sent = false;
-        ws.saw_hb = ws.printed = false;
-        if (!ws.retired && pool_->alive(w)) ++n_live;
+        ws.leased = ws.acked = 0;
+        if (live(w)) ++n_live;
     }
     if (n_live == 0)
         throw std::runtime_error("fleet: no live workers left");
     const std::size_t denom = n_live * kLeasesPerWorker;
     run.lease_size = std::clamp<std::size_t>((points.size() + denom - 1) / denom,
                                              1, kMaxLeasePoints);
+    std::vector<std::size_t> all(points.size());
+    for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
+    place(run, all);
 
     // Announce the sweep to every worker that is already ready; workers
     // mid-(re)spawn get it when their ready frame arrives.
     for (std::size_t w = 0; w < workers_.size(); ++w) {
         WorkerState& ws = workers_[w];
-        if (ws.retired || !pool_->alive(w) || !ws.ready) continue;
+        if (!live(w) || !ws.ready) continue;
         SweepFrame sf;
         sf.id = run.id;
         sf.points_file = run.points_path;
@@ -661,23 +572,30 @@ std::vector<core::SweepRow> Coordinator::run_sweep(
         ws.sweep_sent = pool_->send(w, sweep_line(sf));
     }
 
-    // The coordinator's whole job from here is this drain loop: keep
-    // every worker topped up with leases, keep each point's first row,
-    // and react to heartbeat lag (steal) and EOF (restart + reassign).
-    while (run.n_acked < points.size()) {
+    // The coordinator's whole job from here is this drain loop: keep every
+    // worker leased from its own queue, keep each point's row, and react
+    // to EOF (restart + requeue). The sweep ends once every point is acked
+    // and every lease's done frame is in, so the fleet's fabric counters
+    // are current when the next sweep starts.
+    const auto busy = [&] {
+        if (run.n_acked < points.size()) return true;
+        for (const auto& ws : workers_)
+            if (ws.leases_in_flight > 0) return true;
+        return false;
+    };
+    while (busy()) {
         bool any_live = false;
         for (std::size_t w = 0; w < workers_.size(); ++w) {
-            if (workers_[w].retired || !pool_->alive(w)) continue;
+            if (!live(w)) continue;
             any_live = true;
             if (workers_[w].loaded) top_up(w, run);
         }
-        if (run.n_acked >= points.size()) break;  // top_up drained via steals
         if (!any_live) throw std::runtime_error("fleet: no live workers left");
 
         std::vector<pollfd> fds;
         std::vector<std::pair<std::size_t, bool>> owner;  // (worker, stderr?)
         for (std::size_t w = 0; w < workers_.size(); ++w) {
-            if (workers_[w].retired || !pool_->alive(w)) continue;
+            if (!live(w)) continue;
             fds.push_back(pollfd{pool_->stdout_fd(w), POLLIN, 0});
             owner.emplace_back(w, false);
             fds.push_back(pollfd{pool_->stderr_fd(w), POLLIN, 0});
@@ -691,7 +609,7 @@ std::vector<core::SweepRow> Coordinator::run_sweep(
         for (std::size_t k = 0; k < fds.size(); ++k) {
             if (!(fds[k].revents & (POLLIN | POLLHUP | POLLERR))) continue;
             const std::size_t w = owner[k].first;
-            if (workers_[w].retired || !pool_->alive(w)) continue;
+            if (!live(w)) continue;
             if (owner[k].second) {
                 drain_stderr(w);
                 continue;
@@ -702,15 +620,14 @@ std::vector<core::SweepRow> Coordinator::run_sweep(
                 WorkerState& ws = workers_[w];
                 ws.out_buf.append(chunk, static_cast<std::size_t>(n));
                 std::size_t nl;
-                while (pool_->alive(w) && !workers_[w].retired &&
-                       (nl = workers_[w].out_buf.find('\n')) !=
-                           std::string::npos) {
-                    std::string line = workers_[w].out_buf.substr(0, nl);
-                    workers_[w].out_buf.erase(0, nl + 1);
+                while (live(w) &&
+                       (nl = ws.out_buf.find('\n')) != std::string::npos) {
+                    std::string line = ws.out_buf.substr(0, nl);
+                    ws.out_buf.erase(0, nl + 1);
                     handle_stdout_line(w, line, run);
                 }
             } else if (n == 0 || (n < 0 && errno != EINTR && errno != EAGAIN)) {
-                handle_death(w, &run);
+                handle_death(w, run);
             }
         }
     }
@@ -737,10 +654,8 @@ util::Json Coordinator::stats_json() const {
     j.set("sweeps", stats_.sweeps);
     j.set("points", stats_.points);
     j.set("rows", stats_.rows);
-    j.set("duplicate_rows", stats_.duplicate_rows);
     j.set("stale_rows", stats_.stale_rows);
     j.set("leases_issued", stats_.leases_issued);
-    j.set("leases_stolen", stats_.leases_stolen);
     j.set("points_reassigned", stats_.points_reassigned);
     j.set("worker_deaths", stats_.worker_deaths);
     j.set("worker_restarts", stats_.worker_restarts);
@@ -754,8 +669,8 @@ util::Json Coordinator::stats_json() const {
 void Coordinator::print_summary(std::ostream& out) const {
     out << "[fleet] " << opt_.n_workers << " workers, " << stats_.sweeps
         << " sweeps, " << stats_.rows << " rows; leases " << stats_.leases_issued
-        << " issued / " << stats_.leases_stolen << " stolen, "
-        << stats_.points_reassigned << " points reassigned; deaths "
+        << " issued, " << stats_.points_reassigned
+        << " points reassigned; deaths "
         << stats_.worker_deaths << ", restarts " << stats_.worker_restarts
         << "; fabric hits/misses " << stats_.fleet_fabric_hits << "/"
         << stats_.fleet_fabric_misses << "; affinity hits/misses "

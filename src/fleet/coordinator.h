@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -35,15 +34,15 @@ struct FleetStats {
     std::int64_t sweeps = 0;
     std::int64_t points = 0;
     std::int64_t rows = 0;
-    std::int64_t duplicate_rows = 0;  ///< Same index acked twice (steals).
-    std::int64_t stale_rows = 0;      ///< Rows from a superseded sweep.
+    std::int64_t stale_rows = 0;  ///< Rows from a superseded sweep.
     std::int64_t leases_issued = 0;
-    std::int64_t leases_stolen = 0;
     std::int64_t points_reassigned = 0;  ///< Requeued after a worker death.
     std::int64_t worker_deaths = 0;
     std::int64_t worker_restarts = 0;
-    std::int64_t affinity_hits = 0;    ///< Lease drawn from an affine fabric.
-    std::int64_t affinity_misses = 0;  ///< Worker had to adopt a new fabric.
+    /// Placed points whose worker already held their fabric.
+    std::int64_t affinity_hits = 0;
+    /// Placed points whose worker adopted their fabric.
+    std::int64_t affinity_misses = 0;
     std::int64_t fleet_fabric_hits = 0;    ///< Sum of worker ArchCache hits.
     std::int64_t fleet_fabric_misses = 0;  ///< Sum of worker ArchCache misses.
 };
@@ -51,25 +50,30 @@ struct FleetStats {
 /// The persistent-fleet coordinator: spawns opt.n_workers long-lived
 /// `--worker --serve` processes once (lazily, on the first sweep) and
 /// dispatches every subsequent sweep to them over the fleet protocol.
-/// Hands out small leases as workers drain them, steals outstanding
-/// leases from stragglers, and survives worker deaths by restarting the
-/// process and reassigning its un-acked points (bounded per-point
-/// retry). Workers keep their ArchCache across sweeps, and the
-/// coordinator keeps per-worker fabric *affinity* — a lease prefers
-/// points whose fabric its worker has already built — so the second
-/// scenario over the same arch grid evaluates with zero fabric-cache
-/// misses anywhere in the fleet.
+/// Three ideas carry it:
 ///
-/// Each row frame is parsed once and kept at its point index (first ack
-/// per index wins; stale and duplicate rows from stolen leases are
-/// dropped and counted), so reports see exactly the rows a local
+/// - Placement. Before the first lease, place() puts every point of the
+///   sweep on one worker's queue. Points sharing a fabric form a group;
+///   each worker keeps the groups it already holds (its *affinity*), up to
+///   its fair share of ceil(points / live workers), and the remaining
+///   points, in group order, fill the live workers one after another up to
+///   that share. Workers keep their ArchCache across sweeps, so the second
+///   scenario over the same arch grid evaluates with zero fabric-cache
+///   misses anywhere in the fleet, and where a point runs never depends
+///   on timing.
+/// - Leases. A worker is leased only from its own queue: at most
+///   lease_size points of one fabric group per lease, two leases in
+///   flight.
+/// - Recovery. A dead worker is restarted and its un-acked points go back
+///   to the front of its queue (bounded per-point retry); a worker out of
+///   restarts retires and its queue is placed on the live workers.
+///
+/// Each row frame is parsed once and kept at its point index (a row for
+/// an already-acked index is a protocol violation; rows of a superseded
+/// sweep are dropped and counted), so reports see exactly the rows a local
 /// SweepEngine::run would have produced — bit-identical, as pinned by the
-/// fleet_parity ctest.
-///
-/// Work stealing is adaptive: a worker silent for longer than 0.25 s and
-/// ~3x the sweep's mean point time may lose its outstanding points to an
-/// idle worker. FLORETSIM_FLEET_STEAL_AFTER (seconds) replaces that with
-/// an exact threshold; <= 0 disables stealing (the fleet tests' knob).
+/// fleet_parity ctest. Live `[fleet w/N] d/t leased points Xs` progress
+/// lines come from the rows the coordinator acks.
 ///
 /// Single-threaded and not reentrant: one run_sweep at a time, from one
 /// thread. Scratch state is RAII-owned — destruction (or shutdown())
@@ -111,19 +115,18 @@ private:
 
     void ensure_started();
     void send_init(std::size_t w);
-    void handle_death(std::size_t w, SweepRun* run);
+    [[nodiscard]] bool live(std::size_t w) const;
+    /// Appends `indices` to the live workers' queues (see the class comment).
+    void place(SweepRun& run, const std::vector<std::size_t>& indices);
+    void handle_death(std::size_t w, SweepRun& run);
     void top_up(std::size_t w, SweepRun& run);
-    bool try_steal_for(std::size_t w, SweepRun& run);
-    void send_lease(std::size_t w, SweepRun& run, std::vector<std::size_t> idx,
-                    bool stolen);
+    void send_lease(std::size_t w, SweepRun& run, std::vector<std::size_t> idx);
     void handle_stdout_line(std::size_t w, std::string_view line,
                             SweepRun& run);
     void drain_stderr(std::size_t w);
     void absorb_worker_files(std::size_t w);
 
     FleetOptions opt_;
-    /// FLORETSIM_FLEET_STEAL_AFTER when set: the exact steal threshold.
-    std::optional<double> steal_after_env_;
     std::unique_ptr<WorkerPool> pool_;
     std::vector<WorkerState> workers_;
     std::string scratch_;

@@ -4,8 +4,6 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <chrono>
-#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <istream>
@@ -14,7 +12,6 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 
 #include "src/obs/trace.h"
 #include "src/scenario/spec_json.h"
@@ -66,27 +63,6 @@ util::Json obj1(const char* key, util::Json inner) {
     util::Json j = util::Json::object();
     j.set(key, std::move(inner));
     return j;
-}
-
-/// The strict heartbeat validator: exactly the five keys, a valid worker
-/// range, done <= total, and finite non-negative seconds.
-Heartbeat heartbeat_from_json(const util::Json& v) {
-    expect_keys(v, 5, "hb");
-    Heartbeat hb;
-    hb.worker = need_i32(v, "worker", "hb");
-    hb.n_workers = need_i32(v, "n_workers", "hb");
-    if (hb.n_workers < 1 || hb.worker < 0 || hb.worker >= hb.n_workers)
-        bad("hb.worker " + std::to_string(hb.worker) + "/" +
-            std::to_string(hb.n_workers) + " out of range");
-    hb.done = need(v, "done", "hb").as_uint();
-    hb.total = need(v, "total", "hb").as_uint();
-    if (hb.done > hb.total)
-        bad("hb.done " + std::to_string(hb.done) + " exceeds total " +
-            std::to_string(hb.total));
-    hb.seconds = need(v, "seconds", "hb").as_double();
-    if (!std::isfinite(hb.seconds) || hb.seconds < 0.0)
-        bad("hb.seconds must be finite and >= 0");
-    return hb;
 }
 
 }  // namespace
@@ -243,16 +219,6 @@ std::string fleet_row_line(const FleetRow& r) {
     return util::json_serialize_compact(j);
 }
 
-std::string heartbeat_line(const Heartbeat& hb) {
-    util::Json inner = util::Json::object();
-    inner.set("worker", hb.worker);
-    inner.set("n_workers", hb.n_workers);
-    inner.set("done", hb.done);
-    inner.set("total", hb.total);
-    inner.set("seconds", hb.seconds);
-    return util::json_serialize_compact(obj1("hb", std::move(inner)));
-}
-
 CoordinatorBound coordinator_bound_from_line(std::string_view line) {
     util::Json j;
     try {
@@ -305,8 +271,6 @@ CoordinatorBound coordinator_bound_from_line(std::string_view line) {
         f.index = need_size(*v4, "index", "perr");
         f.what = need(*v4, "what", "perr").as_string();
         out.perr = std::move(f);
-    } else if (const util::Json* v5 = j.find("hb")) {
-        out.hb = heartbeat_from_json(*v5);
     } else {
         bad("unknown frame \"" + j.as_object().front().first + "\"");
     }
@@ -317,16 +281,15 @@ CoordinatorBound coordinator_bound_from_line(std::string_view line) {
 
 namespace {
 
-/// Parsed FLORETSIM_FLEET_KILL / FLORETSIM_FLEET_STALL injection specs.
+/// A parsed FLORETSIM_FLEET_KILL / FLORETSIM_FLEET_PERR injection spec.
 struct FaultSpec {
     bool armed = false;
     std::int32_t worker = -1;
     std::int32_t gen = -1;  ///< -1 matches any generation.
     std::uint64_t after_rows = 0;
-    std::int64_t stall_ms = 0;
 };
 
-FaultSpec parse_fault(const char* env, int n_fields) {
+FaultSpec parse_fault(const char* env) {
     FaultSpec spec;
     const char* text = std::getenv(env);
     if (!text || !*text) return spec;
@@ -340,13 +303,12 @@ FaultSpec parse_fault(const char* env, int n_fields) {
             return spec;  // malformed injection spec: ignore, never crash
         }
     }
-    if (static_cast<int>(vals.size()) != n_fields) return spec;
+    if (vals.size() != 3) return spec;
     spec.armed = true;
     spec.worker = static_cast<std::int32_t>(vals[0]);
     spec.gen = static_cast<std::int32_t>(vals[1]);
     spec.after_rows = static_cast<std::uint64_t>(std::max<std::int64_t>(
         0, vals[2]));
-    if (n_fields > 3) spec.stall_ms = vals[3];
     return spec;
 }
 
@@ -362,13 +324,10 @@ int serve_worker(std::istream& in, std::ostream& out, std::ostream& err,
     std::optional<InitFrame> init;
     std::vector<core::SweepPoint> points;
     std::int64_t sweep_id = -1;
-    std::uint64_t done_this_sweep = 0;
-    std::uint64_t leased_this_sweep = 0;
     std::uint64_t rows_lifetime = 0;
     std::atomic<std::uint64_t> attempts_lifetime{0};
-    auto sweep_t0 = std::chrono::steady_clock::now();
-    FaultSpec kill_spec, stall_spec, perr_spec;
-    std::mutex out_mu;  // serializes row/hb/perr lines from the pool
+    FaultSpec kill_spec, perr_spec;
+    std::mutex out_mu;  // serializes row/perr lines from the pool
 
     std::string line;
     while (std::getline(in, line)) {
@@ -383,9 +342,8 @@ int serve_worker(std::istream& in, std::ostream& out, std::ostream& err,
         if (frame.quit) return 0;
         if (frame.init) {
             init = *frame.init;
-            kill_spec = parse_fault("FLORETSIM_FLEET_KILL", 3);
-            stall_spec = parse_fault("FLORETSIM_FLEET_STALL", 4);
-            perr_spec = parse_fault("FLORETSIM_FLEET_PERR", 3);
+            kill_spec = parse_fault("FLORETSIM_FLEET_KILL");
+            perr_spec = parse_fault("FLORETSIM_FLEET_PERR");
             obs::Tracer::global().set_process_label(
                 "fleet worker " + std::to_string(init->worker) + "/" +
                 std::to_string(init->n_workers) + " gen " +
@@ -423,9 +381,6 @@ int serve_worker(std::istream& in, std::ostream& out, std::ostream& err,
                 return 3;
             }
             sweep_id = frame.sweep->id;
-            done_this_sweep = 0;
-            leased_this_sweep = 0;
-            sweep_t0 = std::chrono::steady_clock::now();
             LoadedFrame loaded;
             loaded.sweep = sweep_id;
             loaded.n_points = points.size();
@@ -448,19 +403,7 @@ int serve_worker(std::istream& in, std::ostream& out, std::ostream& err,
                     return 3;
                 }
             }
-            leased_this_sweep += lease.indices.size();
             const obs::Span lease_span("fleet_lease", "fleet");
-            const auto emit_hb = [&] {
-                Heartbeat hb;
-                hb.worker = init->worker;
-                hb.n_workers = init->n_workers;
-                hb.done = done_this_sweep;
-                hb.total = leased_this_sweep;
-                hb.seconds = std::chrono::duration<double>(
-                                 std::chrono::steady_clock::now() - sweep_t0)
-                                 .count();
-                out << heartbeat_line(hb) << "\n";
-            };
             (void)engine.map(lease.indices.size(), [&](std::size_t k) {
                 const std::size_t index = lease.indices[k];
                 try {
@@ -474,29 +417,17 @@ int serve_worker(std::istream& in, std::ostream& out, std::ostream& err,
                     r.row = core::evaluate_point(engine.cache(), points[index]);
                     const std::lock_guard<std::mutex> lock(out_mu);
                     ++rows_lifetime;
-                    if (fault_matches(stall_spec, *init) &&
-                        rows_lifetime == stall_spec.after_rows)
-                        std::this_thread::sleep_for(
-                            std::chrono::milliseconds(stall_spec.stall_ms));
-                    out << fleet_row_line(r) << "\n";
-                    ++done_this_sweep;
-                    emit_hb();
-                    out << std::flush;
+                    out << fleet_row_line(r) << "\n" << std::flush;
                     if (fault_matches(kill_spec, *init) &&
-                        rows_lifetime == kill_spec.after_rows) {
-                        out << std::flush;
+                        rows_lifetime == kill_spec.after_rows)
                         (void)raise(SIGKILL);
-                    }
                 } catch (const std::exception& e) {
                     PointErrorFrame perr;
                     perr.sweep = sweep_id;
                     perr.index = index;
                     perr.what = e.what();
                     const std::lock_guard<std::mutex> lock(out_mu);
-                    ++done_this_sweep;
-                    out << perr_line(perr) << "\n";
-                    emit_hb();
-                    out << std::flush;
+                    out << perr_line(perr) << "\n" << std::flush;
                 }
                 return 0;
             });

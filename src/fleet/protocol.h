@@ -17,8 +17,7 @@ namespace floretsim::fleet {
 /// frames on the worker's stdout. One `floretsim_run --worker --serve`
 /// process handles many sweeps over its lifetime, keeping its ArchCache
 /// warm across them — the coordinator streams lease frames down the
-/// worker's stdin and reads rows, heartbeats, and acks back from its
-/// stdout.
+/// worker's stdin and reads rows and acks back from its stdout.
 ///
 /// Every frame is one compact JSON object per line (NDJSON), dispatched
 /// on its single distinguishing top-level key. Parsing is strict in both
@@ -36,14 +35,13 @@ namespace floretsim::fleet {
 ///   {"ready":  {"worker": i, "gen": g, "pid": p}}
 ///   {"loaded": {"sweep": S, "n_points": n}}
 ///   {"sweep": S, "index": i, "row": {..}}          (one per finished point)
-///   {"hb":     {"worker": i, "n_workers": N, "done": d, "total": t,
-///               "seconds": s}}                     (live progress)
 ///   {"done":   {"lease": L, "fabric_hits": H, "fabric_misses": M}}
 ///   {"perr":   {"sweep": S, "index": i, "what": ".."}}
 ///
-/// The coordinator parses each row frame once and keeps the first row
-/// acked for each point at that point's index, so a sweep's rows come
-/// back in point order. The points file is removed when the sweep ends.
+/// The coordinator leases each point to one worker at a time, parses each
+/// row frame once and keeps it at its point's index, so a sweep's rows
+/// come back in point order; its live progress lines count those rows.
+/// The points file is removed when the sweep ends.
 ///
 /// Points travel by file (the sweep frame names a points file on
 /// shared disk), not through the stdin pipe: a pipe holds ~64KB, and a
@@ -92,8 +90,8 @@ struct SweepFrame {
 };
 
 /// A small batch of global point indices to evaluate from the current
-/// sweep. The coordinator hands leases out incrementally, so a straggler
-/// holds a few points, not 1/N of the sweep.
+/// sweep, all of one fabric group. The coordinator hands a worker its
+/// placed points a few at a time, two leases in flight.
 struct LeaseFrame {
     std::int64_t id = 0;
     std::int64_t sweep = 0;
@@ -164,27 +162,12 @@ struct PointErrorFrame {
 };
 
 /// One finished row, tagged with the sweep it belongs to so a stale row
-/// from a superseded lease (stolen work finishing late, a worker that
-/// missed a sweep transition) is identifiable and droppable.
+/// (a lease still running when its sweep failed) is identifiable and
+/// droppable.
 struct FleetRow {
     std::int64_t sweep = 0;
     std::size_t index = 0;
     core::SweepRow row;
-};
-
-/// Live progress from a worker: which worker it is (`worker` of
-/// `n_workers`, the pool size), how many of the points leased to it this
-/// sweep are finished, and its wall clock since the sweep began. The
-/// coordinator prints per-worker progress from these and uses them as
-/// liveness for straggler detection.
-struct Heartbeat {
-    std::int32_t worker = 0;
-    std::int32_t n_workers = 1;
-    std::uint64_t done = 0;   ///< Points finished (rows + failures).
-    std::uint64_t total = 0;  ///< Points leased so far this sweep.
-    double seconds = 0.0;     ///< Worker wall clock since sweep start.
-
-    friend bool operator==(const Heartbeat&, const Heartbeat&) = default;
 };
 
 /// The parse result for a worker's stdout: exactly one member is set.
@@ -194,7 +177,6 @@ struct CoordinatorBound {
     std::optional<DoneFrame> done;
     std::optional<PointErrorFrame> perr;
     std::optional<FleetRow> row;
-    std::optional<Heartbeat> hb;
 };
 
 [[nodiscard]] std::string ready_line(const ReadyFrame& f);
@@ -202,18 +184,16 @@ struct CoordinatorBound {
 [[nodiscard]] std::string done_line(const DoneFrame& f);
 [[nodiscard]] std::string perr_line(const PointErrorFrame& f);
 [[nodiscard]] std::string fleet_row_line(const FleetRow& r);
-[[nodiscard]] std::string heartbeat_line(const Heartbeat& hb);
 
 /// Parses one worker->coordinator line. Throws std::invalid_argument on
-/// anything malformed; heartbeats are held to exactly their five keys,
-/// a valid worker range, done <= total, and finite non-negative seconds.
+/// anything malformed.
 [[nodiscard]] CoordinatorBound coordinator_bound_from_line(
     std::string_view line);
 
 // ---- The worker loop --------------------------------------------------------
 
 /// Runs the persistent worker side of the protocol over (in, out): init
-/// -> ready, sweep -> loaded, lease -> rows + heartbeats + done, quit (or
+/// -> ready, sweep -> loaded, lease -> rows + done, quit (or
 /// orderly EOF) -> return 0. Lease points are evaluated on the engine's
 /// pool via core::evaluate_point, so the engine's ArchCache stays warm
 /// for every later lease and sweep — the whole reason the process
@@ -226,8 +206,6 @@ struct CoordinatorBound {
 ///   FLORETSIM_FLEET_KILL="w:g:k"      raise(SIGKILL) when worker w at
 ///                                     gen g (g = -1 matches any gen) has
 ///                                     emitted k rows over its lifetime;
-///   FLORETSIM_FLEET_STALL="w:g:k:ms"  sleep ms before emitting row k —
-///                                     a deterministic straggler;
 ///   FLORETSIM_FLEET_PERR="w:g:k"      throw (-> perr frame) instead of
 ///                                     evaluating the k-th point this
 ///                                     process attempts.

@@ -1,10 +1,10 @@
 /// Unit and fault-injection pins for the persistent worker fleet
 /// (src/fleet/): the framed NDJSON protocol (strict both directions,
-/// byte-stable row and heartbeat lines), the serve_worker loop, and the
-/// Coordinator end to end — lease dispatch, fabric affinity, work
-/// stealing from deterministic stragglers, dead-worker recovery (SIGKILL
-/// mid-lease -> restart + reassign, bit-identical report), bounded
-/// retry, and RAII scratch / child-process cleanup.
+/// byte-stable row lines), the serve_worker loop, and the Coordinator end
+/// to end — deterministic placement and fabric affinity, lease dispatch,
+/// dead-worker recovery (SIGKILL mid-lease -> restart + requeue,
+/// bit-identical report), bounded retry, and RAII scratch /
+/// child-process cleanup.
 ///
 /// This binary is its own fleet worker: `test_fleet --fleet-worker`
 /// runs serve_worker over stdin/stdout (see main below), so the
@@ -108,20 +108,14 @@ struct TempDir {
 
 /// Clears the fleet fault-injection env vars around every test, so one
 /// test's injected fault can never leak into another (or into a later
-/// suite run in the same environment). Stealing starts disabled; tests
-/// opt in by setting FLORETSIM_FLEET_STEAL_AFTER themselves.
+/// suite run in the same environment).
 class FleetEnv : public ::testing::Test {
 protected:
-    void SetUp() override {
-        clear();
-        setenv("FLORETSIM_FLEET_STEAL_AFTER", "0", 1);
-    }
+    void SetUp() override { clear(); }
     void TearDown() override { clear(); }
     static void clear() {
         unsetenv("FLORETSIM_FLEET_KILL");
-        unsetenv("FLORETSIM_FLEET_STALL");
         unsetenv("FLORETSIM_FLEET_PERR");
-        unsetenv("FLORETSIM_FLEET_STEAL_AFTER");
     }
 };
 
@@ -226,30 +220,10 @@ TEST(FleetProtocol, CoordinatorBoundFramesRoundTrip) {
     EXPECT_EQ(got_row.row->sweep, 9);
     EXPECT_EQ(got_row.row->index, 3u);
     EXPECT_EQ(got_row.row->row, row.row);
-
-    Heartbeat hb;
-    hb.worker = 1;
-    hb.n_workers = 2;
-    hb.done = 3;
-    hb.total = 9;
-    hb.seconds = 1.5;
-    const CoordinatorBound got_hb = coordinator_bound_from_line(heartbeat_line(hb));
-    ASSERT_TRUE(got_hb.hb.has_value());
-    EXPECT_EQ(*got_hb.hb, hb);
 }
 
-TEST(FleetProtocol, HeartbeatAndRowLinesAreByteStable) {
-    // The two frames a worker streams per finished point: pinned byte for
-    // byte.
-    Heartbeat hb;
-    hb.worker = 2;
-    hb.n_workers = 4;
-    hb.done = 3;
-    hb.total = 9;
-    hb.seconds = 1.5;
-    EXPECT_EQ(heartbeat_line(hb),
-              "{\"hb\":{\"worker\":2,\"n_workers\":4,\"done\":3,\"total\":9,"
-              "\"seconds\":1.5}}");
+TEST(FleetProtocol, RowLineIsByteStable) {
+    // The frame a worker streams per finished point: pinned byte for byte.
     FleetRow row;
     row.sweep = 9;
     row.index = 17;
@@ -344,8 +318,10 @@ TEST(FleetProtocol, CoordinatorBoundRejectsMalformedFrames) {
              "{\"sweep\": 0, \"index\": -1, \"row\": {}}",  // negative index
              "{\"sweep\": 0, \"index\": 0, \"row\": 3}",   // row not an object
              "{\"sweep\": 0, \"index\": 0, \"row\": {}, \"x\": 1}",
-             "{\"hb\": {\"bogus\": 1}}",            // strict hb parse
              "{\"rows\": []}",                      // unknown frame
+             // `hb` is not a frame of the protocol.
+             "{\"hb\":{\"worker\":2,\"n_workers\":4,\"done\":3,\"total\":9,"
+             "\"seconds\":1.5}}",
          })
         EXPECT_THROW((void)coordinator_bound_from_line(bad),
                      std::invalid_argument)
@@ -397,7 +373,7 @@ TEST(FleetServeWorker, ServesInitSweepLeaseQuit) {
     EXPECT_TRUE(err.str().empty()) << err.str();
 
     std::vector<core::SweepRow> rows(points.size());
-    std::size_t n_rows = 0, n_hb = 0;
+    std::size_t n_rows = 0;
     bool saw_ready = false, saw_loaded = false, saw_done = false;
     std::istringstream lines(out.str());
     for (std::string line; std::getline(lines, line);) {
@@ -418,11 +394,6 @@ TEST(FleetServeWorker, ServesInitSweepLeaseQuit) {
             ASSERT_LT(frame.row->index, rows.size());
             rows[frame.row->index] = frame.row->row;
             ++n_rows;
-        } else if (frame.hb) {
-            EXPECT_EQ(frame.hb->worker, 0);
-            EXPECT_EQ(frame.hb->n_workers, 1);
-            EXPECT_EQ(frame.hb->total, points.size());
-            ++n_hb;
         } else if (frame.done) {
             EXPECT_EQ(frame.done->lease, 11);
             // Two points, two fabrics: both were cold in this process.
@@ -434,7 +405,6 @@ TEST(FleetServeWorker, ServesInitSweepLeaseQuit) {
     }
     EXPECT_TRUE(saw_ready && saw_loaded && saw_done);
     EXPECT_EQ(n_rows, points.size());
-    EXPECT_EQ(n_hb, points.size()) << "one heartbeat per finished point";
     expect_rows_bit_identical(rows, expected_rows(1));
 }
 
@@ -570,24 +540,42 @@ TEST_F(FleetEnv, SweepMatchesInProcessRunAndStaysWarmAcrossSweeps) {
     EXPECT_EQ(fleet.stats().sweeps, 1);
     EXPECT_EQ(fleet.stats().rows, 6);
     EXPECT_EQ(fleet.stats().worker_deaths, 0);
-    EXPECT_EQ(fleet.stats().duplicate_rows, 0);
     EXPECT_EQ(fleet.stats().stale_rows, 0);
-    // Two fabric groups (one per arch). Which worker adopts which group
-    // races with spawn order on a loaded box, but the process-cache
-    // invariant is exact: every group is built at least once somewhere,
-    // and no worker ever builds the same fabric twice.
-    EXPECT_GE(fleet.stats().fleet_fabric_misses, 2);
-    EXPECT_LE(fleet.stats().fleet_fabric_misses, 4);
+    // Two fabric groups of 3 points and a fair share of 3: placement puts
+    // each group on its own worker, so each fabric is built exactly once,
+    // and every point was placed on a worker that had to adopt its fabric.
+    EXPECT_EQ(fleet.stats().fleet_fabric_misses, 2);
+    EXPECT_EQ(fleet.stats().affinity_misses, 6);
+    EXPECT_EQ(fleet.stats().affinity_hits, 0);
 
-    // Same points again on the now-warm fleet.
+    // Same points again on the now-warm fleet: every point stays with the
+    // worker that holds its fabric.
     expect_rows_bit_identical(fleet.run_sweep(points),
                               expected_rows(3));
     EXPECT_EQ(fleet.stats().sweeps, 2);
     EXPECT_EQ(fleet.stats().rows, 12);
-    EXPECT_LE(fleet.stats().fleet_fabric_misses, 4)
+    EXPECT_EQ(fleet.stats().fleet_fabric_misses, 2)
         << "a worker rebuilt a fabric its ArchCache already had";
-    EXPECT_GT(fleet.stats().affinity_hits, 0);
+    EXPECT_EQ(fleet.stats().affinity_misses, 6);
+    EXPECT_EQ(fleet.stats().affinity_hits, 6);
     EXPECT_GT(fleet.stats().leases_issued, 0);
+}
+
+TEST_F(FleetEnv, OneFabricSweepIsSplitAcrossWorkers) {
+    // One 5-point fabric group on 2 workers: the fair share is 3, so
+    // worker 0 gets 3 points and worker 1 the other 2, and both build the
+    // one fabric.
+    core::SweepSpec spec = fleet_spec(5);
+    spec.archs = {Arch::kFloret};
+    const auto points = spec.expand();
+    ASSERT_EQ(points.size(), 5u);
+    core::SweepEngine local(1);
+    const auto want = local.run(spec).rows;
+    Coordinator fleet(self_fleet_options(2));
+    expect_rows_bit_identical(fleet.run_sweep(points), want);
+    EXPECT_EQ(fleet.stats().rows, 5);
+    EXPECT_EQ(fleet.stats().fleet_fabric_misses, 2);
+    EXPECT_EQ(fleet.stats().affinity_misses, 5);
 }
 
 TEST_F(FleetEnv, WarmPoolNeverRebuildsAFabric) {
@@ -611,7 +599,7 @@ TEST_F(FleetEnv, KilledWorkerIsRestartedAndReportIsBitIdentical) {
     // The only worker owns all 6 points, so its first incarnation always
     // reaches its 2nd row and SIGKILLs itself there, holding un-acked
     // leased work: the coordinator must reap it, surface the death,
-    // restart it, reassign the un-acked remainder of its leases, and still
+    // restart it, requeue the un-acked remainder of its leases, and still
     // produce the exact in-process rows.
     setenv("FLORETSIM_FLEET_KILL", "0:0:2", 1);
     const auto points = fleet_spec(3).expand();
@@ -655,27 +643,6 @@ TEST_F(FleetEnv, PointFailureFailsTheSweepNamingThePoint) {
     // The failed sweep removed its points file on the way out.
     EXPECT_TRUE(std::filesystem::is_empty(fleet.scratch_dir()))
         << "a failed sweep left files in " << fleet.scratch_dir();
-}
-
-TEST_F(FleetEnv, IdleWorkerStealsFromDeterministicStraggler) {
-    // Worker 1 stalls 6s before its 2nd row while holding more leased
-    // work; with the steal threshold forced to 50ms, worker 0 goes idle
-    // after its own group and must steal the straggler's outstanding
-    // points. First ack wins, so the report stays bit-identical.
-    setenv("FLORETSIM_FLEET_STALL", "1:0:2:6000", 1);
-    setenv("FLORETSIM_FLEET_STEAL_AFTER", "0.05", 1);
-    const auto points = fleet_spec(3).expand();
-    std::ostringstream progress;
-    auto opt = self_fleet_options(2);
-    opt.progress = &progress;
-    Coordinator fleet(opt);
-    expect_rows_bit_identical(fleet.run_sweep(points),
-                              expected_rows(3));
-    EXPECT_GE(fleet.stats().leases_stolen, 1) << progress.str();
-    EXPECT_EQ(fleet.stats().worker_deaths, 0)
-        << "a straggler is slow, not dead";
-    EXPECT_NE(progress.str().find("stealing"), std::string::npos)
-        << progress.str();
 }
 
 TEST_F(FleetEnv, UnspawnableWorkerExeFailsTheSweep) {

@@ -218,57 +218,6 @@ TEST(JsonAdversarial, MalformedWireInputsAllThrowCleanly) {
               floretsim::core::SweepPoint{});
 }
 
-TEST(JsonAdversarial, MalformedHeartbeatEnvelopesAllThrowCleanly) {
-    // Fleet workers interleave {"hb": {...}} frames with their row frames;
-    // coordinator_bound_from_line is the coordinator-side boundary and
-    // must reject every malformed shape as cleanly as the row parsers do.
-    const char* corpus[] = {
-        // Truncated / not an object.
-        "{\"hb\": {\"worker\": 0",
-        "{\"hb\": 3}",
-        "{\"hb\": [1, 2]}",
-        "[{\"hb\": {}}]",
-        // Missing and unknown fields.
-        "{\"hb\": {}}",
-        "{\"hb\": {\"worker\":0,\"n_workers\":1,\"done\":0,\"total\":1}}",
-        "{\"hb\": {\"worker\":0,\"n_workers\":1,\"done\":0,\"total\":1,"
-        "\"seconds\":0,\"extra\":1}}",
-        // shard/n_shards are not heartbeat fields.
-        "{\"hb\": {\"shard\":0,\"n_shards\":1,\"done\":0,\"total\":1,"
-        "\"seconds\":0}}",
-        // Heartbeat must be the only top-level key.
-        "{\"hb\": {\"worker\":0,\"n_workers\":1,\"done\":0,\"total\":1,"
-        "\"seconds\":0}, \"index\": 0}",
-        // Wrong-typed fields.
-        "{\"hb\": {\"worker\":\"zero\",\"n_workers\":1,\"done\":0,\"total\":1,"
-        "\"seconds\":0}}",
-        "{\"hb\": {\"worker\":0,\"n_workers\":1,\"done\":-1,\"total\":1,"
-        "\"seconds\":0}}",
-        // Domain validation: worker range, done <= total, finite seconds.
-        "{\"hb\": {\"worker\":4,\"n_workers\":4,\"done\":0,\"total\":1,"
-        "\"seconds\":0}}",
-        "{\"hb\": {\"worker\":-1,\"n_workers\":4,\"done\":0,\"total\":1,"
-        "\"seconds\":0}}",
-        "{\"hb\": {\"worker\":0,\"n_workers\":0,\"done\":0,\"total\":1,"
-        "\"seconds\":0}}",
-        "{\"hb\": {\"worker\":0,\"n_workers\":1,\"done\":5,\"total\":1,"
-        "\"seconds\":0}}",
-        "{\"hb\": {\"worker\":0,\"n_workers\":1,\"done\":0,\"total\":1,"
-        "\"seconds\":-0.5}}",
-    };
-    for (const char* text : corpus) {
-        EXPECT_THROW((void)fleet::coordinator_bound_from_line(text),
-                     std::invalid_argument)
-            << text;
-    }
-    // After the whole corpus, a good heartbeat still parses.
-    const auto good = fleet::coordinator_bound_from_line(
-        "{\"hb\": {\"worker\":1,\"n_workers\":2,\"done\":3,\"total\":4,"
-        "\"seconds\":0.25}}");
-    ASSERT_TRUE(good.hb.has_value());
-    EXPECT_EQ(good.hb->done, 4u - 1u);
-}
-
 TEST(JsonAdversarial, EmptyPointListIsRejectedAtTheWorkerBoundary) {
     // "[]" is valid JSON and a valid (empty) list for the pure API...
     EXPECT_TRUE(scenario::sweep_points_from_json(json_parse("[]")).empty());

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <random>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
+#include "src/util/compute_once.h"
 #include "src/util/geometry.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
@@ -205,6 +210,110 @@ TEST_P(IndexRoundTrip, ToFromIndexInverse) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Widths, IndexRoundTrip, ::testing::Values(1, 2, 5, 10, 13));
+
+// -------------------------------------------------------------- ComputeOnce
+
+TEST(ComputeOnce, ComputesEachKeyOnceAndCountsEveryLookup) {
+    ComputeOnce<int, std::string> map;
+    std::vector<Lookup> seen;
+    int computed = 0;
+    const auto get = [&](int key) {
+        return map.get(
+            key, [&] { ++computed; return std::to_string(key); },
+            [&](Lookup l) { seen.push_back(l); });
+    };
+    EXPECT_EQ(get(1), "1");
+    EXPECT_EQ(get(1), "1");
+    EXPECT_EQ(get(2), "2");
+    EXPECT_EQ(computed, 2);
+    EXPECT_EQ(seen, (std::vector<Lookup>{Lookup::kMiss, Lookup::kHit, Lookup::kMiss}));
+    EXPECT_EQ(map.hits(), 1);
+    EXPECT_EQ(map.misses(), 2);
+    EXPECT_EQ(map.entries(), 2u);
+    map.clear();
+    EXPECT_EQ(map.hits(), 0);
+    EXPECT_EQ(map.misses(), 0);
+    EXPECT_EQ(map.entries(), 0u);
+}
+
+TEST(ComputeOnce, ConcurrentCallersOfOneKeyComputeOnce) {
+    ComputeOnce<int, int> map;
+    std::atomic<int> computed{0};
+    std::vector<int> got(8, 0);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < got.size(); ++t)
+        threads.emplace_back([&, t] {
+            got[t] = map.get(
+                7, [&] { ++computed; return 49; }, [](Lookup) {});
+        });
+    for (auto& t : threads) t.join();
+    EXPECT_EQ(computed.load(), 1);
+    for (const int v : got) EXPECT_EQ(v, 49);
+    EXPECT_EQ(map.misses(), 1);
+    EXPECT_EQ(map.hits(), 7);
+}
+
+TEST(ComputeOnce, AnErrorReachesAWaiterAndALaterCallRetries) {
+    // The owner's computation throws only once hits() shows the second
+    // caller waiting on it, so the waiter path runs on every execution.
+    ComputeOnce<int, int> map;
+    std::atomic<bool> computing{false};
+    std::atomic<int> threw{0};
+    std::thread owner([&] {
+        try {
+            (void)map.get(
+                1,
+                [&]() -> int {
+                    computing = true;
+                    while (map.hits() == 0) std::this_thread::yield();
+                    throw std::runtime_error("owner failed");
+                },
+                [](Lookup l) { EXPECT_EQ(l, Lookup::kMiss); });
+        } catch (const std::runtime_error&) {
+            ++threw;
+        }
+    });
+    while (!computing) std::this_thread::yield();
+    Lookup waiter_lookup = Lookup::kMiss;
+    EXPECT_THROW((void)map.get(
+                     1, []() -> int { return 0; },
+                     [&](Lookup l) { waiter_lookup = l; }),
+                 std::runtime_error);
+    owner.join();
+    EXPECT_EQ(waiter_lookup, Lookup::kHit);
+    EXPECT_EQ(threw.load(), 1);
+    EXPECT_EQ(map.entries(), 0u) << "the failed entry was stored";
+
+    // A later call computes afresh and stores its value.
+    EXPECT_EQ(map.get(
+                  1, [] { return 5; }, [](Lookup l) { EXPECT_EQ(l, Lookup::kMiss); }),
+              5);
+    EXPECT_EQ(map.entries(), 1u);
+    EXPECT_EQ(map.misses(), 2);
+    EXPECT_EQ(map.hits(), 1);
+}
+
+TEST(ComputeOnce, PastTheCapAMissComputesWithoutStoring) {
+    ComputeOnce<int, int> map(1);
+    int computed = 0;
+    Lookup last = Lookup::kHit;
+    const auto get = [&](int key) {
+        return map.get(
+            key, [&] { ++computed; return key * 10; }, [&](Lookup l) { last = l; });
+    };
+    EXPECT_EQ(get(1), 10);
+    EXPECT_EQ(last, Lookup::kMiss);
+    EXPECT_EQ(get(2), 20);
+    EXPECT_EQ(last, Lookup::kUncached);
+    EXPECT_EQ(get(2), 20);
+    EXPECT_EQ(last, Lookup::kUncached);
+    EXPECT_EQ(get(1), 10);
+    EXPECT_EQ(last, Lookup::kHit);
+    EXPECT_EQ(computed, 3);
+    EXPECT_EQ(map.entries(), 1u);
+    EXPECT_EQ(map.misses(), 3);
+    EXPECT_EQ(map.hits(), 1);
+}
 
 }  // namespace
 }  // namespace floretsim::util

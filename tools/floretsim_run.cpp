@@ -16,10 +16,11 @@
 /// Multi-process mode (see src/fleet/protocol.h for the wire contract):
 ///
 ///   floretsim_run --only fig3,fig5 --pool 4   # persistent coordinator:
-///       spawns 4 long-lived --worker --serve processes ONCE, streams
-///       leases to them per sweep, steals from stragglers, restarts dead
-///       workers — workers keep their ArchCache warm across scenarios,
-///       and reports stay bit-identical to 1 process
+///       spawns 4 long-lived --worker --serve processes ONCE, places each
+///       sweep's fabric groups on them, streams leases from each worker's
+///       own queue, restarts dead workers — workers keep their ArchCache
+///       warm across scenarios, and reports stay bit-identical to 1
+///       process
 ///   floretsim_run --worker --serve             # one persistent worker:
 ///       speaks the framed NDJSON fleet protocol on stdin/stdout
 
@@ -275,7 +276,8 @@ int main(int argc, char** argv) {
         // once (lazily, at the first sweep) and reused by every scenario —
         // their ArchCaches stay warm across sweeps, so fig5 after fig3
         // builds zero fabrics anywhere in the fleet. The coordinator
-        // leases points incrementally, steals from stragglers, and
+        // places each sweep's fabric groups on the workers that hold them
+        // before leasing, leases each worker from its own queue, and
         // restarts dead workers with bounded retry. The report functions
         // are unchanged and rows stay bit-identical (pinned by the
         // fleet_parity ctest); map()-based work (fig4, serving
