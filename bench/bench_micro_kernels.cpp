@@ -6,6 +6,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "src/core/experiment.h"
 #include "src/core/floret.h"
 #include "src/core/sfc.h"
 #include "src/dnn/model_zoo.h"
@@ -88,6 +92,43 @@ void BM_SimulatorSparse(benchmark::State& state) {
     state.SetItemsProcessed(cycles);
 }
 
+/// perfbench's hotspot_drain recipe for engine A/Bs: on ArchCache's 10x10
+/// Floret fabric, each node in turn is the sink of five distinct random
+/// sources sending 4 KiB each, with 2-flit buffers at a saturating rate.
+/// One iteration runs all 100 drains; items are flit-hops.
+void BM_SimulatorHotspot(benchmark::State& state) {
+    core::experiment::ArchCache cache;
+    const auto fabric = cache.get(core::experiment::Arch::kFloret, 10, 10);
+    const auto nodes = fabric->topology.node_count();
+    std::vector<std::vector<noc::Demand>> drains(static_cast<std::size_t>(nodes));
+    util::Rng rng(1);
+    for (topo::NodeId sink = 0; sink < nodes; ++sink) {
+        auto& demands = drains[static_cast<std::size_t>(sink)];
+        while (demands.size() < 5) {
+            const auto src =
+                static_cast<topo::NodeId>(rng.below(static_cast<std::uint64_t>(nodes)));
+            if (src != sink && std::none_of(demands.begin(), demands.end(),
+                                            [&](const noc::Demand& d) { return d.src == src; }))
+                demands.push_back({src, sink, 4 * 1024});
+        }
+    }
+    noc::SimConfig cfg;
+    cfg.injection_rate = 8.0;
+    cfg.input_buffer_flits = 2;
+    cfg.max_cycles = 2'000'000;
+    std::int64_t hops = 0;
+    for (auto _ : state) {
+        for (const auto& demands : drains) {
+            noc::Simulator sim(fabric->topology, fabric->routes, cfg);
+            sim.add_demands(demands);
+            const auto res = sim.run();
+            hops += res.flit_hops;
+            benchmark::DoNotOptimize(res);
+        }
+    }
+    state.SetItemsProcessed(hops);
+}
+
 void BM_ThermalSolve(benchmark::State& state) {
     thermal::ThermalConfig cfg;
     std::vector<double> power(static_cast<std::size_t>(cfg.cells()), 0.8);
@@ -129,6 +170,7 @@ BENCHMARK(BM_SfcGeneration)->Arg(6)->Arg(10)->Arg(16);
 BENCHMARK(BM_RouteTableUpDown)->Arg(6)->Arg(10);
 BENCHMARK(BM_SimulatorDrain);
 BENCHMARK(BM_SimulatorSparse)->ArgName("activity")->Arg(0)->Arg(1);
+BENCHMARK(BM_SimulatorHotspot)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ThermalSolve);
 BENCHMARK(BM_ModelZooResNet50);
 BENCHMARK(BM_FloretTopologyBuild);

@@ -88,14 +88,14 @@ if [ "$ran" -eq 0 ]; then
 fi
 
 # Micro-kernel smoke: bench_micro_kernels (built only when google-benchmark
-# is found) runs once, on the two fabric-build kernels, and must exit zero.
-# No --benchmark_min_time: its syntax differs between google-benchmark 1.7
-# and 1.8.
+# is found) runs once, on the two fabric-build kernels and the hotspot
+# drain, and must exit zero. No --benchmark_min_time: its syntax differs
+# between google-benchmark 1.7 and 1.8.
 micro="$build_dir/bench_micro_kernels"
 if [ -x "$micro" ]; then
-    if "$micro" --benchmark_filter='BM_(SwapSynthesis|FloretTopologyBuild)' \
+    if "$micro" --benchmark_filter='BM_(SwapSynthesis|FloretTopologyBuild|SimulatorHotspot)' \
             > "$out_dir/micro_kernels.log" 2>&1; then
-        echo "ok   bench_micro_kernels (SWAP synthesis, Floret build)"
+        echo "ok   bench_micro_kernels (SWAP synthesis, Floret build, hotspot drain)"
         ran=$((ran + 1))
     else
         echo "FAIL bench_micro_kernels: non-zero exit" >&2
@@ -183,7 +183,7 @@ assert trace["traceEvents"], "trace has no events"
 for e in trace["traceEvents"]:
     assert {"ph", "pid"} <= set(e), f"malformed trace event: {e}"
 names = {e.get("name") for e in trace["traceEvents"]}
-assert {"sweep_point", "evaluate_noi", "fig3"} <= names, (
+assert {"sweep_point", "evaluate_noi", "sim.run", "fig3"} <= names, (
     f"expected spans missing: {sorted(names)}")
 
 merged = json.load(open(f"{out}/obs_pool.trace.json"))

@@ -86,9 +86,13 @@ EvalResult evaluate_noi(const topo::Topology& topo, const noc::RouteTable& route
     const obs::Span span("evaluate_noi", "noi");
     obs::MetricsRegistry::global().add("noi.evals");
     noc::Simulator sim(topo, routes, cfg.sim);
-    for (const noc::Demand& d : noi_demands(tasks, cfg)) sim.add_demand(d);
+    {
+        const obs::Span demands_span("noi.demands", "noi");
+        for (const noc::Demand& d : noi_demands(tasks, cfg)) sim.add_demand(d);
+    }
     const noc::SimResult s = sim.run();
 
+    const obs::Span price_span("noi.price", "noi");
     EvalResult res;
     res.latency_cycles = static_cast<double>(s.cycles);
     res.mean_packet_latency = s.packet_latency.mean();

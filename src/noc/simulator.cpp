@@ -5,7 +5,6 @@
 #include <cassert>
 #include <cmath>
 #include <cstdlib>
-#include <deque>
 #include <limits>
 #include <numeric>
 #include <optional>
@@ -16,6 +15,7 @@
 #include <vector>
 
 #include "src/obs/metrics.h"
+#include "src/obs/trace.h"
 
 namespace floretsim::noc {
 namespace {
@@ -24,31 +24,58 @@ using topo::NodeId;
 
 constexpr std::int64_t kNever = std::numeric_limits<std::int64_t>::max();
 
+/// A router's switch sources are its injection port (position 0) and its
+/// in-channels; the activity core's request masks hold one bit per source.
+constexpr std::size_t kMaxRouterSources = 64;
+
 struct Packet {
     NodeId src = -1;
     std::int32_t flits = 0;
     std::int64_t inject_cycle = 0;
-    /// Channel path of the packet's demand: route[h] is the output a flit
-    /// that has crossed h channels requests; h == route.size() means the
-    /// flit sits at its destination.
-    const std::vector<std::int32_t>* route = nullptr;
+    std::int32_t first_hop = 0;  ///< Start of its demand's path in the hop array.
 };
 
 struct Flit {
     std::int32_t packet = -1;
-    std::int32_t hop = 0;  ///< Channels crossed so far (index into the route).
+    /// Index into the run's hop array: hops_[hop] is the output the flit
+    /// requests next, or -1 once it sits at its destination.
+    std::int32_t hop = 0;
     bool head = false;
     bool tail = false;
 };
 
-/// One directed channel (half of a bidirectional link). Its input FIFO at
-/// the downstream router is the source with the channel's index.
+/// One directed channel (half of a bidirectional link): an output of
+/// router `from` with its arbiter, and an input FIFO at router `to`, which
+/// is the source with the channel's index.
 struct Channel {
     NodeId from = -1;
     NodeId to = -1;
     topo::LinkId link = -1;
     std::int32_t delay = 1;
     std::int32_t credits = 0;  ///< Space left downstream.
+    /// Wormhole owner, -1 when free: the owning packet on the reference
+    /// core, the owner's source position at `from` on the activity core.
+    std::int32_t lock = -1;
+    std::uint32_t rr = 0;  ///< Round-robin pointer: a source position at `from`.
+    /// Router `from`'s sources are sources_[first_source, first_source +
+    /// n_sources), by position (a copy per output saves the allocator a
+    /// dependent load).
+    std::uint32_t first_source = 0;
+    std::uint64_t req = 0;   ///< Activity core: positions of the heads enrolled here.
+    std::int64_t flits = 0;  ///< Flits sent; folded into the per-router/link counts.
+    std::uint32_t n_sources = 0;
+    std::uint32_t position = 0;    ///< This FIFO's source position at `to`.
+    std::uint32_t fifo_front = 0;  ///< Ring slot of the FIFO's front flit.
+    std::uint32_t fifo_size = 0;
+};
+
+/// A node's injection FIFO without materialized flits: the due, not yet
+/// fully sent packets are a slice of the run's per-node packet order, and
+/// a cursor counts the flits of the front packet already forwarded.
+struct InjectionQueue {
+    std::int32_t front = 0;  ///< Index of the front packet in inj_order_.
+    std::int32_t end = 0;    ///< One past the node's last due packet.
+    std::int32_t sent = 0;
 };
 
 /// A flit on the wire of `channel`; its wheel slot encodes the landing cycle.
@@ -64,13 +91,21 @@ public:
     explicit BitSet(std::size_t n) : words_((n + 63) / 64, 0) {}
     void insert(std::size_t i) { words_[i / 64] |= std::uint64_t{1} << (i % 64); }
     void erase(std::size_t i) { words_[i / 64] &= ~(std::uint64_t{1} << (i % 64)); }
-    void clear() { std::fill(words_.begin(), words_.end(), 0); }
-    /// fn may erase the member it is given; it must not insert.
+    [[nodiscard]] bool empty() const {
+        return std::all_of(words_.begin(), words_.end(),
+                           [](std::uint64_t w) { return w == 0; });
+    }
+    /// fn may insert and erase members. A member inserted above the one
+    /// being visited is visited in this same pass; one inserted at or below
+    /// it waits for the next pass.
     template <class Fn>
-    void for_each(Fn&& fn) const {
+    void for_each(Fn&& fn) {
         for (std::size_t w = 0; w < words_.size(); ++w)
-            for (auto bits = words_[w]; bits != 0; bits &= bits - 1)
-                fn(w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
+            for (std::uint64_t above = ~std::uint64_t{0}; (words_[w] & above) != 0;) {
+                const int b = std::countr_zero(words_[w] & above);
+                above = (~std::uint64_t{0} << b) << 1;
+                fn(w * 64 + static_cast<std::size_t>(b));
+            }
     }
 
 private:
@@ -99,22 +134,32 @@ std::optional<SimCore> core_env_override() {
 /// *sources*: sources [0, C) are the input FIFOs of the C channels,
 /// sources [C, C + N) the injection FIFOs of the N nodes.
 ///
-/// The activity core earns the reference core's bits with three rules:
+/// The reference core ejects from every channel and lets every output scan
+/// its router's sources. The activity core earns the same bits with four
+/// rules:
 ///
-///   - Ascending visits. Ejection visits the occupied channel FIFOs and
-///     allocation the requested outputs, each in ascending channel index —
-///     the reference order restricted to the ports that can act. Ejection
-///     order fixes the floating-point accumulation order of
-///     packet_latency; allocation order fixes the same-cycle credit/drain
-///     coupling between channels. A skipped port is a no-op on the
-///     reference core too: an empty FIFO ejects nothing, and an output no
-///     head flit requests finds no source.
+///   - Request masks. A head flit requests exactly one output. When a flit
+///     becomes the head of its FIFO it enrolls once, as its source's bit in
+///     that output's request mask, or in the eject set when it sits at its
+///     destination. A source that gives a flit during allocation enrolls
+///     its new head only after the allocation phase (the reference skips a
+///     drained source for the rest of the cycle); a pop by ejection
+///     enrolls the new head at once (the reference lets a FIFO eject one
+///     flit and forward the next in the same cycle).
 ///
-///   - Lazy requests. A head flit's request is read from its route when an
-///     output scans its sources, not from a table. Requests can only
-///     vanish during allocation (a drained source is skipped for the rest
-///     of the cycle before its new head is read), so the requested set
-///     built after ejection covers every output that can allocate.
+///   - Source-position locks. A packet's flits are contiguous in one FIFO,
+///     so a wormhole lock stores its owner's source position, and a free
+///     output's enrolled flits are all heads: round-robin is a rotate and
+///     count-trailing-zeros of the mask.
+///
+///   - Ascending visits of exact sets. The ready set holds the outputs with
+///     a credit whose owner is enrolled (locked) or whose mask is non-empty
+///     (free); the eject set the channels whose head sits at its
+///     destination. Both are kept exact on every change and visited in
+///     ascending channel index, the reference order restricted to the ports
+///     that move a flit. An output that becomes ready above the cursor (a
+///     drained channel FIFO returns a credit) is visited in the same pass,
+///     as the reference's ascending scan would; one below waits a cycle.
 ///
 ///   - The quiet-cycle fixed point. Credits, locks, round-robin pointers
 ///     and FIFOs mutate only through ejection and allocation, so a cycle
@@ -122,9 +167,11 @@ std::optional<SimCore> core_env_override() {
 ///     point until the next link arrival or injection, and the clock jumps
 ///     there. verify_quiet() cross-checks the proof in debug builds.
 ///
-/// Link pipelines are one arrival wheel of max-delay + 1 slots (every
-/// queued arrival lands within the next max-delay cycles, so slots never
-/// alias), and injections one due list of packets by inject cycle.
+/// Channel FIFOs are fixed-depth rings: credits bound each to
+/// input_buffer_flits. Link pipelines are one arrival wheel of at least
+/// max-delay + 1 slots, a power of two (every queued arrival lands within
+/// the next max-delay cycles, so slots never alias), and injections one due
+/// list of packets by inject cycle.
 class Engine {
 public:
     Engine(const topo::Topology& topo, const RouteTable& routes, const SimConfig& cfg,
@@ -132,17 +179,17 @@ public:
         : cfg_(cfg),
           reference_(cfg.core == SimCore::kReference),
           n_channels_(topo.links().size() * 2),
-          occupied_(n_channels_ + static_cast<std::size_t>(topo.node_count())),
-          requested_(n_channels_) {
+          ready_(n_channels_),
+          eject_(n_channels_) {
         const auto n_nodes = static_cast<std::size_t>(topo.node_count());
 
         // --- Directed channels: 2 per link. A node's switch sources are its
         // injection FIFO, then its in-channels in ascending index.
         channels_.reserve(n_channels_);
         std::vector<std::vector<std::int32_t>> out_channels(n_nodes);
-        inputs_.resize(n_nodes);
+        std::vector<std::vector<std::int32_t>> inputs(n_nodes);
         for (std::size_t n = 0; n < n_nodes; ++n)
-            inputs_[n].push_back(static_cast<std::int32_t>(n_channels_ + n));
+            inputs[n].push_back(static_cast<std::int32_t>(n_channels_ + n));
         std::int32_t max_delay = 0;
         for (const auto& l : topo.links()) {
             const auto delay = std::max<std::int32_t>(
@@ -151,22 +198,42 @@ public:
             max_delay = std::max(max_delay, delay);
             for (const auto& [from, to] : {std::pair{l.a, l.b}, std::pair{l.b, l.a}}) {
                 const auto idx = static_cast<std::int32_t>(channels_.size());
-                channels_.push_back({from, to, l.id, delay, cfg_.input_buffer_flits});
-                inputs_[static_cast<std::size_t>(to)].push_back(idx);
+                auto& in = inputs[static_cast<std::size_t>(to)];
+                Channel c{from, to, l.id, delay, cfg_.input_buffer_flits};
+                c.position = static_cast<std::uint32_t>(in.size());
+                channels_.push_back(c);
+                in.push_back(idx);
                 out_channels[static_cast<std::size_t>(from)].push_back(idx);
             }
         }
-        fifo_.resize(n_channels_ + n_nodes);
-        wheel_.resize(static_cast<std::size_t>(max_delay) + 1);
+        std::vector<std::uint32_t> first_source(n_nodes);
+        for (std::size_t n = 0; n < n_nodes; ++n) {
+            if (inputs[n].size() > kMaxRouterSources)
+                throw std::invalid_argument(
+                    "node " + std::to_string(n) + " has " +
+                    std::to_string(inputs[n].size() - 1) +
+                    " in-channels; a router takes at most " +
+                    std::to_string(kMaxRouterSources - 1) + " plus its injection port");
+            first_source[n] = static_cast<std::uint32_t>(sources_.size());
+            sources_.insert(sources_.end(), inputs[n].begin(), inputs[n].end());
+        }
+        for (auto& c : channels_) {
+            const auto from = static_cast<std::size_t>(c.from);
+            c.first_source = first_source[from];
+            c.n_sources = static_cast<std::uint32_t>(inputs[from].size());
+        }
+        wheel_.resize(std::bit_ceil(static_cast<std::size_t>(max_delay) + 1));
+        wheel_mask_ = wheel_.size() - 1;
 
-        // --- Packetize demands along channel paths resolved once per demand.
-        routes_.reserve(demands.size());
+        // --- Packetize demands along channel paths resolved once per
+        // demand into one flat hop array, each path ended by -1.
+        std::int64_t total_flits = 0;
         for (const auto& d : demands) {
             const auto& path = routes.route(d.src, d.dst);
             if (path.size() < 2)
                 throw std::logic_error("no route for demand " + std::to_string(d.src) +
                                        "->" + std::to_string(d.dst));
-            auto& route = routes_.emplace_back();
+            const auto first_hop = static_cast<std::int32_t>(hops_.size());
             for (std::size_t h = 0; h + 1 < path.size(); ++h) {
                 const auto& outs = out_channels[static_cast<std::size_t>(path[h])];
                 const auto it = std::find_if(outs.begin(), outs.end(), [&](std::int32_t ci) {
@@ -175,23 +242,33 @@ public:
                 if (it == outs.end())
                     throw std::logic_error("route step " + std::to_string(path[h]) + "->" +
                                            std::to_string(path[h + 1]) + " has no link");
-                route.push_back(*it);
+                hops_.push_back(*it);
             }
-            const auto total_flits = std::max<std::int64_t>(
+            hops_.push_back(-1);
+            const auto demand_flits = std::max<std::int64_t>(
                 1, (d.bytes + cfg_.flit_bytes - 1) / cfg_.flit_bytes);
-            for (std::int64_t remaining = total_flits; remaining > 0;) {
+            total_flits += demand_flits;
+            for (std::int64_t remaining = demand_flits; remaining > 0;) {
                 const auto take = static_cast<std::int32_t>(
                     std::min<std::int64_t>(remaining, cfg_.max_packet_flits));
-                packets_.push_back({d.src, take, 0, &route});
+                packets_.push_back({d.src, take, 0, first_hop});
                 remaining -= take;
             }
         }
 
+        // A ring of the credit bound (never more than the run's flits, so
+        // a deep configured buffer costs no memory) rounded up to a power
+        // of two.
+        ring_cap_ = std::bit_ceil(static_cast<std::uint32_t>(
+            std::clamp<std::int64_t>(total_flits, 1, cfg_.input_buffer_flits)));
+        ring_.resize(n_channels_ * ring_cap_);
+
         // Round-robin interleave packets of each source across the
         // injection window implied by the configured injection rate. The
         // per-source std::sort fixes the order of a source's same-cycle
-        // packets (results depend on it); the stable merge into one due
-        // list keeps that order.
+        // packets (results depend on it); concatenated, the sorted lists
+        // are the injection FIFOs' packet order, and their stable merge by
+        // cycle is the due list, which keeps each node's order.
         std::vector<std::vector<std::int32_t>> per_src(n_nodes);
         for (std::size_t pid = 0; pid < packets_.size(); ++pid)
             per_src[static_cast<std::size_t>(packets_[pid].src)].push_back(
@@ -201,8 +278,10 @@ public:
                    packets_[static_cast<std::size_t>(b)].inject_cycle;
         };
         const double rate = std::max(1e-9, cfg_.injection_rate);
-        due_.reserve(packets_.size());
-        for (auto& ids : per_src) {
+        inj_.resize(n_nodes);
+        inj_order_.reserve(packets_.size());
+        for (std::size_t n = 0; n < n_nodes; ++n) {
+            auto& ids = per_src[n];
             double cursor = 0.0;
             for (const auto pid : ids) {
                 auto& p = packets_[static_cast<std::size_t>(pid)];
@@ -210,14 +289,17 @@ public:
                 cursor += static_cast<double>(p.flits) / rate;
             }
             std::sort(ids.begin(), ids.end(), by_cycle);
-            due_.insert(due_.end(), ids.begin(), ids.end());
+            const auto begin = static_cast<std::int32_t>(inj_order_.size());
+            inj_[n] = {begin, begin, 0};
+            inj_order_.insert(inj_order_.end(), ids.begin(), ids.end());
         }
+        due_ = inj_order_;
         std::stable_sort(due_.begin(), due_.end(), by_cycle);
 
-        // --- Arbiter state.
-        lock_.assign(n_channels_, -1);
-        rr_.assign(n_channels_, 0);
-        drained_.assign(fifo_.size(), 0);
+        if (reference_)
+            last_gave_.assign(n_channels_ + n_nodes, -1);
+        else
+            reenroll_.reserve(n_channels_);
 
         res_.router_flits.assign(n_nodes, 0);
         res_.link_flits.assign(topo.links().size(), 0);
@@ -258,6 +340,10 @@ public:
                 wake = std::min(next_arrival(now), next_injection());
             }
         }
+        for (const Channel& c : channels_) {
+            res_.router_flits[static_cast<std::size_t>(c.from)] += c.flits;
+            res_.link_flits[static_cast<std::size_t>(c.link)] += c.flits;
+        }
         res_.cycles = now;
         res_.packets = delivered_packets_;
         res_.completed = delivered_packets_ == total_packets_;
@@ -293,15 +379,14 @@ private:
     /// One cycle of the reference semantics; true when a flit ejected or
     /// won an output.
     bool step(const std::int64_t now) {
-        // 1. Injection: move due packets into their source FIFOs as flits.
+        // 1. Injection: due packets join their node's injection FIFO.
         for (; next_due_ < due_.size(); ++next_due_) {
             const auto pid = due_[next_due_];
             const Packet& p = packets_[static_cast<std::size_t>(pid)];
             if (p.inject_cycle > now) break;
-            const auto s = n_channels_ + static_cast<std::size_t>(p.src);
-            for (std::int32_t f = 0; f < p.flits; ++f)
-                fifo_[s].push_back({pid, 0, f == 0, f == p.flits - 1});
-            occupied_.insert(s);
+            auto& q = inj_[static_cast<std::size_t>(p.src)];
+            assert(inj_order_[static_cast<std::size_t>(q.end)] == pid);
+            if (q.end++ == q.front) enroll(n_channels_ + static_cast<std::size_t>(p.src));
             in_flight_flits_ += p.flits;
             injected_flits_ += p.flits;
         }
@@ -310,129 +395,228 @@ private:
         // downstream FIFOs. A channel launches at most one flit per cycle
         // and its delay is constant, so a slot holds each channel at most
         // once and its order is immaterial.
-        auto& slot = wheel_[static_cast<std::size_t>(now) % wheel_.size()];
+        auto& slot = wheel_[static_cast<std::size_t>(now) & wheel_mask_];
         for (const auto& a : slot) {
-            fifo_[static_cast<std::size_t>(a.channel)].push_back(a.flit);
-            occupied_.insert(static_cast<std::size_t>(a.channel));
+            const auto ci = static_cast<std::size_t>(a.channel);
+            Channel& c = channels_[ci];
+            assert(c.fifo_size < ring_cap_ && "credits bound the FIFO");
+            ring_[ci * ring_cap_ + ((c.fifo_front + c.fifo_size) & (ring_cap_ - 1))] = a.flit;
+            if (++c.fifo_size == 1) enroll(ci);
         }
         slot.clear();
 
         // 3. Ejection (one flit per input port per cycle). Injection FIFOs
-        // hold flits at hop 0, never at their destination.
+        // hold flits at their first hop, never at their destination.
         bool moved = false;
-        const auto eject = [&](std::size_t ci) { moved |= try_eject(ci, now); };
         if (reference_) {
-            for (std::size_t ci = 0; ci < n_channels_; ++ci) eject(ci);
+            for (std::size_t ci = 0; ci < n_channels_; ++ci) {
+                if (channels_[ci].fifo_size == 0 ||
+                    hops_[static_cast<std::size_t>(front(ci).hop)] >= 0)
+                    continue;
+                eject(ci, now);
+                moved = true;
+            }
         } else {
-            occupied_.for_each([&](std::size_t s) {
-                if (s < n_channels_) eject(s);
+            eject_.for_each([&](std::size_t ci) {
+                eject(ci, now);
+                moved = true;
             });
         }
 
         // 4. Switch allocation.
-        const auto allocate = [&](std::size_t ci) { moved |= allocate_output(ci, now); };
         if (reference_) {
-            for (std::size_t ci = 0; ci < n_channels_; ++ci) allocate(ci);
+            for (std::size_t ci = 0; ci < n_channels_; ++ci) moved |= allocate_scan(ci, now);
         } else {
-            occupied_.for_each([&](std::size_t s) {
-                const Flit& f = fifo_[s].front();
-                const auto& route = *packets_[static_cast<std::size_t>(f.packet)].route;
-                if (static_cast<std::size_t>(f.hop) < route.size())
-                    requested_.insert(static_cast<std::size_t>(route[static_cast<std::size_t>(f.hop)]));
-            });
-            requested_.for_each(allocate);
-            requested_.clear();
+            ready_.for_each([&](std::size_t ci) { allocate_ready(ci, now); });
+            moved |= !reenroll_.empty();
+            for (const auto s : reenroll_)
+                if (!empty(static_cast<std::size_t>(s))) enroll(static_cast<std::size_t>(s));
+            reenroll_.clear();
         }
-        for (const auto s : drained_list_) drained_[static_cast<std::size_t>(s)] = 0;
-        drained_list_.clear();
         return moved;
     }
 
-    /// Pops the front flit of source `s`, keeping the occupied set exact.
+    // --- FIFO primitives shared by both cores.
+
+    [[nodiscard]] bool empty(const std::size_t s) const {
+        if (s < n_channels_) return channels_[s].fifo_size == 0;
+        const auto& q = inj_[s - n_channels_];
+        return q.front == q.end;
+    }
+
+    /// The front flit of a non-empty source; an injection FIFO's is made
+    /// from its front packet and cursor.
+    [[nodiscard]] Flit front(const std::size_t s) const {
+        if (s < n_channels_) return ring_[s * ring_cap_ + channels_[s].fifo_front];
+        const auto& q = inj_[s - n_channels_];
+        const auto pid = inj_order_[static_cast<std::size_t>(q.front)];
+        const Packet& p = packets_[static_cast<std::size_t>(pid)];
+        return {pid, p.first_hop, q.sent == 0, q.sent == p.flits - 1};
+    }
+
     Flit pop(const std::size_t s) {
-        const Flit f = fifo_[s].front();
-        fifo_[s].pop_front();
-        if (fifo_[s].empty()) occupied_.erase(s);
+        const Flit f = front(s);
+        if (s < n_channels_) {
+            Channel& c = channels_[s];
+            c.fifo_front = (c.fifo_front + 1) & (ring_cap_ - 1);
+            --c.fifo_size;
+        } else {
+            auto& q = inj_[s - n_channels_];
+            if (++q.sent == packets_[static_cast<std::size_t>(f.packet)].flits) {
+                q.sent = 0;
+                ++q.front;
+            }
+        }
         return f;
     }
 
-    /// Ejects the front flit of channel `ci` if it sits at its destination,
-    /// returning its buffer slot as a credit upstream.
-    bool try_eject(const std::size_t ci, const std::int64_t now) {
-        if (fifo_[ci].empty()) return false;
-        const Flit& f = fifo_[ci].front();
-        const Packet& p = packets_[static_cast<std::size_t>(f.packet)];
-        if (static_cast<std::size_t>(f.hop) != p.route->size()) return false;
+    /// Output ci regains a buffer slot downstream.
+    void return_credit(const std::size_t ci) {
+        ++channels_[ci].credits;
+        update_ready(ci);
+    }
+
+    /// Ejects the front flit of channel `ci`, which sits at its
+    /// destination, returning its buffer slot as a credit upstream.
+    void eject(const std::size_t ci, const std::int64_t now) {
+        const Flit f = pop(ci);
         if (f.tail) {
             ++delivered_packets_;
-            res_.packet_latency.add(static_cast<double>(now - p.inject_cycle));
+            res_.packet_latency.add(static_cast<double>(
+                now - packets_[static_cast<std::size_t>(f.packet)].inject_cycle));
         }
         ++res_.flits;
         --in_flight_flits_;
-        pop(ci);
-        ++channels_[ci].credits;
-        return true;
+        return_credit(ci);
+        if (!reference_) {
+            eject_.erase(ci);
+            if (channels_[ci].fifo_size > 0) enroll(ci);
+        }
     }
+
+    /// Moves the front flit of source `s` through output `ci`: it leaves
+    /// its FIFO (whose slot returns upstream as a credit), takes one of the
+    /// output's credits and enters the output's link pipe.
+    Flit forward(const std::size_t ci, const std::size_t s, const std::int64_t now) {
+        Flit f = pop(s);
+        if (s < n_channels_) return_credit(s);
+        Channel& out = channels_[ci];
+        --out.credits;
+        ++f.hop;
+        wheel_[static_cast<std::size_t>(now + out.delay) & wheel_mask_].push_back(
+            {static_cast<std::int32_t>(ci), f});
+        ++out.flits;
+        ++res_.flit_hops;
+        return f;
+    }
+
+    // --- Reference core: every output scans its router's sources.
 
     /// For one output channel pick one flit: wormhole continuation for
     /// locked outputs, round-robin arbitration over requesting head flits
-    /// otherwise. `drained_` enforces one flit per source per cycle across
-    /// all outputs of a router.
-    bool allocate_output(const std::size_t ci, const std::int64_t now) {
+    /// otherwise. A source that gave a flit this cycle is skipped, so a
+    /// source gives at most one flit per cycle across all outputs.
+    bool allocate_scan(const std::size_t ci, const std::int64_t now) {
         ++res_.arbitrations;
         Channel& out = channels_[ci];
         if (out.credits <= 0) return false;
-        const auto& srcs = inputs_[static_cast<std::size_t>(out.from)];
-        const auto n_sources = srcs.size();
+        const std::int32_t* srcs = &sources_[out.first_source];
+        const std::size_t n_sources = out.n_sources;
 
-        // The head flit of an undrained source, if it requests this output.
-        const auto requester = [&](std::size_t k) -> const Flit* {
-            const auto s = static_cast<std::size_t>(srcs[k]);
-            if (drained_[s] || fifo_[s].empty()) return nullptr;
-            const Flit& f = fifo_[s].front();
-            const auto& route = *packets_[static_cast<std::size_t>(f.packet)].route;
-            const auto hop = static_cast<std::size_t>(f.hop);
-            return hop < route.size() && static_cast<std::size_t>(route[hop]) == ci ? &f
-                                                                                   : nullptr;
+        // Source s requests this output: its head flit does, and it has not
+        // given a flit this cycle.
+        const auto requests = [&](std::size_t s) {
+            return !empty(s) && last_gave_[s] != now &&
+                   hops_[static_cast<std::size_t>(front(s).hop)] ==
+                       static_cast<std::int32_t>(ci);
         };
 
         std::size_t chosen = n_sources;  // index into srcs
-        if (lock_[ci] >= 0) {
+        if (out.lock >= 0) {
             // Wormhole continuation: only the owner packet may use the
             // output; find the source whose head flit belongs to it.
             for (std::size_t k = 0; k < n_sources; ++k) {
-                const Flit* f = requester(k);
-                if (f == nullptr || f->packet != lock_[ci]) continue;
+                const auto s = static_cast<std::size_t>(srcs[k]);
+                if (!requests(s) || front(s).packet != out.lock) continue;
                 chosen = k;
                 break;
             }
         } else {
             // New allocation: round-robin over head flits requesting us.
             for (std::size_t j = 0; j < n_sources; ++j) {
-                const std::size_t k = (rr_[ci] + j) % n_sources;
-                const Flit* f = requester(k);
-                if (f == nullptr || !f->head) continue;
+                const std::size_t k = (out.rr + j) % n_sources;
+                const auto s = static_cast<std::size_t>(srcs[k]);
+                if (!requests(s) || !front(s).head) continue;
                 chosen = k;
-                rr_[ci] = static_cast<std::uint32_t>(k + 1);
+                out.rr = static_cast<std::uint32_t>(k + 1);
                 break;
             }
         }
         if (chosen == n_sources) return false;
 
         const auto s = static_cast<std::size_t>(srcs[chosen]);
-        Flit f = pop(s);
-        if (s < n_channels_) ++channels_[s].credits;  // the drained slot upstream
-        drained_[s] = 1;
-        drained_list_.push_back(static_cast<std::int32_t>(s));
-        lock_[ci] = f.tail ? -1 : f.packet;
-        --out.credits;
-        ++f.hop;
-        wheel_[static_cast<std::size_t>(now + out.delay) % wheel_.size()].push_back(
-            {static_cast<std::int32_t>(ci), f});
-        ++res_.router_flits[static_cast<std::size_t>(out.from)];
-        ++res_.link_flits[static_cast<std::size_t>(out.link)];
-        ++res_.flit_hops;
+        last_gave_[s] = now;
+        const Flit f = forward(ci, s, now);
+        out.lock = f.tail ? -1 : f.packet;
         return true;
+    }
+
+    // --- Activity core: request masks, the ready set and the eject set.
+
+    /// Enrolls the head flit of non-empty source `s` once: in the eject set
+    /// when it sits at its destination, else as the source's bit in the
+    /// request mask of the output it requests.
+    void enroll(const std::size_t s) {
+        if (reference_) return;
+        const Flit f = front(s);
+        const auto out = hops_[static_cast<std::size_t>(f.hop)];
+        if (out < 0) {
+            eject_.insert(s);
+            return;
+        }
+        channels_[static_cast<std::size_t>(out)].req |= std::uint64_t{1} << position(s);
+        update_ready(static_cast<std::size_t>(out));
+    }
+
+    /// Source s's position at its router: 0 for an injection FIFO.
+    [[nodiscard]] std::uint32_t position(const std::size_t s) const {
+        return s < n_channels_ ? channels_[s].position : 0;
+    }
+
+    /// Recomputes output ci's ready-set membership after a credit, lock or
+    /// request change: a credit downstream, and an enrolled owner (locked)
+    /// or any enrolled head (free).
+    void update_ready(const std::size_t ci) {
+        if (reference_) return;
+        const Channel& c = channels_[ci];
+        const bool ready =
+            c.credits > 0 && (c.lock >= 0 ? ((c.req >> c.lock) & 1) != 0 : c.req != 0);
+        if (ready)
+            ready_.insert(ci);
+        else
+            ready_.erase(ci);
+    }
+
+    /// Output ci is ready, so it moves a flit: the lock owner's, or the
+    /// first enrolled head at or after the round-robin pointer.
+    void allocate_ready(const std::size_t ci, const std::int64_t now) {
+        ++res_.arbitrations;
+        Channel& out = channels_[ci];
+        std::uint32_t k = 0;
+        if (out.lock >= 0) {
+            k = static_cast<std::uint32_t>(out.lock);
+        } else {
+            const std::uint64_t from_rr =
+                out.rr < 64 ? out.req & (~std::uint64_t{0} << out.rr) : 0;
+            k = static_cast<std::uint32_t>(std::countr_zero(from_rr != 0 ? from_rr : out.req));
+            out.rr = k + 1;
+        }
+        out.req &= ~(std::uint64_t{1} << k);
+        const auto s = sources_[out.first_source + k];
+        const Flit f = forward(ci, static_cast<std::size_t>(s), now);
+        out.lock = f.tail ? -1 : static_cast<std::int32_t>(k);
+        update_ready(ci);
+        reenroll_.push_back(s);  // its new head waits until allocation ends
     }
 
     [[nodiscard]] std::int64_t next_injection() const {
@@ -446,15 +630,16 @@ private:
     [[nodiscard]] std::int64_t next_arrival(const std::int64_t now) const {
         const auto lap = static_cast<std::int64_t>(wheel_.size());
         for (std::int64_t t = now; t < now + lap; ++t)
-            if (!wheel_[static_cast<std::size_t>(t % lap)].empty()) return t;
+            if (!wheel_[static_cast<std::size_t>(t) & wheel_mask_].empty()) return t;
         return kNever;
     }
 
     /// End-of-run conservation check of a completed run, O(channels +
     /// nodes) and on in every build type: a drained network holds no flit
     /// in any FIFO or on any wire, every credit is home, no wormhole lock
-    /// is held, and the flit ledgers balance. A violation is an engine bug;
-    /// throwing keeps it out of every figure priced from this run.
+    /// is held, no request is enrolled, the ready and eject sets are empty,
+    /// and the flit ledgers balance. A violation is an engine bug; throwing
+    /// keeps it out of every figure priced from this run.
     void check_drained() const {
         const auto fail = [](const std::string& what) {
             throw std::logic_error("noc::Simulator end-of-run check: " + what);
@@ -464,24 +649,29 @@ private:
             return "channel " + std::to_string(ci) + " (" + std::to_string(c.from) + "->" +
                    std::to_string(c.to) + ")";
         };
-        for (std::size_t s = 0; s < fifo_.size(); ++s)
-            if (!fifo_[s].empty())
-                fail((s < n_channels_ ? channel(s) + " input FIFO"
-                                      : "node " + std::to_string(s - n_channels_) +
-                                            " injection FIFO") +
-                     " still holds " + std::to_string(fifo_[s].size()) + " flit(s)");
+        for (std::size_t ci = 0; ci < n_channels_; ++ci) {
+            const Channel& c = channels_[ci];
+            if (c.fifo_size != 0)
+                fail(channel(ci) + " input FIFO still holds " + std::to_string(c.fifo_size) +
+                     " flit(s)");
+            if (c.credits != cfg_.input_buffer_flits)
+                fail(channel(ci) + " holds " + std::to_string(c.credits) +
+                     " credits, expected " + std::to_string(cfg_.input_buffer_flits));
+            if (c.lock >= 0)
+                fail(channel(ci) + " wormhole lock still held (owner " +
+                     std::to_string(c.lock) + ")");
+            if (c.req != 0) fail(channel(ci) + " still has an enrolled request");
+        }
+        for (std::size_t n = 0; n < inj_.size(); ++n)
+            if (inj_[n].front != inj_[n].end)
+                fail("node " + std::to_string(n) + " injection FIFO still holds " +
+                     std::to_string(inj_[n].end - inj_[n].front) + " packet(s)");
         for (const auto& slot : wheel_)
             if (!slot.empty())
                 fail(channel(static_cast<std::size_t>(slot.front().channel)) +
                      " still carries a flit on its link");
-        for (std::size_t ci = 0; ci < n_channels_; ++ci) {
-            if (channels_[ci].credits != cfg_.input_buffer_flits)
-                fail(channel(ci) + " holds " + std::to_string(channels_[ci].credits) +
-                     " credits, expected " + std::to_string(cfg_.input_buffer_flits));
-            if (lock_[ci] >= 0)
-                fail(channel(ci) + " wormhole lock still held by packet " +
-                     std::to_string(lock_[ci]));
-        }
+        if (!ready_.empty()) fail("the ready set is not empty");
+        if (!eject_.empty()) fail("the eject set is not empty");
         if (injected_flits_ != res_.flits)
             fail("injected " + std::to_string(injected_flits_) + " flits but ejected " +
                  std::to_string(res_.flits));
@@ -497,20 +687,23 @@ private:
     }
 
 #ifndef NDEBUG
-    /// Debug cross-check of the no-op proof on a quiet cycle: every waiting
-    /// head flit must be blocked on a zero-credit output or on a wormhole
-    /// lock owned by another packet (a body flit's output lock is always
-    /// owned by its own packet, and ejectable flits cannot wait — the
-    /// ejection phase drains them unconditionally).
+    /// Debug cross-check of the no-op proof on a quiet cycle: both sets are
+    /// empty, and every waiting head flit is enrolled on its output and
+    /// blocked on a zero credit or on a wormhole lock owned by another
+    /// source (a body flit's output lock is always its own source's, and
+    /// ejectable flits cannot wait — the ejection phase drains them
+    /// unconditionally).
     void verify_quiet() const {
-        occupied_.for_each([&](std::size_t s) {
-            const Flit& f = fifo_[s].front();
-            const auto& route = *packets_[static_cast<std::size_t>(f.packet)].route;
-            assert(static_cast<std::size_t>(f.hop) < route.size() && "would have ejected");
-            const auto out = static_cast<std::size_t>(route[static_cast<std::size_t>(f.hop)]);
-            const auto owner = lock_[out];
-            assert(channels_[out].credits <= 0 || (owner >= 0 && owner != f.packet));
-        });
+        assert(ready_.empty() && eject_.empty());
+        for (std::size_t s = 0; s < n_channels_ + inj_.size(); ++s) {
+            if (empty(s)) continue;
+            const auto out = hops_[static_cast<std::size_t>(front(s).hop)];
+            assert(out >= 0 && "would have ejected");
+            const Channel& c = channels_[static_cast<std::size_t>(out)];
+            const auto pos = static_cast<std::int32_t>(position(s));
+            assert(((c.req >> pos) & 1) != 0 && "head not enrolled");
+            assert(c.credits <= 0 || (c.lock >= 0 && c.lock != pos));
+        }
     }
 #endif
 
@@ -519,23 +712,26 @@ private:
     const std::size_t n_channels_;
 
     std::vector<Channel> channels_;
-    /// inputs_[n]: node n's switch sources — its injection FIFO, then its
-    /// in-channels ascending (round-robin pointers index this list).
-    std::vector<std::vector<std::int32_t>> inputs_;
-    std::vector<std::deque<Flit>> fifo_;  ///< Per source (see class comment).
-    BitSet occupied_;                     ///< Sources with a non-empty FIFO.
-    BitSet requested_;                    ///< Per-cycle scratch: requested outputs.
-    std::vector<std::vector<Arrival>> wheel_;  ///< Slot t % size: landings at t.
+    /// Every node's switch sources, node by node: its injection FIFO, then
+    /// its in-channels ascending. A source's position is its index within
+    /// its node's run (see Channel::first_source).
+    std::vector<std::int32_t> sources_;
+    std::vector<Flit> ring_;      ///< Channel ci's FIFO: slots [ci, ci + 1) * ring_cap_.
+    std::uint32_t ring_cap_ = 1;  ///< A power of two.
+    std::vector<InjectionQueue> inj_;      ///< Per node.
+    std::vector<std::int32_t> inj_order_;  ///< Packet ids by node, in injection order.
+    std::vector<std::vector<Arrival>> wheel_;  ///< Slot t & wheel_mask_: landings at t.
+    std::size_t wheel_mask_ = 0;               ///< Slot count - 1 (a power of two).
 
-    std::vector<std::vector<std::int32_t>> routes_;  ///< Channel path per demand.
+    std::vector<std::int32_t> hops_;  ///< Channel path per demand, each ended by -1.
     std::vector<Packet> packets_;
     std::vector<std::int32_t> due_;  ///< Packet ids by inject cycle.
     std::size_t next_due_ = 0;
 
-    std::vector<std::int32_t> lock_;  ///< Wormhole owner per output channel.
-    std::vector<std::uint32_t> rr_;   ///< Round-robin pointer per output.
-    std::vector<std::int8_t> drained_;       ///< Source gave a flit this cycle.
-    std::vector<std::int32_t> drained_list_;  ///< Sources to reset after allocation.
+    std::vector<std::int64_t> last_gave_;  ///< Reference: cycle a source last gave a flit.
+    BitSet ready_;                         ///< Activity: outputs that move a flit.
+    BitSet eject_;                         ///< Activity: channels whose head ejects.
+    std::vector<std::int32_t> reenroll_;   ///< Activity: sources that gave this cycle.
 
     SimResult res_;
     std::int64_t total_packets_ = 0;
@@ -565,10 +761,26 @@ SimCore resolved_sim_core(SimCore configured) {
     return configured;
 }
 
+void validate_sim_config(const SimConfig& cfg) {
+    const auto at_least = [](const char* field, std::int64_t v, std::int64_t min) {
+        if (v < min)
+            throw std::invalid_argument(std::string("sim config: ") + field + " must be >= " +
+                                        std::to_string(min) + ", got " + std::to_string(v));
+    };
+    at_least("flit_bytes", cfg.flit_bytes, 1);
+    at_least("max_packet_flits", cfg.max_packet_flits, 1);
+    at_least("input_buffer_flits", cfg.input_buffer_flits, 1);
+    at_least("router_delay_cycles", cfg.router_delay_cycles, 0);
+    if (!std::isfinite(cfg.mm_per_cycle) || cfg.mm_per_cycle <= 0.0)
+        throw std::invalid_argument("sim config: mm_per_cycle must be finite and > 0, got " +
+                                    std::to_string(cfg.mm_per_cycle));
+}
+
 Simulator::Simulator(const topo::Topology& topo, const RouteTable& routes, SimConfig cfg)
     : topo_(topo), routes_(routes), cfg_(cfg) {
     if (topo.node_count() != routes.node_count())
         throw std::invalid_argument("route table built for a different topology");
+    validate_sim_config(cfg_);
     cfg_.core = resolved_sim_core(cfg_.core);
 }
 
@@ -585,9 +797,14 @@ void Simulator::add_demands(const std::vector<Demand>& ds) {
 }
 
 SimResult Simulator::run() {
-    Engine engine(topo_, routes_, cfg_, demands_);
+    std::optional<Engine> engine;
+    {
+        const obs::Span span("sim.build", "noc");
+        engine.emplace(topo_, routes_, cfg_, demands_);
+    }
     demands_.clear();
-    return engine.run();
+    const obs::Span span("sim.run", "noc");
+    return engine->run();
 }
 
 }  // namespace floretsim::noc

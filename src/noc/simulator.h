@@ -20,14 +20,14 @@ enum class SimCore : std::uint8_t {
     /// nothing in flight are still fast-forwarded — trivially sound — or
     /// sparse schedules would take minutes of wall clock).
     kReference,
-    /// Activity-driven: one global clock, but the eject phase visits only
-    /// channels whose input FIFO holds a flit and the allocate phase only
-    /// outputs that some head flit requests, both in the reference core's
-    /// ascending channel order. After a cycle that ejects and allocates
-    /// nothing, every head flit is blocked on a zero-credit output or on a
-    /// wormhole lock held by another packet, so the clock jumps straight to
-    /// min(next link arrival, next injection). See README "NoC simulator
-    /// cores" for the proof obligations.
+    /// Activity-driven: one global clock, but each stepped cycle visits
+    /// only the channels whose head flit ejects and the outputs that move a
+    /// flit (those with a credit and a head flit the arbiter may grant),
+    /// both in the reference core's ascending channel order. After a cycle that
+    /// ejects and allocates nothing, every head flit is blocked on a
+    /// zero-credit output or on a wormhole lock held by another packet, so
+    /// the clock jumps straight to min(next link arrival, next injection).
+    /// See README "NoC simulator cores" for the proof obligations.
     kActivity,
 };
 
@@ -67,6 +67,13 @@ struct SimConfig {
     [[nodiscard]] bool operator==(const SimConfig&) const = default;
 };
 
+/// Rejects a config no run can use: flit_bytes, max_packet_flits and
+/// input_buffer_flits below 1, a negative router_delay_cycles, or an
+/// mm_per_cycle that is not finite and positive. Throws
+/// std::invalid_argument naming the field. The Simulator constructor and
+/// scenario::sim_config_from_json both call it.
+void validate_sim_config(const SimConfig& cfg);
+
 /// A point-to-point traffic demand (bytes to move src -> dst).
 struct Demand {
     topo::NodeId src = -1;
@@ -92,8 +99,9 @@ struct SimResult {
     std::int64_t cycles_stepped = 0;  ///< Cycles actually executed.
     std::int64_t cycles_skipped = 0;  ///< Cycles proven no-op and jumped over.
     std::int64_t horizon_jumps = 0;   ///< Fast-forward events taken.
-    /// Outputs offered to switch allocation: every channel on every stepped
-    /// cycle for the reference core, only requested outputs for kActivity.
+    /// Outputs visited by switch allocation: every channel on every stepped
+    /// cycle for the reference core; for kActivity only the outputs that
+    /// move a flit, so it equals flit_hops.
     std::int64_t arbitrations = 0;
 };
 
@@ -106,6 +114,8 @@ struct SimResult {
 /// up*/down* route table the simulation is deadlock-free by construction.
 class Simulator {
 public:
+    /// Throws std::invalid_argument when `routes` was built for another
+    /// topology or validate_sim_config rejects `cfg`.
     Simulator(const topo::Topology& topo, const RouteTable& routes, SimConfig cfg);
 
     /// Queues a traffic demand (split into packets at run()).
@@ -116,8 +126,11 @@ public:
     /// demand list is consumed; the simulator can be reused by adding new
     /// demands afterwards. A completed run is checked for conservation in
     /// every build type (empty FIFOs and links, every credit home, no
-    /// wormhole lock held, flit ledgers in balance); a violation is an
-    /// engine bug and throws std::logic_error naming the channel or node.
+    /// wormhole lock held or request enrolled, flit ledgers in balance); a
+    /// violation is an engine bug and throws std::logic_error naming the
+    /// channel or node.
+    /// A router with more than 63 in-channels throws std::invalid_argument
+    /// naming the node: its switch sources must fit one 64-bit mask.
     [[nodiscard]] SimResult run();
 
 private:

@@ -192,6 +192,7 @@ noc::SimConfig sim_config_from_json(const Json& j) {
     r.read("max_cycles", c.max_cycles);
     r.read("injection_rate", c.injection_rate);
     r.finish();
+    noc::validate_sim_config(c);
     return c;
 }
 

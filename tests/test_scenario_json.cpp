@@ -13,6 +13,8 @@
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/experiment.h"
@@ -393,6 +395,34 @@ TEST(ScenarioJson, SimConfigAdversarialCorpus) {
                 << e.what();
         }
     }
+    // Out-of-range values are rejected at parse time, naming the field, at
+    // the sim level and nested in an eval config, so a bad spec never
+    // reaches the simulator.
+    const auto expect_rejected = [](const auto& parse, const std::string& doc,
+                                    const char* field) {
+        try {
+            (void)parse(json_parse(doc));
+            ADD_FAILURE() << "expected rejection of " << doc;
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+        }
+    };
+    for (const auto& [sim, field] : std::vector<std::pair<const char*, const char*>>{
+             {R"({"flit_bytes": 0})", "flit_bytes"},
+             {R"({"flit_bytes": -8})", "flit_bytes"},
+             {R"({"max_packet_flits": 0})", "max_packet_flits"},
+             {R"({"input_buffer_flits": 0})", "input_buffer_flits"},
+             {R"({"router_delay_cycles": -1})", "router_delay_cycles"},
+             {R"({"mm_per_cycle": 0})", "mm_per_cycle"},
+             {R"({"mm_per_cycle": -2.5})", "mm_per_cycle"}}) {
+        expect_rejected([](const Json& j) { return sim_config_from_json(j); }, sim, field);
+        expect_rejected([](const Json& j) { return eval_config_from_json(j); },
+                        std::string(R"({"sim": )") + sim + "}", field);
+    }
+    // The smallest valid values parse.
+    EXPECT_NO_THROW((void)sim_config_from_json(json_parse(
+        R"({"flit_bytes": 1, "max_packet_flits": 1, "input_buffer_flits": 1,)"
+        R"( "router_delay_cycles": 0, "mm_per_cycle": 0.001})")));
     // The epoch reuse is unconditional: its old switch is an unknown key.
     try {
         (void)eval_config_from_json(json_parse(R"({"round_epoch_cache": false})"));

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "src/core/floret.h"
 #include "src/core/sfc.h"
 #include "src/noc/routing.h"
@@ -79,6 +84,52 @@ TEST(Simulator, RejectsOutOfRangeEndpoints) {
     Simulator sim(t, rt, fast_cfg());
     EXPECT_THROW(sim.add_demand({0, 9, 10}), std::out_of_range);
     EXPECT_THROW(sim.add_demand({-1, 0, 10}), std::out_of_range);
+}
+
+TEST(Simulator, RejectsOutOfRangeConfigs) {
+    // Each out-of-range field throws std::invalid_argument naming it, at
+    // construction: a zero flit or packet size would otherwise divide by
+    // zero or never finish packetizing.
+    const auto t = topo::make_mesh(2, 2);
+    const auto rt = RouteTable::build(t, RoutingPolicy::kShortestPath);
+    const auto with = [](auto edit) {
+        SimConfig cfg = fast_cfg();
+        edit(cfg);
+        return cfg;
+    };
+    const std::vector<std::pair<std::string, SimConfig>> bad{
+        {"flit_bytes", with([](SimConfig& c) { c.flit_bytes = 0; })},
+        {"max_packet_flits", with([](SimConfig& c) { c.max_packet_flits = 0; })},
+        {"input_buffer_flits", with([](SimConfig& c) { c.input_buffer_flits = -3; })},
+        {"router_delay_cycles", with([](SimConfig& c) { c.router_delay_cycles = -1; })},
+        {"mm_per_cycle", with([](SimConfig& c) { c.mm_per_cycle = 0.0; })},
+        {"mm_per_cycle", with([](SimConfig& c) {
+             c.mm_per_cycle = std::numeric_limits<double>::infinity();
+         })},
+        {"mm_per_cycle", with([](SimConfig& c) {
+             c.mm_per_cycle = std::numeric_limits<double>::quiet_NaN();
+         })},
+    };
+    for (const auto& [field, cfg] : bad) {
+        try {
+            Simulator sim(t, rt, cfg);
+            ADD_FAILURE() << "expected rejection of " << field;
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+        }
+    }
+    // The smallest valid values run.
+    SimConfig edge = fast_cfg();
+    edge.flit_bytes = 1;
+    edge.max_packet_flits = 1;
+    edge.input_buffer_flits = 1;
+    edge.router_delay_cycles = 0;
+    edge.mm_per_cycle = 1e-3;
+    Simulator sim(t, rt, edge);
+    sim.add_demand({0, 3, 4});
+    const auto res = sim.run();
+    EXPECT_TRUE(res.completed);
+    EXPECT_EQ(res.packets, 4);
 }
 
 TEST(Simulator, ConservationUnderRandomTraffic) {
