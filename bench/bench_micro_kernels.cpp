@@ -129,6 +129,27 @@ void BM_SimulatorHotspot(benchmark::State& state) {
     state.SetItemsProcessed(hops);
 }
 
+/// The traffic shape single-hop trains stream: on ArchCache's 10x10 Floret
+/// fabric with the experiments' default SimConfig, every link carries one
+/// 2 KiB demand from its a end to its b end. One run per iteration; items
+/// are flit-hops.
+void BM_SimulatorSingleHop(benchmark::State& state) {
+    core::experiment::ArchCache cache;
+    const auto fabric = cache.get(core::experiment::Arch::kFloret, 10, 10);
+    std::vector<noc::Demand> demands;
+    for (const auto& l : fabric->topology.links()) demands.push_back({l.a, l.b, 2 * 1024});
+    const auto cfg = core::experiment::default_eval_config().sim;
+    std::int64_t hops = 0;
+    for (auto _ : state) {
+        noc::Simulator sim(fabric->topology, fabric->routes, cfg);
+        sim.add_demands(demands);
+        const auto res = sim.run();
+        hops += res.flit_hops;
+        benchmark::DoNotOptimize(res);
+    }
+    state.SetItemsProcessed(hops);
+}
+
 void BM_ThermalSolve(benchmark::State& state) {
     thermal::ThermalConfig cfg;
     std::vector<double> power(static_cast<std::size_t>(cfg.cells()), 0.8);
@@ -171,6 +192,7 @@ BENCHMARK(BM_RouteTableUpDown)->Arg(6)->Arg(10);
 BENCHMARK(BM_SimulatorDrain);
 BENCHMARK(BM_SimulatorSparse)->ArgName("activity")->Arg(0)->Arg(1);
 BENCHMARK(BM_SimulatorHotspot)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SimulatorSingleHop)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ThermalSolve);
 BENCHMARK(BM_ModelZooResNet50);
 BENCHMARK(BM_FloretTopologyBuild);

@@ -88,14 +88,16 @@ if [ "$ran" -eq 0 ]; then
 fi
 
 # Micro-kernel smoke: bench_micro_kernels (built only when google-benchmark
-# is found) runs once, on the two fabric-build kernels and the hotspot
-# drain, and must exit zero. No --benchmark_min_time: its syntax differs
-# between google-benchmark 1.7 and 1.8.
+# is found) runs once, on the two fabric-build kernels, the hotspot drain
+# and the single-hop link traffic, and must exit zero. No
+# --benchmark_min_time: its syntax differs between google-benchmark 1.7
+# and 1.8.
 micro="$build_dir/bench_micro_kernels"
 if [ -x "$micro" ]; then
-    if "$micro" --benchmark_filter='BM_(SwapSynthesis|FloretTopologyBuild|SimulatorHotspot)' \
+    if "$micro" \
+            --benchmark_filter='BM_(SwapSynthesis|FloretTopologyBuild|SimulatorHotspot|SimulatorSingleHop)' \
             > "$out_dir/micro_kernels.log" 2>&1; then
-        echo "ok   bench_micro_kernels (SWAP synthesis, Floret build, hotspot drain)"
+        echo "ok   bench_micro_kernels (SWAP synthesis, Floret build, hotspot drain, single hop)"
         ran=$((ran + 1))
     else
         echo "FAIL bench_micro_kernels: non-zero exit" >&2
@@ -141,7 +143,8 @@ fi
 #      produce identical reports once volatile (wall-clock-derived) keys
 #      are stripped — observability can describe a run, never change it.
 #   2. --trace-out writes valid Chrome trace JSON with events; the
-#      --metrics-out snapshot carries the instrumented counters.
+#      --metrics-out snapshot carries the instrumented counters, and fig3's
+#      single-hop pipeline traffic runs single-hop trains (sim.trains).
 #   3. A --pool run streams live per-worker progress lines to stderr, ends
 #      with the fleet summary, and merges every worker's trace into the
 #      coordinator's file.
@@ -194,6 +197,7 @@ assert len(pids) >= 3, (
 metrics = json.load(open(f"{out}/obs.metrics.json"))
 assert metrics["counters"].get("sweep.points", 0) > 0, "no sweep.points"
 assert "sim.run_cycles" in metrics["histograms"], "no sim.run_cycles histogram"
+assert metrics["counters"].get("sim.trains", 0) > 0, "the activity core ran no trains"
 
 err = open(f"{out}/obs_pool.err").read().splitlines()
 progress_lines = [l for l in err if l.startswith("[fleet ") and "leased points" in l]

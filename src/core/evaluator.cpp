@@ -45,10 +45,11 @@ std::vector<dnn::Flow> pipeline_flows(const MappedTask& task,
     return flows;
 }
 
-std::vector<noc::Demand> noi_demands(std::span<const MappedTask> tasks,
+std::vector<noc::Demand> noi_demands(std::span<const MappedTask* const> tasks,
                                      const EvalConfig& cfg) {
     std::vector<noc::Demand> demands;
-    for (const MappedTask& task : tasks) {
+    for (const MappedTask* in_place : tasks) {
+        const MappedTask& task = *in_place;
         if (!task.mapped) continue;
         const auto flows = pipeline_flows(task, cfg.bytes_per_elem);
         for (const auto& f : flows) {
@@ -81,14 +82,25 @@ std::vector<noc::Demand> noi_demands(std::span<const MappedTask> tasks,
     return demands;
 }
 
-EvalResult evaluate_noi(const topo::Topology& topo, const noc::RouteTable& routes,
-                        std::span<const MappedTask> tasks, const EvalConfig& cfg) {
+std::vector<noc::Demand> noi_demands(std::span<const MappedTask> tasks,
+                                     const EvalConfig& cfg) {
+    std::vector<const MappedTask*> in_place;
+    in_place.reserve(tasks.size());
+    for (const MappedTask& task : tasks) in_place.push_back(&task);
+    return noi_demands(in_place, cfg);
+}
+
+namespace {
+
+/// evaluate_noi over a demand list already built from its tasks.
+EvalResult simulate_and_price(const topo::Topology& topo, const noc::RouteTable& routes,
+                              const std::vector<noc::Demand>& demands, const EvalConfig& cfg) {
     const obs::Span span("evaluate_noi", "noi");
     obs::MetricsRegistry::global().add("noi.evals");
     noc::Simulator sim(topo, routes, cfg.sim);
     {
         const obs::Span demands_span("noi.demands", "noi");
-        for (const noc::Demand& d : noi_demands(tasks, cfg)) sim.add_demand(d);
+        sim.add_demands(demands);
     }
     const noc::SimResult s = sim.run();
 
@@ -105,8 +117,6 @@ EvalResult evaluate_noi(const topo::Topology& topo, const noc::RouteTable& route
     res.sim_horizon_jumps = s.horizon_jumps;
     return res;
 }
-
-namespace {
 
 void put_varint(std::string& out, std::uint64_t v) {
     for (; v >= 0x80; v >>= 7) out.push_back(static_cast<char>((v & 0x7f) | 0x80));
@@ -155,16 +165,30 @@ std::string memo_key(std::span<const noc::Demand> demands, const EvalConfig& cfg
 
 }  // namespace
 
+EvalResult evaluate_noi(const topo::Topology& topo, const noc::RouteTable& routes,
+                        std::span<const MappedTask> tasks, const EvalConfig& cfg) {
+    return simulate_and_price(topo, routes, noi_demands(tasks, cfg), cfg);
+}
+
 std::size_t NoiMemo::KeyHash::operator()(const std::string& key) const noexcept {
     return static_cast<std::size_t>(util::fnv1a(key));
 }
 
 EvalResult NoiMemo::evaluate(std::span<const MappedTask> tasks, const EvalConfig& cfg) {
-    const std::string key = memo_key(noi_demands(tasks, cfg), cfg);
+    return evaluate_demands(noi_demands(tasks, cfg), cfg);
+}
+
+EvalResult NoiMemo::evaluate(std::span<const MappedTask* const> tasks, const EvalConfig& cfg) {
+    return evaluate_demands(noi_demands(tasks, cfg), cfg);
+}
+
+EvalResult NoiMemo::evaluate_demands(const std::vector<noc::Demand>& demands,
+                                     const EvalConfig& cfg) {
+    const std::string key = memo_key(demands, cfg);
     auto& metrics = obs::MetricsRegistry::global();
     bool stored = false;
     EvalResult res = results_.get(
-        key, [&] { return evaluate_noi(topo_, routes_, tasks, cfg); },
+        key, [&] { return simulate_and_price(topo_, routes_, demands, cfg); },
         [&](util::Lookup lookup) {
             metrics.add(lookup == util::Lookup::kHit ? "noi.memo_hits" : "noi.memo_misses");
             stored = lookup == util::Lookup::kMiss;

@@ -77,6 +77,10 @@ struct EvalResult {
 /// clamped to one byte. Unmapped tasks contribute nothing.
 [[nodiscard]] std::vector<noc::Demand> noi_demands(std::span<const MappedTask> tasks,
                                                    const EvalConfig& cfg);
+/// The same list over tasks held elsewhere, read in place in the given
+/// order.
+[[nodiscard]] std::vector<noc::Demand> noi_demands(std::span<const MappedTask* const> tasks,
+                                                   const EvalConfig& cfg);
 
 /// Runs the wormhole simulator over noi_demands(tasks, cfg) and prices the
 /// traffic with the cost model.
@@ -111,8 +115,14 @@ public:
     NoiMemo(const NoiMemo&) = delete;
     NoiMemo& operator=(const NoiMemo&) = delete;
 
-    /// evaluate_noi(topo, routes, tasks, cfg), computed once per key.
+    /// evaluate_noi(topo, routes, tasks, cfg), computed once per key. The
+    /// demand list is built once per lookup: for the key and, on a miss,
+    /// for the simulation.
     [[nodiscard]] EvalResult evaluate(std::span<const MappedTask> tasks,
+                                      const EvalConfig& cfg);
+    /// The same over tasks read in place, in the given order (the resident
+    /// sets of the serving and dynamic-mix loops), so no task is copied.
+    [[nodiscard]] EvalResult evaluate(std::span<const MappedTask* const> tasks,
                                       const EvalConfig& cfg);
 
     [[nodiscard]] std::int64_t hits() const { return results_.hits(); }
@@ -126,6 +136,9 @@ private:
     struct KeyHash {
         [[nodiscard]] std::size_t operator()(const std::string& key) const noexcept;
     };
+
+    [[nodiscard]] EvalResult evaluate_demands(const std::vector<noc::Demand>& demands,
+                                              const EvalConfig& cfg);
 
     const topo::Topology& topo_;
     const noc::RouteTable& routes_;

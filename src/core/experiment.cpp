@@ -186,14 +186,14 @@ DynamicResult run_mix_dynamic(BuiltArch& arch, const workload::ConcurrentMix& mi
         // One inference round of every resident task: compute in parallel
         // on their own chiplets, activations drain over the shared NoI.
         if (residency_dirty) {
-            std::vector<MappedTask> snapshot;
-            snapshot.reserve(resident.size());
+            std::vector<const MappedTask*> tasks;
+            tasks.reserve(resident.size());
             round_compute_ns = 0.0;
             for (const auto& r : resident) {
-                snapshot.push_back(r.task);
+                tasks.push_back(&r.task);
                 round_compute_ns = std::max(round_compute_ns, r.compute_ns);
             }
-            round_eval = arch.fabric->noi_memo.evaluate(snapshot, cfg);
+            round_eval = arch.fabric->noi_memo.evaluate(tasks, cfg);
             out.sim_cycles_stepped += round_eval.sim_cycles_stepped;
             out.sim_cycles_skipped += round_eval.sim_cycles_skipped;
             out.sim_horizon_jumps += round_eval.sim_horizon_jumps;

@@ -63,8 +63,10 @@ struct Channel {
     std::uint32_t first_source = 0;
     std::uint64_t req = 0;   ///< Activity core: positions of the heads enrolled here.
     std::int64_t flits = 0;  ///< Flits sent; folded into the per-router/link counts.
-    std::uint32_t n_sources = 0;
-    std::uint32_t position = 0;    ///< This FIFO's source position at `to`.
+    /// Flits on the wire that will not eject on landing at `to`.
+    std::int32_t transit = 0;
+    std::uint16_t n_sources = 0;
+    std::uint16_t position = 0;    ///< This FIFO's source position at `to`.
     std::uint32_t fifo_front = 0;  ///< Ring slot of the FIFO's front flit.
     std::uint32_t fifo_size = 0;
 };
@@ -82,6 +84,13 @@ struct InjectionQueue {
 struct Arrival {
     std::int32_t channel = -1;
     Flit flit;
+};
+
+/// Activity core: the single-hop train on output `channel` releases at
+/// `cycle`, when its tail leaves.
+struct Release {
+    std::int64_t cycle = 0;
+    std::int32_t channel = -1;
 };
 
 /// Fixed-universe bit set whose members are visited in ascending order at
@@ -135,7 +144,7 @@ std::optional<SimCore> core_env_override() {
 /// sources [C, C + N) the injection FIFOs of the N nodes.
 ///
 /// The reference core ejects from every channel and lets every output scan
-/// its router's sources. The activity core earns the same bits with four
+/// its router's sources. The activity core earns the same bits with five
 /// rules:
 ///
 ///   - Request masks. A head flit requests exactly one output. When a flit
@@ -161,11 +170,21 @@ std::optional<SimCore> core_env_override() {
 ///     drained channel FIFO returns a credit) is visited in the same pass,
 ///     as the reference's ascending scan would; one below waits a cycle.
 ///
+///   - Single-hop trains. When a free output grants the head of an
+///     injected packet whose whole path is that one hop, into an empty
+///     FIFO with only ejecting flits on the wire, a buffer at least the
+///     link delay deep and the tail's landing before max_cycles, the
+///     reference forwards one flit per cycle and ejects each on landing.
+///     The output is booked for the whole packet at the grant, the flits
+///     that land while it stays locked are delivered at once, and the last
+///     min(L, delay) go on the wheel when the tail leaves (the release).
+///
 ///   - The quiet-cycle fixed point. Credits, locks, round-robin pointers
-///     and FIFOs mutate only through ejection and allocation, so a cycle
-///     that ejects and allocates nothing leaves the network at a fixed
-///     point until the next link arrival or injection, and the clock jumps
-///     there. verify_quiet() cross-checks the proof in debug builds.
+///     and FIFOs mutate only through ejection, allocation and releases, so
+///     a cycle that ejects and allocates nothing leaves the network at a
+///     fixed point until the next link arrival, injection or release, and
+///     the clock jumps there. verify_quiet() cross-checks the proof in
+///     debug builds.
 ///
 /// Channel FIFOs are fixed-depth rings: credits bound each to
 /// input_buffer_flits. Link pipelines are one arrival wheel of at least
@@ -200,7 +219,7 @@ public:
                 const auto idx = static_cast<std::int32_t>(channels_.size());
                 auto& in = inputs[static_cast<std::size_t>(to)];
                 Channel c{from, to, l.id, delay, cfg_.input_buffer_flits};
-                c.position = static_cast<std::uint32_t>(in.size());
+                c.position = static_cast<std::uint16_t>(in.size());
                 channels_.push_back(c);
                 in.push_back(idx);
                 out_channels[static_cast<std::size_t>(from)].push_back(idx);
@@ -220,7 +239,7 @@ public:
         for (auto& c : channels_) {
             const auto from = static_cast<std::size_t>(c.from);
             c.first_source = first_source[from];
-            c.n_sources = static_cast<std::uint32_t>(inputs[from].size());
+            c.n_sources = static_cast<std::uint16_t>(inputs[from].size());
         }
         wheel_.resize(std::bit_ceil(static_cast<std::size_t>(max_delay) + 1));
         wheel_mask_ = wheel_.size() - 1;
@@ -337,7 +356,7 @@ public:
 #ifndef NDEBUG
                 verify_quiet();
 #endif
-                wake = std::min(next_arrival(now), next_injection());
+                wake = std::min({next_arrival(now), next_injection(), next_release()});
             }
         }
         for (const Channel& c : channels_) {
@@ -360,7 +379,8 @@ private:
     /// engine phases — inject (flits entering source FIFOs), allocate
     /// (hops won through switch allocation), eject (flits leaving the
     /// fabric) — and `sim.arbitrations` counts the outputs the allocate
-    /// phase visited to win them.
+    /// phase visited to win them. `sim.trains` counts single-hop trains and
+    /// `sim.train_flits` their flits that never touched the wheel.
     void flush_metrics() const {
         auto& m = obs::MetricsRegistry::global();
         if (!m.enabled()) return;
@@ -370,6 +390,8 @@ private:
         m.add("sim.cycles_skipped", res_.cycles_skipped);
         m.add("sim.horizon_jumps", res_.horizon_jumps);
         m.add("sim.arbitrations", res_.arbitrations);
+        m.add("sim.trains", res_.trains);
+        m.add("sim.train_flits", train_flits_);
         m.add("sim.phase_inject_flits", injected_flits_);
         m.add("sim.phase_alloc_hops", res_.flit_hops);
         m.add("sim.phase_eject_flits", res_.flits);
@@ -400,6 +422,7 @@ private:
             const auto ci = static_cast<std::size_t>(a.channel);
             Channel& c = channels_[ci];
             assert(c.fifo_size < ring_cap_ && "credits bound the FIFO");
+            if (hops_[static_cast<std::size_t>(a.flit.hop)] >= 0) --c.transit;
             ring_[ci * ring_cap_ + ((c.fifo_front + c.fifo_size) & (ring_cap_ - 1))] = a.flit;
             if (++c.fifo_size == 1) enroll(ci);
         }
@@ -427,11 +450,23 @@ private:
         if (reference_) {
             for (std::size_t ci = 0; ci < n_channels_; ++ci) moved |= allocate_scan(ci, now);
         } else {
-            ready_.for_each([&](std::size_t ci) { allocate_ready(ci, now); });
-            moved |= !reenroll_.empty();
+            ready_.for_each([&](std::size_t ci) {
+                allocate_ready(ci, now);
+                moved = true;
+            });
             for (const auto s : reenroll_)
                 if (!empty(static_cast<std::size_t>(s))) enroll(static_cast<std::size_t>(s));
             reenroll_.clear();
+            // A release stands for the reference forwarding the tail this
+            // cycle, so it counts as movement.
+            assert(releases_.empty() || releases_.front().cycle >= now);
+            while (!releases_.empty() && releases_.front().cycle == now) {
+                std::pop_heap(releases_.begin(), releases_.end(), later);
+                const auto ci = static_cast<std::size_t>(releases_.back().channel);
+                releases_.pop_back();
+                release(ci, now);
+                moved = true;
+            }
         }
         return moved;
     }
@@ -503,6 +538,7 @@ private:
         Channel& out = channels_[ci];
         --out.credits;
         ++f.hop;
+        if (hops_[static_cast<std::size_t>(f.hop)] >= 0) ++out.transit;
         wheel_[static_cast<std::size_t>(now + out.delay) & wheel_mask_].push_back(
             {static_cast<std::int32_t>(ci), f});
         ++out.flits;
@@ -612,11 +648,82 @@ private:
             out.rr = k + 1;
         }
         out.req &= ~(std::uint64_t{1} << k);
+        // A free output's position-0 source is its router's injection FIFO,
+        // and what it grants is the head of the front packet.
+        if (k == 0 && out.lock < 0 && start_train(ci, now)) return;
         const auto s = sources_[out.first_source + k];
         const Flit f = forward(ci, static_cast<std::size_t>(s), now);
         out.lock = f.tail ? -1 : static_cast<std::int32_t>(k);
         update_ready(ci);
         reenroll_.push_back(s);  // its new head waits until allocation ends
+    }
+
+    // --- Activity core: single-hop trains.
+
+    /// Output ci, free, grants the head of packet P (L flits) from its
+    /// router's injection FIFO at cycle `now`. P streams as a train when its
+    /// path is this one hop, ci's FIFO is empty with only ejecting flits on
+    /// its wire, the buffer is at least the delay deep, L >= 2 and the tail
+    /// lands before max_cycles (README obligation 7 says why each is
+    /// needed): the reference then forwards flit j at now + j and ejects it
+    /// at now + j + delay. All L hops are booked here, and the first
+    /// L - min(L, delay) flits, which eject while ci is locked, are
+    /// delivered; ci stays locked to position 0 with nothing enrolled, and P
+    /// stays in front of its FIFO until release(). False, changing nothing,
+    /// when a condition fails.
+    bool start_train(const std::size_t ci, const std::int64_t now) {
+        Channel& c = channels_[ci];
+        const auto& q = inj_[static_cast<std::size_t>(c.from)];
+        const Packet& p =
+            packets_[static_cast<std::size_t>(inj_order_[static_cast<std::size_t>(q.front)])];
+        const std::int64_t tail_leaves = now + p.flits - 1;
+        if (p.flits < 2 || hops_[static_cast<std::size_t>(p.first_hop) + 1] >= 0 ||
+            c.fifo_size != 0 || c.transit != 0 || cfg_.input_buffer_flits < c.delay ||
+            tail_leaves + c.delay >= cfg_.max_cycles)
+            return false;
+        assert(q.sent == 0 && hops_[static_cast<std::size_t>(p.first_hop)] ==
+                                  static_cast<std::int32_t>(ci));
+        const std::int32_t early = p.flits - std::min(p.flits, c.delay);
+        c.lock = 0;
+        c.credits -= p.flits - early;
+        c.flits += p.flits;
+        update_ready(ci);
+        res_.flit_hops += p.flits;
+        res_.arbitrations += p.flits - 1;  // the caller counted the head's
+        res_.flits += early;
+        in_flight_flits_ -= early;
+        ++res_.trains;
+        train_flits_ += early;
+        releases_.push_back({tail_leaves, static_cast<std::int32_t>(ci)});
+        std::push_heap(releases_.begin(), releases_.end(), later);
+        return true;
+    }
+
+    /// The train on output ci releases after the allocation phase of the
+    /// cycle its tail leaves: its last min(L, delay) flits, tail included,
+    /// go on the wheel at their landing cycles (all within one delay, so
+    /// inside one lap), ci is freed, and the injection FIFO pops P and
+    /// enrolls its next packet, as a drained source does.
+    void release(const std::size_t ci, const std::int64_t now) {
+        Channel& c = channels_[ci];
+        auto& q = inj_[static_cast<std::size_t>(c.from)];
+        const auto pid = inj_order_[static_cast<std::size_t>(q.front)];
+        const Packet& p = packets_[static_cast<std::size_t>(pid)];
+        const std::int64_t head_left = now - (p.flits - 1);
+        for (std::int32_t j = p.flits - std::min(p.flits, c.delay); j < p.flits; ++j)
+            wheel_[static_cast<std::size_t>(head_left + j + c.delay) & wheel_mask_].push_back(
+                {static_cast<std::int32_t>(ci),
+                 Flit{pid, p.first_hop + 1, j == 0, j == p.flits - 1}});
+        c.lock = -1;
+        update_ready(ci);
+        if (++q.front != q.end) enroll(n_channels_ + static_cast<std::size_t>(c.from));
+    }
+
+    /// Heap order of releases_: the earliest cycle on top.
+    static bool later(const Release& a, const Release& b) { return a.cycle > b.cycle; }
+
+    [[nodiscard]] std::int64_t next_release() const {
+        return releases_.empty() ? kNever : releases_.front().cycle;
     }
 
     [[nodiscard]] std::int64_t next_injection() const {
@@ -637,8 +744,9 @@ private:
     /// End-of-run conservation check of a completed run, O(channels +
     /// nodes) and on in every build type: a drained network holds no flit
     /// in any FIFO or on any wire, every credit is home, no wormhole lock
-    /// is held, no request is enrolled, the ready and eject sets are empty,
-    /// and the flit ledgers balance. A violation is an engine bug; throwing
+    /// is held, no request is enrolled, no flit is counted in transit, no
+    /// train release is pending, the ready and eject sets are empty, and
+    /// the flit ledgers balance. A violation is an engine bug; throwing
     /// keeps it out of every figure priced from this run.
     void check_drained() const {
         const auto fail = [](const std::string& what) {
@@ -661,6 +769,9 @@ private:
                 fail(channel(ci) + " wormhole lock still held (owner " +
                      std::to_string(c.lock) + ")");
             if (c.req != 0) fail(channel(ci) + " still has an enrolled request");
+            if (c.transit != 0)
+                fail(channel(ci) + " still counts " + std::to_string(c.transit) +
+                     " flit(s) in transit");
         }
         for (std::size_t n = 0; n < inj_.size(); ++n)
             if (inj_[n].front != inj_[n].end)
@@ -670,6 +781,9 @@ private:
             if (!slot.empty())
                 fail(channel(static_cast<std::size_t>(slot.front().channel)) +
                      " still carries a flit on its link");
+        if (!releases_.empty())
+            fail(channel(static_cast<std::size_t>(releases_.front().channel)) +
+                 " still has a train to release");
         if (!ready_.empty()) fail("the ready set is not empty");
         if (!eject_.empty()) fail("the eject set is not empty");
         if (injected_flits_ != res_.flits)
@@ -692,11 +806,17 @@ private:
     /// blocked on a zero credit or on a wormhole lock owned by another
     /// source (a body flit's output lock is always its own source's, and
     /// ejectable flits cannot wait — the ejection phase drains them
-    /// unconditionally).
+    /// unconditionally). A streaming injection FIFO is skipped: its front
+    /// packet is booked until its release.
     void verify_quiet() const {
         assert(ready_.empty() && eject_.empty());
+        std::vector<bool> streaming(inj_.size(), false);
+        for (const Release& r : releases_) {
+            const Channel& c = channels_[static_cast<std::size_t>(r.channel)];
+            streaming[static_cast<std::size_t>(c.from)] = true;
+        }
         for (std::size_t s = 0; s < n_channels_ + inj_.size(); ++s) {
-            if (empty(s)) continue;
+            if (empty(s) || (s >= n_channels_ && streaming[s - n_channels_])) continue;
             const auto out = hops_[static_cast<std::size_t>(front(s).hop)];
             assert(out >= 0 && "would have ejected");
             const Channel& c = channels_[static_cast<std::size_t>(out)];
@@ -732,12 +852,14 @@ private:
     BitSet ready_;                         ///< Activity: outputs that move a flit.
     BitSet eject_;                         ///< Activity: channels whose head ejects.
     std::vector<std::int32_t> reenroll_;   ///< Activity: sources that gave this cycle.
+    std::vector<Release> releases_;        ///< Activity: pending trains, a min-heap.
 
     SimResult res_;
     std::int64_t total_packets_ = 0;
     std::int64_t delivered_packets_ = 0;
     std::int64_t in_flight_flits_ = 0;
     std::int64_t injected_flits_ = 0;
+    std::int64_t train_flits_ = 0;  ///< Train flits delivered without the wheel.
 };
 
 }  // namespace

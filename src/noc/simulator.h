@@ -101,8 +101,12 @@ struct SimResult {
     std::int64_t horizon_jumps = 0;   ///< Fast-forward events taken.
     /// Outputs visited by switch allocation: every channel on every stepped
     /// cycle for the reference core; for kActivity only the outputs that
-    /// move a flit, so it equals flit_hops.
+    /// move a flit, so it equals flit_hops (a single-hop train counts its L
+    /// flits at the grant).
     std::int64_t arbitrations = 0;
+    /// kActivity: packets streamed as single-hop trains (README "NoC
+    /// simulator cores", obligation 7). Always 0 on kReference.
+    std::int64_t trains = 0;
 };
 
 /// Cycle-driven wormhole network simulator.

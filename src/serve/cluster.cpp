@@ -157,10 +157,10 @@ ClusterStats serve_cluster(std::span<core::experiment::BuiltArch> fabrics,
         const obs::Span span("serve_round", "serve");
         ++out.noi_rounds;
         if (!f.epoch_valid) {
-            std::vector<core::MappedTask> snapshot;
-            snapshot.reserve(f.residents.size());
-            for (const auto& res : f.residents) snapshot.push_back(res.task);
-            const auto eval = f.arch->fabric->noi_memo.evaluate(snapshot, cfg.eval);
+            std::vector<const core::MappedTask*> tasks;
+            tasks.reserve(f.residents.size());
+            for (const auto& res : f.residents) tasks.push_back(&res.task);
+            const auto eval = f.arch->fabric->noi_memo.evaluate(tasks, cfg.eval);
             f.epoch_drain = eval.latency_cycles;
             out.sim_cycles_stepped += eval.sim_cycles_stepped;
             out.sim_cycles_skipped += eval.sim_cycles_skipped;
@@ -233,7 +233,7 @@ ClusterStats serve_cluster(std::span<core::experiment::BuiltArch> fabrics,
     const auto try_admit = [&](Fabric& f) {
         while (!f.queue.empty()) {
             const Request head = f.queue.front();
-            core::TaskSpec spec = prototype_of(head.workload_id);
+            const core::TaskSpec& spec = prototype_of(head.workload_id);
             const std::span<const core::TaskSpec> one(&spec, 1);
             auto mapped = f.arch->mapper->map_queue(one, nullptr);
             core::MappedTask task = std::move(mapped.front());

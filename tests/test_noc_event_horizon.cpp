@@ -3,9 +3,10 @@
 /// buffer depths, sparse and saturating injection rates, saturated
 /// single-sink drains (perfbench's drain recipe on the 10x10 Floret fabric
 /// among them), corner-to-corner bursts, max_cycles-capped runs, routers
-/// at the 63-in-channel fan-in bound and a seeded randomized sweep of
-/// topologies x demands x SimConfigs, the activity core must produce a
-/// bit-identical SimResult (cycles, packets, flits, flit_hops,
+/// at the 63-in-channel fan-in bound, single-hop trains at each of their
+/// boundaries and seeded randomized sweeps of topologies x demands x
+/// SimConfigs (one of them biased towards trains), the activity core must
+/// produce a bit-identical SimResult (cycles, packets, flits, flit_hops,
 /// per-router/per-link counters, latency stats). The engine-work statistics
 /// are the only fields allowed to differ — and they must prove the fast
 /// path is both accounted (stepped + skipped == cycles) and no more work
@@ -103,6 +104,7 @@ Runs expect_equivalent(const topo::Topology& t, const RouteTable& rt,
     // The quiet-cycle proof subsumes the reference's idle-gap-only rule.
     EXPECT_LE(r.fast.cycles_stepped, r.ref.cycles_stepped) << label;
     EXPECT_EQ(r.fast.arbitrations, r.fast.flit_hops) << label;
+    EXPECT_EQ(r.ref.trains, 0) << label;
     return r;
 }
 
@@ -254,6 +256,8 @@ TEST(EventHorizon, PerfbenchDrainRecipeOnFloret) {
         const auto runs = expect_equivalent(fabric->topology, fabric->routes, demands, cfg,
                                             "floret drain sink=" + std::to_string(sink));
         EXPECT_TRUE(runs.ref.completed) << sink;
+        // A 2-flit buffer is shallower than every Floret link delay.
+        EXPECT_EQ(runs.fast.trains, 0) << sink;
     }
 }
 
@@ -296,6 +300,136 @@ TEST(EventHorizon, RouterFanInBound) {
             EXPECT_NE(std::string(e.what()).find("node 0 "), std::string::npos) << e.what();
         }
     }
+}
+
+// ---- Single-hop trains -------------------------------------------------------
+
+/// Nodes 0..n-1 in a row, neighbours linked by `link_mm` wires: 4 mm gives
+/// a link delay of 3 cycles at the default wire speed and router delay.
+topo::Topology line(std::int32_t n, double link_mm = 4.0) {
+    topo::Topology t("line", 4.0);
+    for (std::int32_t i = 0; i < n; ++i) t.add_node({i, 0});
+    for (std::int32_t i = 0; i + 1 < n; ++i) t.add_link(i, i + 1, link_mm);
+    return t;
+}
+
+/// Runs both cores (expect_equivalent) and checks the activity core's train
+/// count.
+Runs expect_trains(const topo::Topology& t, const std::vector<Demand>& demands,
+                   const SimConfig& cfg, std::int64_t trains, const std::string& label) {
+    const auto rt = RouteTable::build(t, RoutingPolicy::kShortestPath);
+    auto runs = expect_equivalent(t, rt, demands, cfg, label);
+    EXPECT_EQ(runs.fast.trains, trains) << label;
+    return runs;
+}
+
+TEST(EventHorizon, TrainsFollowTrainsOverOneLink) {
+    // Five 16-flit packets of one demand, due two cycles apart: each leaves
+    // as the previous train's tail does, with that train's last flits still
+    // on the wire. A buffer as deep as the 3-cycle delay still streams; one
+    // flit shallower, the in-flight flits could exhaust the credits.
+    const auto t = line(2);
+    SimConfig cfg;
+    cfg.injection_rate = 8.0;
+    for (const auto& [buffer, trains] : {std::pair{8, 5}, std::pair{3, 5}, std::pair{2, 0}}) {
+        cfg.input_buffer_flits = buffer;
+        const auto runs = expect_trains(t, {{0, 1, 5 * 128}}, cfg, trains,
+                                        "back-to-back buffer=" + std::to_string(buffer));
+        EXPECT_TRUE(runs.ref.completed);
+        // Trains stream one flit per cycle: the last tail leaves at cycle
+        // 79 and ejects 3 cycles later.
+        if (trains > 0) {
+            EXPECT_EQ(runs.ref.cycles, 5 * 16 + 3);
+        }
+    }
+}
+
+TEST(EventHorizon, ShortTrainsPutEveryFlitOnTheWheel) {
+    // 4-flit packets on a 10-cycle link: every flit is still in flight when
+    // the tail leaves, and back-to-back trains book more credits than the
+    // output holds until the first train's flits land.
+    const auto t = line(2, 32.0);
+    SimConfig cfg;
+    cfg.injection_rate = 8.0;
+    cfg.max_packet_flits = 4;
+    cfg.input_buffer_flits = 10;
+    expect_trains(t, {{0, 1, 3 * 32}, {1, 0, 5 * 32}}, cfg, 8, "short trains");
+    cfg.input_buffer_flits = 9;
+    expect_trains(t, {{0, 1, 3 * 32}, {1, 0, 5 * 32}}, cfg, 0, "short trains buffer=9");
+}
+
+TEST(EventHorizon, NoTrainStraddlesTheCycleCap) {
+    // One 16-flit packet granted at cycle 0: its tail leaves at 15 and
+    // lands at 18. A cap of 18 cuts the would-be train (no train, the run
+    // stops with 15 flits delivered); a cap of 19 lets it finish.
+    const auto t = line(2);
+    SimConfig cfg;
+    cfg.max_cycles = 18;
+    const auto capped = expect_trains(t, {{0, 1, 128}}, cfg, 0, "cap=18");
+    EXPECT_FALSE(capped.ref.completed);
+    EXPECT_EQ(capped.ref.flits, 15);
+    cfg.max_cycles = 19;
+    const auto done = expect_trains(t, {{0, 1, 128}}, cfg, 1, "cap=19");
+    EXPECT_TRUE(done.ref.completed);
+    EXPECT_EQ(done.ref.cycles, 19);
+}
+
+TEST(EventHorizon, NoTrainBehindPassingFlits) {
+    // Node 0 sends an 8-flit packet through node 1 to node 2, then a
+    // one-hop packet to node 1 over the same output. With a buffer of 3
+    // (the delay), node 1 forwards each passing flit as it lands, so its
+    // FIFO is empty at the one-hop head's grant, but the passing packet's
+    // last flits are still on the wire: each returns its credit only when
+    // node 1 forwards it, after output 0->1's turn in that cycle's
+    // allocation, and the one-hop packet stalls on it. No train.
+    const auto t = line(3);
+    SimConfig cfg;
+    cfg.injection_rate = 8.0;
+    cfg.input_buffer_flits = 3;
+    expect_trains(t, {{0, 2, 64}, {0, 1, 64}}, cfg, 0, "passing flits on the wire");
+    // With a buffer of 8, node 1's own train holds 1->2, so the passing
+    // packet waits in node 1's FIFO and the one-hop head finds it
+    // non-empty. Only node 1's packet streams.
+    cfg.input_buffer_flits = 8;
+    expect_trains(t, {{0, 2, 64}, {0, 1, 64}, {1, 2, 128}}, cfg, 1,
+                  "passing flits in the FIFO");
+}
+
+TEST(EventHorizon, RoundRobinResumesAfterARelease) {
+    // Node 1 streams trains into 1->2 while node 0's two-hop packets reach
+    // node 1 and enroll on the locked output. Each release hands the output
+    // to the other source, so round-robin alternates node 1, node 0, node 1,
+    // node 0: latencies 18, 34, 48 and 64 cycles (node 1's packets back to
+    // back would give 18, 32, 50 and 64).
+    const auto t = line(3);
+    SimConfig cfg;
+    cfg.injection_rate = 8.0;
+    const auto runs = expect_trains(t, {{1, 2, 2 * 128}, {0, 2, 2 * 128}}, cfg, 2,
+                                    "round-robin after release");
+    util::RunningStats alternating;
+    for (const double latency : {18.0, 34.0, 48.0, 64.0}) alternating.add(latency);
+    EXPECT_EQ(runs.ref.packet_latency.variance(), alternating.variance());
+    EXPECT_EQ(runs.ref.cycles, 67);
+}
+
+TEST(EventHorizon, PacketDueMidTrainWaitsBehindIt) {
+    // Node 1's second packet (to node 0, over a free output) becomes due at
+    // cycle 8, mid-train: it leaves only after the train's tail (cycle 15),
+    // so its head leaves at 16 and its tail lands at 16 + 15 + 3.
+    const auto t = line(3);
+    SimConfig cfg;
+    cfg.injection_rate = 2.0;
+    const auto runs =
+        expect_trains(t, {{1, 2, 128}, {1, 0, 128}}, cfg, 2, "due mid-train");
+    EXPECT_EQ(runs.ref.packet_latency.max(), 16 + 15 + 3 - 8);
+}
+
+TEST(EventHorizon, OneFlitPacketsRunNoTrains) {
+    const auto t = line(2);
+    SimConfig cfg;
+    cfg.injection_rate = 8.0;
+    cfg.max_packet_flits = 1;
+    expect_trains(t, {{0, 1, 80}, {1, 0, 80}}, cfg, 0, "one-flit packets");
 }
 
 TEST(EventHorizon, CornerToCornerBurstHotspot) {
@@ -470,6 +604,66 @@ TEST(EventHorizon, RandomizedDifferential) {
             EXPECT_TRUE(runs.ref.completed) << seed;
         }
     }
+}
+
+/// Train-biased knobs: buffers of 2-9 flits, fast wires and short router
+/// delays (link delays mostly within the buffer), packets of 1-24 flits,
+/// a saturating rate half the time, and a cycle cap on one run in four.
+SimConfig train_config(util::Rng& rng) {
+    SimConfig cfg;
+    cfg.input_buffer_flits = static_cast<std::int32_t>(2 + rng.below(8));
+    cfg.max_packet_flits = static_cast<std::int32_t>(1 + rng.below(24));
+    cfg.flit_bytes = 4 << rng.below(3);
+    cfg.router_delay_cycles = static_cast<std::int32_t>(rng.below(3));
+    constexpr double kWireSpeeds[] = {1.0, 4.0, 16.0};
+    cfg.mm_per_cycle = kWireSpeeds[rng.below(3)];
+    cfg.injection_rate = rng.below(2) == 0 ? 8.0 : std::pow(10.0, rng.uniform(-2.0, 0.5));
+    cfg.max_cycles = rng.below(4) == 0 ? static_cast<std::int64_t>(20 + rng.below(2'000))
+                                       : 2'000'000;
+    return cfg;
+}
+
+/// Mostly neighbour demands (three in four ride one random link), the rest
+/// uniform pairs, up to 2 KiB each.
+std::vector<Demand> neighbour_demands(util::Rng& rng, const topo::Topology& t) {
+    std::vector<Demand> ds;
+    const auto count = 1 + rng.below(32);
+    for (std::uint64_t i = 0; i < count; ++i) {
+        const auto bytes = static_cast<std::int64_t>(8 * (1 + rng.below(256)));
+        if (rng.below(4) != 0) {
+            const auto& l = t.links()[rng.below(t.links().size())];
+            ds.push_back(rng.below(2) == 0 ? Demand{l.a, l.b, bytes} : Demand{l.b, l.a, bytes});
+        } else {
+            const auto n = static_cast<std::uint64_t>(t.node_count());
+            ds.push_back({static_cast<topo::NodeId>(rng.below(n)),
+                          static_cast<topo::NodeId>(rng.below(n)), bytes});
+        }
+    }
+    return ds;
+}
+
+TEST(EventHorizon, RandomizedTrainDifferential) {
+    std::int64_t trains = 0;
+    std::int32_t seeds_with_trains = 0;
+    for (std::uint64_t seed = 1; seed <= 240; ++seed) {
+        util::Rng rng(0x7a1a0000 + seed);
+        const auto [t, rt] = random_fabric(rng);
+        const auto cfg = train_config(rng);
+        const auto demands = neighbour_demands(rng, t);
+        const auto runs = expect_equivalent(
+            t, rt, demands, cfg,
+            "train seed=" + std::to_string(seed) + " " + t.name() +
+                " buffer=" + std::to_string(cfg.input_buffer_flits) +
+                " rate=" + std::to_string(cfg.injection_rate) +
+                " cap=" + std::to_string(cfg.max_cycles));
+        if (cfg.max_cycles == 2'000'000) {
+            EXPECT_TRUE(runs.ref.completed) << seed;
+        }
+        trains += runs.fast.trains;
+        seeds_with_trains += runs.fast.trains > 0 ? 1 : 0;
+    }
+    EXPECT_GT(trains, 0);
+    EXPECT_GE(seeds_with_trains, 120) << trains << " trains";
 }
 
 }  // namespace
