@@ -37,7 +37,15 @@ expect_usage_error "supported: grid" "$driver" --set sim_core=reference
 # The on-disk result cache is gone; its flag is an unknown argument.
 expect_usage_error "unknown argument --cache-dir" \
     "$driver" --cache-dir "$out_dir/cache" --only fig3
-echo "report schema ok: unknown cores, the sim_core key and --cache-dir exit 2"
+# One validation path: a --set override is a patch re-parsed by the spec
+# codec, so a value is rejected at load time whichever way it arrives.
+cat > "$out_dir/negative_scale.json" <<'JSON'
+{"scenario": "fig3", "spec": {"evals": [{"traffic_scale": -1}]}}
+JSON
+expect_usage_error "traffic_scale" "$driver" --spec "$out_dir/negative_scale.json"
+expect_usage_error "traffic_scale" "$driver" --only fig3 --set traffic_scale=-1
+echo "report schema ok: unknown cores, the sim_core key, --cache-dir and a" \
+    "negative traffic_scale (--spec and --set) exit 2"
 
 "$driver" --only fig3 --set traffic_scale=1/128 --threads 2 \
     --json "$out_dir/fig3.json" --metrics-out "$out_dir/metrics.json" \

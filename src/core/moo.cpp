@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "src/obs/metrics.h"
 #include "src/pim/reram.h"
@@ -35,6 +37,12 @@ PlacementEval evaluate_placement(const dnn::Network& net, const pim::PartitionPl
                                  const pim::ReramConfig& rcfg,
                                  const pim::ThermalAccuracyModel& acc,
                                  const PerfParams& perf) {
+    // The route table and the thermal grid must describe one stack: node
+    // ids index both.
+    if (routes.node_count() != tcfg.cells())
+        throw std::invalid_argument(
+            "placement: route table has " + std::to_string(routes.node_count()) +
+            " nodes but the thermal grid has " + std::to_string(tcfg.cells()) + " cells");
     obs::MetricsRegistry::global().add("moo.evals");
     const auto layer_nodes = pim::assign_layers(net, plan, pe_order);
 

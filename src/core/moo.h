@@ -51,7 +51,8 @@ struct PlacementEval {
 
 /// Evaluates a placement (PE order consumed by the partitioner) end to
 /// end: analytical comm/compute latency and energy, steady-state thermal
-/// solve, and ReRAM accuracy impact.
+/// solve, and ReRAM accuracy impact. Throws std::invalid_argument when
+/// `routes` and `tcfg` describe stacks of different sizes.
 [[nodiscard]] PlacementEval evaluate_placement(
     const dnn::Network& net, const pim::PartitionPlan& plan,
     std::span<const topo::NodeId> pe_order, const noc::RouteTable& routes,
@@ -76,7 +77,9 @@ struct MooResult {
 
 /// Joint performance-thermal placement: simulated annealing over the PE
 /// order (segment-swap moves), scalarizing normalized EDP and the peak
-/// temperature excess. Starts from the performance-only SFC order.
+/// temperature excess. Starts from the performance-only SFC order of the
+/// `tcfg` stack; throws std::invalid_argument, before any annealing, when
+/// `routes` was built over a stack of another size.
 [[nodiscard]] MooResult optimize_joint(
     const dnn::Network& net, const pim::PartitionPlan& plan,
     const noc::RouteTable& routes, const thermal::ThermalConfig& tcfg,

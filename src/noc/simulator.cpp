@@ -893,9 +893,14 @@ void validate_sim_config(const SimConfig& cfg) {
     at_least("max_packet_flits", cfg.max_packet_flits, 1);
     at_least("input_buffer_flits", cfg.input_buffer_flits, 1);
     at_least("router_delay_cycles", cfg.router_delay_cycles, 0);
-    if (!std::isfinite(cfg.mm_per_cycle) || cfg.mm_per_cycle <= 0.0)
-        throw std::invalid_argument("sim config: mm_per_cycle must be finite and > 0, got " +
-                                    std::to_string(cfg.mm_per_cycle));
+    at_least("max_cycles", cfg.max_cycles, 1);
+    const auto positive = [](const char* field, double v) {
+        if (!std::isfinite(v) || v <= 0.0)
+            throw std::invalid_argument(std::string("sim config: ") + field +
+                                        " must be finite and > 0, got " + std::to_string(v));
+    };
+    positive("mm_per_cycle", cfg.mm_per_cycle);
+    positive("injection_rate", cfg.injection_rate);
 }
 
 Simulator::Simulator(const topo::Topology& topo, const RouteTable& routes, SimConfig cfg)

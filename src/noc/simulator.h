@@ -67,9 +67,10 @@ struct SimConfig {
     [[nodiscard]] bool operator==(const SimConfig&) const = default;
 };
 
-/// Rejects a config no run can use: flit_bytes, max_packet_flits and
-/// input_buffer_flits below 1, a negative router_delay_cycles, or an
-/// mm_per_cycle that is not finite and positive. Throws
+/// Rejects a config no run can use: flit_bytes, max_packet_flits,
+/// input_buffer_flits and max_cycles below 1, a negative
+/// router_delay_cycles, or an mm_per_cycle or injection_rate that is not
+/// finite and positive. Throws
 /// std::invalid_argument naming the field. The Simulator constructor and
 /// scenario::sim_config_from_json both call it.
 void validate_sim_config(const SimConfig& cfg);

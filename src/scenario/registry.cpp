@@ -1,8 +1,10 @@
 #include "src/scenario/registry.h"
 
 #include <algorithm>
+#include <array>
 #include <charconv>
 #include <stdexcept>
+#include <utility>
 
 #include "src/util/hash.h"
 #include "src/util/rng.h"
@@ -10,114 +12,140 @@
 namespace floretsim::scenario {
 namespace {
 
+using util::Json;
+
 [[noreturn]] void bad_value(std::string_view key, std::string_view value,
                             const std::string& why) {
     throw std::invalid_argument("--set " + std::string(key) + "=" +
                                 std::string(value) + ": " + why);
 }
 
-double parse_double(std::string_view key, std::string_view value) {
-    double v = 0.0;
-    const auto [p, ec] = std::from_chars(value.data(), value.data() + value.size(), v);
-    if (ec != std::errc() || p != value.data() + value.size())
-        bad_value(key, value, "expected a number");
-    return v;
+/// How the comma-separated items of a --set value become JSON: names and
+/// "WxH" grids stay strings, numbers keep their lexical class (so a 64-bit
+/// seed stays exact), and a ratio also takes the bench-doc notation
+/// "1/128".
+enum class Syntax : std::uint8_t { kName, kNumber, kRatio };
+
+/// One --set key and the spec field it means in each spec kind, as a path
+/// into the kind's JSON (to_json), in SpecVariant order: sweep, serve_grid,
+/// cluster, moo3d, transformer, scaling. A path is dot-separated, "*"
+/// writes every element of an array, and an empty path means the key does
+/// not apply to that kind. A grid written to "W|H" puts its width at path
+/// W and its height at path H. The key checks nothing about the value:
+/// the patched JSON is re-parsed by the strict codec, so --set and --spec
+/// files accept exactly the same values.
+struct OverrideKey {
+    std::string_view key;
+    Syntax syntax;
+    std::array<std::string_view, std::variant_size_v<SpecVariant>> paths;
+};
+
+constexpr OverrideKey kOverrideKeys[] = {
+    {"grid", Syntax::kName,
+     {"grids", "base.grid", "base.grid", "grid",
+      "hetero.macro_width|hetero.macro_height", ""}},
+    {"grids", Syntax::kName,
+     {"grids", "base.grid", "base.grid", "grid",
+      "hetero.macro_width|hetero.macro_height", ""}},
+    {"archs", Syntax::kName, {"archs", "archs", "base.arch", "", "", "archs"}},
+    {"mixes", Syntax::kName, {"mixes", "", "", "", "", ""}},
+    {"traffic_scale", Syntax::kRatio,
+     {"evals.*.traffic_scale", "base.config.eval.traffic_scale",
+      "base.config.eval.traffic_scale", "", "", "eval.traffic_scale"}},
+    {"max_cycles", Syntax::kNumber,
+     {"evals.*.sim.max_cycles", "base.config.eval.sim.max_cycles",
+      "base.config.eval.sim.max_cycles", "", "", "eval.sim.max_cycles"}},
+    {"injection_rate", Syntax::kNumber,
+     {"evals.*.sim.injection_rate", "base.config.eval.sim.injection_rate",
+      "base.config.eval.sim.injection_rate", "", "", "eval.sim.injection_rate"}},
+    {"swap_seed", Syntax::kNumber,
+     {"swap_seed", "base.swap_seed", "base.swap_seed", "", "", "swap_seed"}},
+    {"greedy_max_gap", Syntax::kNumber,
+     {"greedy_max_gap", "base.greedy_max_gap", "base.greedy_max_gap", "", "",
+      "greedy_max_gap"}},
+    // Transformer studies are fully deterministic: nothing to seed.
+    {"seed", Syntax::kNumber,
+     {"run_seed", "base.base_seed", "base.base_seed", "seed", "", "mix_seed"}},
+    {"max_requests", Syntax::kNumber,
+     {"", "base.config.arrivals.max_requests", "base.config.arrivals.max_requests",
+      "", "", ""}},
+    {"replications", Syntax::kNumber,
+     {"", "base.replications", "base.replications", "", "", ""}},
+    {"loads", Syntax::kNumber,
+     {"", "loads_per_mcycle", "loads_per_mcycle", "", "", ""}},
+    {"fabrics", Syntax::kNumber, {"", "", "cluster_sizes", "", "", ""}},
+    {"max_batch", Syntax::kNumber, {"", "", "batch_caps", "", "", ""}},
+    {"balance", Syntax::kName, {"", "", "balance", "", "", ""}},
+    {"iterations", Syntax::kNumber, {"", "", "", "iterations", "", ""}},
+    {"workloads", Syntax::kName, {"", "", "", "workloads", "", ""}},
+    {"models", Syntax::kName, {"", "", "", "", "models", ""}},
+    {"batches", Syntax::kNumber, {"", "", "", "", "batches", ""}},
+    {"sides", Syntax::kNumber, {"", "", "", "", "", "sides"}},
+    {"lambdas", Syntax::kNumber, {"", "", "", "", "", "lambdas"}},
+};
+
+const OverrideKey* find_key(std::string_view key) {
+    for (const auto& row : kOverrideKeys)
+        if (row.key == key) return &row;
+    return nullptr;
 }
 
-/// traffic_scale accepts the bench-doc notation "1/128" as well as plain
-/// decimals.
-double parse_ratio(std::string_view key, std::string_view value) {
-    const std::size_t slash = value.find('/');
-    if (slash == std::string_view::npos) return parse_double(key, value);
-    const double num = parse_double(key, value.substr(0, slash));
-    const double den = parse_double(key, value.substr(slash + 1));
-    if (den == 0.0) bad_value(key, value, "division by zero");
-    return num / den;
+Json number_json(std::string_view key, std::string_view value,
+                 std::string_view item) {
+    const char* first = item.data();
+    const char* last = first + item.size();
+    const auto parses = [&](auto& v) {
+        const auto [p, ec] = std::from_chars(first, last, v);
+        return ec == std::errc() && p == last;
+    };
+    if (std::int64_t i = 0; parses(i)) return Json(i);
+    if (std::uint64_t u = 0; parses(u)) return Json(u);
+    if (double d = 0.0; parses(d)) return Json(d);
+    bad_value(key, value, "expected a number");
 }
 
-std::int64_t parse_int(std::string_view key, std::string_view value) {
-    std::int64_t v = 0;
-    const auto [p, ec] = std::from_chars(value.data(), value.data() + value.size(), v);
-    if (ec != std::errc() || p != value.data() + value.size())
-        bad_value(key, value, "expected an integer");
-    return v;
-}
-
-std::uint64_t parse_uint(std::string_view key, std::string_view value) {
-    std::uint64_t v = 0;
-    const auto [p, ec] = std::from_chars(value.data(), value.data() + value.size(), v);
-    if (ec != std::errc() || p != value.data() + value.size())
-        bad_value(key, value, "expected a non-negative integer");
-    return v;
-}
-
-std::pair<std::int32_t, std::int32_t> parse_grid(std::string_view key,
-                                                 std::string_view value) {
-    // Same strict parser as the JSON spec forms (grid_from_string), so a
-    // grid that works in a spec file works on the CLI and vice versa.
-    try {
-        return grid_from_string(std::string(value));
-    } catch (const std::invalid_argument&) {
-        bad_value(key, value, "expected WxH, e.g. 12x12");
-    }
-}
-
-std::vector<core::experiment::Arch> parse_archs(std::string_view key,
-                                                std::string_view value) {
-    std::vector<core::experiment::Arch> archs;
-    for (const auto& name : split_csv(value)) {
-        try {
-            archs.push_back(arch_from_string(name));
-        } catch (const std::invalid_argument& e) {
-            bad_value(key, value, e.what());
+Json item_json(Syntax syntax, std::string_view key, std::string_view value,
+               std::string_view item) {
+    switch (syntax) {
+        case Syntax::kNumber: return number_json(key, value, item);
+        case Syntax::kRatio: {
+            const std::size_t slash = item.find('/');
+            if (slash == std::string_view::npos) return number_json(key, value, item);
+            return Json(number_json(key, value, item.substr(0, slash)).as_double() /
+                        number_json(key, value, item.substr(slash + 1)).as_double());
         }
+        case Syntax::kName: break;
     }
-    if (archs.empty()) bad_value(key, value, "empty architecture list");
-    return archs;
+    return Json(std::string(item));
 }
 
-std::vector<std::int32_t> parse_positive_int32_list(std::string_view key,
-                                                    std::string_view value,
-                                                    const char* what) {
-    std::vector<std::int32_t> out;
-    for (const auto& item : split_csv(value)) {
-        const std::int64_t v = parse_int(key, item);
-        if (v <= 0 || v > INT32_MAX)
-            bad_value(key, value,
-                      std::string(what) + " must be a positive int32");
-        out.push_back(static_cast<std::int32_t>(v));
+/// Splits a path into its first segment and the rest.
+std::pair<std::string_view, std::string_view> split_path(std::string_view path) {
+    const std::size_t dot = path.find('.');
+    if (dot == std::string_view::npos) return {path, {}};
+    return {path.substr(0, dot), path.substr(dot + 1)};
+}
+
+/// The value at `path` ("*" reads an array's first element).
+const Json& value_at(const Json& node, std::string_view path) {
+    if (path.empty()) return node;
+    const auto [head, rest] = split_path(path);
+    return value_at(head == "*" ? node.as_array().at(0) : *node.find(head), rest);
+}
+
+/// `node` with `value` written at `path` ("*" writes every element).
+Json replaced(const Json& node, std::string_view path, const Json& value) {
+    if (path.empty()) return value;
+    const auto [head, rest] = split_path(path);
+    if (head == "*") {
+        Json out = Json::array();
+        for (const Json& item : node.as_array()) out.push_back(replaced(item, rest, value));
+        return out;
     }
-    if (out.empty()) bad_value(key, value, std::string("empty ") + what + " list");
+    Json out = Json::object();
+    for (const auto& [name, child] : node.as_object())
+        out.set(name, name == head ? replaced(child, rest, value) : child);
     return out;
-}
-
-/// Applies an EvalConfig mutation everywhere the spec carries one. A
-/// sweep spec with an empty eval list means "the experiment default", so
-/// the default is materialized first — otherwise the override would be
-/// silently lost at expand() time. Returns false for kinds that carry no
-/// EvalConfig at all (the annealing and Transformer studies never run the
-/// flit simulator), so eval overrides don't pretend to land on them.
-template <typename Fn>
-bool mutate_evals(SpecVariant& spec, Fn&& fn) {
-    if (auto* sweep = std::get_if<core::SweepSpec>(&spec)) {
-        if (sweep->evals.empty())
-            sweep->evals = {core::experiment::default_eval_config()};
-        for (auto& eval : sweep->evals) fn(eval);
-        return true;
-    }
-    if (auto* grid = std::get_if<ServeGridSpec>(&spec)) {
-        fn(grid->base.config.eval);
-        return true;
-    }
-    if (auto* cluster = std::get_if<ClusterSpec>(&spec)) {
-        fn(cluster->base.config.eval);
-        return true;
-    }
-    if (auto* scaling = std::get_if<ScalingSpec>(&spec)) {
-        fn(scaling->eval);
-        return true;
-    }
-    return false;
 }
 
 }  // namespace
@@ -224,284 +252,71 @@ const Scenario& Registry::at(const std::string& name) const {
 }
 
 void set_seed(SpecVariant& spec, std::uint64_t seed) {
-    if (auto* sweep = std::get_if<core::SweepSpec>(&spec))
-        sweep->run_seed = seed;
-    else if (auto* grid = std::get_if<ServeGridSpec>(&spec))
-        grid->base.base_seed = seed;
-    else if (auto* cluster = std::get_if<ClusterSpec>(&spec))
-        cluster->base.base_seed = seed;
-    else if (auto* moo = std::get_if<Moo3dSpec>(&spec))
-        moo->seed = seed;
-    else if (auto* scaling = std::get_if<ScalingSpec>(&spec))
-        scaling->mix_seed = seed;
-    // TransformerSpec: fully deterministic, nothing to seed.
+    (void)apply_override(spec, "seed", std::to_string(seed));
 }
 
 std::uint64_t effective_seed(const SpecVariant& spec) {
-    if (const auto* sweep = std::get_if<core::SweepSpec>(&spec))
-        return sweep->run_seed;
-    if (const auto* grid = std::get_if<ServeGridSpec>(&spec))
-        return grid->base.base_seed;
-    if (const auto* cluster = std::get_if<ClusterSpec>(&spec))
-        return cluster->base.base_seed;
-    if (const auto* moo = std::get_if<Moo3dSpec>(&spec)) return moo->seed;
-    if (const auto* scaling = std::get_if<ScalingSpec>(&spec))
-        return scaling->mix_seed;
-    return 0;
+    const std::string_view path = find_key("seed")->paths[spec.index()];
+    return path.empty() ? 0 : value_at(to_json(spec), path).as_uint();
 }
 
 bool is_eval_override_key(std::string_view key) {
-    return key == "traffic_scale" || key == "max_cycles" ||
-           key == "injection_rate";
+    // Every eval knob lands in a sweep's eval list.
+    const OverrideKey* row = find_key(key);
+    return row != nullptr && row->paths[0].starts_with("evals.");
 }
 
 std::string override_keys_help() {
-    return "grid, grids, archs, mixes, traffic_scale, max_cycles, "
-           "injection_rate, swap_seed, greedy_max_gap, seed, "
-           "max_requests, replications, loads, fabrics, max_batch, balance, "
-           "iterations, workloads, models, batches, sides, lambdas";
+    std::string help;
+    for (const auto& row : kOverrideKeys) {
+        if (!help.empty()) help += ", ";
+        help += row.key;
+    }
+    return help;
 }
 
 bool apply_override(SpecVariant& spec, std::string_view key,
                     std::string_view value) {
-    auto* sweep = std::get_if<core::SweepSpec>(&spec);
-    auto* grid = std::get_if<ServeGridSpec>(&spec);
-    auto* cluster = std::get_if<ClusterSpec>(&spec);
-    auto* moo = std::get_if<Moo3dSpec>(&spec);
-    auto* transformer = std::get_if<TransformerSpec>(&spec);
-    auto* scaling = std::get_if<ScalingSpec>(&spec);
-    // The serving kinds share a base ServeSpec; overrides that land on it
-    // apply identically to both.
-    serve::ServeSpec* serve_base =
-        grid ? &grid->base : (cluster ? &cluster->base : nullptr);
+    const OverrideKey* row = find_key(key);
+    if (row == nullptr)
+        throw std::invalid_argument("--set: unknown key \"" + std::string(key) +
+                                    "\" (supported: " + override_keys_help() + ")");
+    const std::string_view path = row->paths[spec.index()];
+    if (path.empty()) return false;
+    std::vector<Json> items;
+    for (const auto& item : split_csv(value))
+        items.push_back(item_json(row->syntax, key, value, item));
+    if (items.empty()) bad_value(key, value, "expected a value");
+    const auto one_item = [&]() -> const Json& {
+        if (items.size() != 1)
+            bad_value(key, value, "this scenario kind takes exactly one value");
+        return items.front();
+    };
 
-    if (key == "grid" || key == "grids") {
-        std::vector<std::pair<std::int32_t, std::int32_t>> grids;
-        for (const auto& g : split_csv(value)) grids.push_back(parse_grid(key, g));
-        if (grids.empty()) bad_value(key, value, "empty grid list");
-        if (sweep) {
-            sweep->grids = std::move(grids);
-            return true;
-        }
-        if (grids.size() != 1)
-            bad_value(key, value, "this scenario kind takes exactly one grid");
-        if (serve_base) {
-            serve_base->width = grids.front().first;
-            serve_base->height = grids.front().second;
-            return true;
-        }
-        if (moo) {
-            moo->width = grids.front().first;
-            moo->height = grids.front().second;
-            return true;
-        }
-        if (transformer) {
-            transformer->hetero.macro_width = grids.front().first;
-            transformer->hetero.macro_height = grids.front().second;
-            return true;
-        }
-        // Scaling systems are square by construction: sides defines them.
-        return false;
+    Json doc = to_json(spec);
+    // An empty sweep eval list means "the experiment default": materialize
+    // it, or an eval override would be silently lost at expand() time.
+    if (path.starts_with("evals.") && value_at(doc, "evals").as_array().empty())
+        doc = replaced(doc, "evals",
+                       Json::array({to_json(core::experiment::default_eval_config())}));
+    if (const std::size_t bar = path.find('|'); bar != std::string_view::npos) {
+        // A grid split over two integer fields (width|height).
+        const std::string_view grid = one_item().as_string();
+        const std::size_t x = grid.find('x');
+        if (x == std::string_view::npos) bad_value(key, value, "expected WxH, e.g. 12x12");
+        doc = replaced(doc, path.substr(0, bar), number_json(key, value, grid.substr(0, x)));
+        doc = replaced(doc, path.substr(bar + 1), number_json(key, value, grid.substr(x + 1)));
+    } else {
+        // The field's current shape says whether it holds a list.
+        const bool list = value_at(doc, path).kind() == Json::Kind::kArray;
+        doc = replaced(doc, path, list ? Json::array(items) : one_item());
     }
-    if (key == "archs") {
-        auto archs = parse_archs(key, value);
-        if (sweep) {
-            sweep->archs = std::move(archs);
-            return true;
-        }
-        if (grid) {
-            grid->archs = std::move(archs);
-            return true;
-        }
-        if (cluster) {
-            if (archs.size() != 1)
-                bad_value(key, value,
-                          "the cluster scenario replicates one architecture");
-            cluster->base.arch = archs.front();
-            return true;
-        }
-        if (scaling) {
-            scaling->archs = std::move(archs);
-            return true;
-        }
-        return false;
+    try {
+        spec = spec_from_json(doc, spec_kind_name(spec));
+    } catch (const std::invalid_argument& e) {
+        bad_value(key, value, e.what());
     }
-    if (key == "mixes") {
-        if (!sweep) return false;
-        std::vector<workload::ConcurrentMix> mixes;
-        for (const auto& name : split_csv(value)) {
-            try {
-                mixes.push_back(mix_from_json(util::Json(name)));
-            } catch (const std::invalid_argument& e) {
-                bad_value(key, value, e.what());
-            }
-        }
-        if (mixes.empty()) bad_value(key, value, "empty mix list");
-        sweep->mixes = std::move(mixes);
-        return true;
-    }
-    if (key == "traffic_scale") {
-        const double scale = parse_ratio(key, value);
-        if (scale <= 0.0 || scale > 1.0)
-            bad_value(key, value, "traffic scale must be in (0, 1]");
-        return mutate_evals(spec,
-                            [&](core::EvalConfig& e) { e.traffic_scale = scale; });
-    }
-    if (key == "max_cycles") {
-        const std::int64_t cap = parse_int(key, value);
-        if (cap <= 0) bad_value(key, value, "cycle cap must be positive");
-        return mutate_evals(spec,
-                            [&](core::EvalConfig& e) { e.sim.max_cycles = cap; });
-    }
-    if (key == "injection_rate") {
-        const double rate = parse_double(key, value);
-        if (rate <= 0.0) bad_value(key, value, "injection rate must be positive");
-        return mutate_evals(
-            spec, [&](core::EvalConfig& e) { e.sim.injection_rate = rate; });
-    }
-    if (key == "swap_seed") {
-        const std::uint64_t seed = parse_uint(key, value);
-        if (sweep) {
-            sweep->swap_seed = seed;
-            return true;
-        }
-        if (serve_base) {
-            serve_base->swap_seed = seed;
-            return true;
-        }
-        if (scaling) {
-            scaling->swap_seed = seed;
-            return true;
-        }
-        return false;
-    }
-    if (key == "greedy_max_gap") {
-        const std::int64_t gap = parse_int(key, value);
-        if (gap < INT32_MIN || gap > INT32_MAX)
-            bad_value(key, value, "out of int32 range");
-        if (sweep) {
-            sweep->greedy_max_gap = static_cast<std::int32_t>(gap);
-            return true;
-        }
-        if (serve_base) {
-            serve_base->greedy_max_gap = static_cast<std::int32_t>(gap);
-            return true;
-        }
-        if (scaling) {
-            scaling->greedy_max_gap = static_cast<std::int32_t>(gap);
-            return true;
-        }
-        return false;
-    }
-    if (key == "seed") {
-        if (transformer) return false;  // deterministic: see set_seed
-        set_seed(spec, parse_uint(key, value));
-        return true;
-    }
-    if (key == "iterations") {
-        if (!moo) return false;
-        const std::int64_t n = parse_int(key, value);
-        if (n < 0 || n > INT32_MAX)
-            bad_value(key, value, "iteration count must be a non-negative int32");
-        moo->iterations = static_cast<std::int32_t>(n);
-        return true;
-    }
-    if (key == "workloads") {
-        if (!moo) return false;
-        std::vector<std::string> ids;
-        for (const auto& id : split_csv(value)) {
-            try {
-                (void)workload::workload_by_id(id);
-            } catch (const std::exception& e) {
-                bad_value(key, value, e.what());
-            }
-            ids.push_back(id);
-        }
-        if (ids.empty()) bad_value(key, value, "empty workload list");
-        moo->workloads = std::move(ids);
-        return true;
-    }
-    if (key == "models") {
-        if (!transformer) return false;
-        std::vector<std::string> models;
-        for (const auto& name : split_csv(value)) {
-            try {
-                (void)transformer_model_from_name(name);
-            } catch (const std::invalid_argument& e) {
-                bad_value(key, value, e.what());
-            }
-            models.push_back(ascii_lower(name));
-        }
-        if (models.empty()) bad_value(key, value, "empty model list");
-        transformer->models = std::move(models);
-        return true;
-    }
-    if (key == "batches") {
-        if (!transformer) return false;
-        transformer->batches = parse_positive_int32_list(key, value, "batch");
-        return true;
-    }
-    if (key == "sides") {
-        if (!scaling) return false;
-        scaling->sides = parse_positive_int32_list(key, value, "side");
-        return true;
-    }
-    if (key == "lambdas") {
-        if (!scaling) return false;
-        scaling->lambdas = parse_positive_int32_list(key, value, "lambda");
-        return true;
-    }
-    if (key == "max_requests") {
-        if (!serve_base) return false;
-        const std::int64_t n = parse_int(key, value);
-        if (n <= 0) bad_value(key, value, "request count must be positive");
-        serve_base->config.arrivals.max_requests = n;
-        return true;
-    }
-    if (key == "replications") {
-        if (!serve_base) return false;
-        const std::int64_t n = parse_int(key, value);
-        if (n <= 0 || n > INT32_MAX)
-            bad_value(key, value, "replication count must be a positive int32");
-        serve_base->replications = static_cast<std::int32_t>(n);
-        return true;
-    }
-    if (key == "loads") {
-        if (!grid && !cluster) return false;
-        std::vector<double> loads;
-        for (const auto& l : split_csv(value)) loads.push_back(parse_double(key, l));
-        if (loads.empty()) bad_value(key, value, "empty load list");
-        for (const double l : loads)
-            if (l <= 0.0) bad_value(key, value, "offered loads must be positive");
-        if (grid)
-            grid->loads_per_mcycle = std::move(loads);
-        else
-            cluster->loads_per_mcycle = std::move(loads);
-        return true;
-    }
-    if (key == "fabrics") {
-        if (!cluster) return false;
-        cluster->cluster_sizes =
-            parse_positive_int32_list(key, value, "cluster size");
-        return true;
-    }
-    if (key == "max_batch") {
-        if (!cluster) return false;
-        cluster->batch_caps = parse_positive_int32_list(key, value, "batch cap");
-        return true;
-    }
-    if (key == "balance") {
-        if (!cluster) return false;
-        try {
-            cluster->balance =
-                balance_policy_from_json(util::Json(std::string(value)));
-        } catch (const std::invalid_argument& e) {
-            bad_value(key, value, e.what());
-        }
-        return true;
-    }
-    throw std::invalid_argument("--set: unknown key \"" + std::string(key) +
-                                "\" (supported: " + override_keys_help() + ")");
+    return true;
 }
 
 }  // namespace floretsim::scenario

@@ -17,7 +17,7 @@ namespace floretsim::scenario {
 /// First-class scenario layer: every paper figure/table registers a named
 /// Scenario — a serializable spec plus a report function — and the
 /// floretsim_run driver executes scenarios by name (`--only <scenario>`).
-/// The spec is data (JSON in, JSON out, CLI overrides applied in place);
+/// The spec is data (JSON in, JSON out, CLI overrides patched into the JSON);
 /// the report function is the only code, and it receives a shared
 /// SweepEngine so consecutive scenarios reuse one fabric cache
 /// (fig3+fig5 build their identical sweeps once).
@@ -96,25 +96,27 @@ private:
 
 // ---- Spec mutation (CLI) ----------------------------------------------------
 
-/// Points every seed in the spec at `seed` (sweep run_seed / serve
+/// Points the spec's seed at `seed` (sweep run_seed / serve
 /// base_seed / moo3d annealer seed / scaling mix_seed) — the bench
-/// `--seed` contract. A no-op on Transformer specs, which are fully
-/// deterministic and carry no seed.
+/// `--seed` contract, applied as `--set seed=N`. A no-op on Transformer
+/// specs, which are fully deterministic and carry no seed.
 void set_seed(SpecVariant& spec, std::uint64_t seed);
 
 /// The seed a run of `spec` will actually use (the mirror of set_seed).
 /// Reports record it as run_info provenance; 0 for seedless kinds.
 [[nodiscard]] std::uint64_t effective_seed(const SpecVariant& spec);
 
-/// Applies one `--set key=value` override in place. Returns false when
-/// the key is recognized but meaningless for this spec kind (e.g.
-/// max_requests on a batch sweep, seed on a Transformer study) so the
-/// caller can insist that every override lands somewhere; throws
-/// std::invalid_argument for unknown keys or malformed values. Supported
-/// keys: grid, grids, archs, mixes, traffic_scale (accepts "1/128"),
-/// max_cycles, injection_rate, swap_seed, greedy_max_gap, seed,
-/// max_requests, replications, loads, fabrics, max_batch, balance,
-/// iterations, workloads, models, batches, sides, lambdas.
+/// Applies one `--set key=value` override as a patch over the spec codec:
+/// serializes the spec with to_json, writes the value at the key's path
+/// for this spec kind, and re-parses with spec_from_json, so every check
+/// on the value is the one a --spec file gets. Returns false when the key
+/// is recognized but meaningless for this spec kind (e.g. max_requests on
+/// a batch sweep, seed on a Transformer study) so the caller can insist
+/// that every override lands somewhere; throws std::invalid_argument
+/// ("--set key=value: why", spec unchanged) for unknown keys, malformed
+/// values and values the codec rejects. Keys: see override_keys_help();
+/// traffic_scale also accepts "1/128", and a single-valued field (a
+/// serving grid, the cluster's arch) takes exactly one value.
 bool apply_override(SpecVariant& spec, std::string_view key,
                     std::string_view value);
 

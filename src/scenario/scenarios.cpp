@@ -816,6 +816,17 @@ core::MooConfig moo_config_of(const Moo3dSpec& s) {
     return moo;
 }
 
+/// The thermal grid of the spec's width x height x depth stack — the
+/// stack the route table is built over — under one integration variant.
+thermal::ThermalConfig thermal_config_of(const Moo3dSpec& s, const Moo3dVariant& v) {
+    thermal::ThermalConfig tcfg;
+    tcfg.width = s.width;
+    tcfg.height = s.height;
+    tcfg.depth = s.depth;
+    tcfg.g_vertical_w_per_k = v.g_vertical_w_per_k;
+    return tcfg;
+}
+
 /// The stack variant a single-variant study runs: the baseline when the
 /// spec lists none.
 Moo3dVariant first_variant(const Moo3dSpec& s) {
@@ -834,8 +845,7 @@ JsonReport fig6_report(const SpecVariant& sv, RunContext& ctx) {
     const auto topo3d = topo::make_mesh3d(spec.width, spec.height, spec.depth,
                                           1.0, var.tier_pitch_mm);
     const auto routes = noc::RouteTable::build(topo3d, spec.routing);
-    thermal::ThermalConfig tcfg;
-    tcfg.g_vertical_w_per_k = var.g_vertical_w_per_k;
+    const thermal::ThermalConfig tcfg = thermal_config_of(spec, var);
     pim::ReramConfig rcfg;
     pim::ThermalAccuracyModel acc;
     core::PerfParams perf;
@@ -916,8 +926,7 @@ JsonReport fig7_report(const SpecVariant& sv, RunContext& ctx) {
     const auto topo3d = topo::make_mesh3d(spec.width, spec.height, spec.depth,
                                           1.0, var.tier_pitch_mm);
     const auto routes = noc::RouteTable::build(topo3d, spec.routing);
-    thermal::ThermalConfig tcfg;
-    tcfg.g_vertical_w_per_k = var.g_vertical_w_per_k;
+    const thermal::ThermalConfig tcfg = thermal_config_of(spec, var);
     thermal::PowerParams pcfg;
     pim::ReramConfig rcfg;
     pim::ThermalAccuracyModel acc;
@@ -992,8 +1001,7 @@ JsonReport m3d_report(const SpecVariant& sv, RunContext& ctx) {
             const auto topo3d = topo::make_mesh3d(spec.width, spec.height,
                                                   spec.depth, 1.0, v.tier_pitch_mm);
             const auto routes = noc::RouteTable::build(topo3d, spec.routing);
-            thermal::ThermalConfig tcfg;
-            tcfg.g_vertical_w_per_k = v.g_vertical_w_per_k;
+            const thermal::ThermalConfig tcfg = thermal_config_of(spec, v);
             thermal::PowerParams pcfg;
             pcfg.inference_period_ns = pim::pipeline_period_ns(net, plan, rcfg);
             return core::optimize_joint(net, plan, routes, tcfg, pcfg, rcfg, acc,

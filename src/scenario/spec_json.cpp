@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <set>
 #include <stdexcept>
+#include <string_view>
+#include <tuple>
 
 namespace floretsim::scenario {
 namespace {
@@ -21,6 +24,27 @@ std::int32_t to_int32(std::int64_t v, const char* what) {
     if (v < INT32_MIN || v > INT32_MAX)
         throw std::invalid_argument(std::string(what) + " out of int32 range");
     return static_cast<std::int32_t>(v);
+}
+
+/// List items that must be positive: fabric counts, batch sizes, sides.
+std::int32_t positive_int32(const Json& j) {
+    const std::int32_t v = to_int32(j.as_int(), "value");
+    if (v <= 0) throw std::invalid_argument("must be positive, got " + std::to_string(v));
+    return v;
+}
+
+/// Offered loads: finite and positive.
+double positive_double(const Json& j) {
+    const double v = j.as_double();
+    if (!(std::isfinite(v) && v > 0.0))
+        throw std::invalid_argument("must be finite and > 0, got " + std::to_string(v));
+    return v;
+}
+
+/// A Table I workload id, validated.
+std::string workload_id_from_json(const Json& j) {
+    (void)workload::workload_by_id(j.as_string());  // throws on an unknown id
+    return j.as_string();
 }
 
 /// Strict object reader: typed field extraction with
@@ -47,7 +71,10 @@ public:
             try {
                 out = convert(*v);
             } catch (const std::invalid_argument& e) {
-                bad(context_ + "." + key, e.what());
+                // A nested reader's message already says "spec ".
+                std::string_view msg = e.what();
+                if (msg.starts_with("spec ")) msg.remove_prefix(5);
+                bad(context_ + "." + key, std::string(msg));
             }
         }
     }
@@ -56,12 +83,7 @@ public:
         read_with(key, out, [](const Json& v) { return v.as_bool(); });
     }
     void read(const std::string& key, std::int32_t& out) {
-        read_with(key, out, [](const Json& v) {
-            const std::int64_t i = v.as_int();
-            if (i < INT32_MIN || i > INT32_MAX)
-                throw std::invalid_argument("value out of int32 range");
-            return static_cast<std::int32_t>(i);
-        });
+        read_with(key, out, [](const Json& v) { return to_int32(v.as_int(), "value"); });
     }
     void read(const std::string& key, std::int64_t& out) {
         read_with(key, out, [](const Json& v) { return v.as_int(); });
@@ -74,6 +96,17 @@ public:
     }
     void read(const std::string& key, std::string& out) {
         read_with(key, out, [](const Json& v) { return v.as_string(); });
+    }
+
+    /// Replaces `out` with the array at `key`, converting item by item;
+    /// as with read_with, an error names the field.
+    template <typename T, typename Fn>
+    void read_list(const std::string& key, std::vector<T>& out, Fn&& convert) {
+        read_with(key, out, [&](const Json& v) {
+            std::vector<T> items;
+            for (const Json& item : v.as_array()) items.push_back(convert(item));
+            return items;
+        });
     }
 
     /// Rejects any key the caller never probed.
@@ -255,6 +288,9 @@ core::EvalConfig eval_config_from_json(const Json& j) {
     r.read("include_weight_load", c.include_weight_load);
     r.read("io_node", c.io_node);
     r.finish();
+    if (!(c.traffic_scale > 0.0 && c.traffic_scale <= 1.0))
+        bad("eval.traffic_scale",
+            "must be in (0, 1], got " + std::to_string(c.traffic_scale));
     return c;
 }
 
@@ -366,23 +402,10 @@ Json to_json(const core::SweepSpec& s) {
 core::SweepSpec sweep_spec_from_json(const Json& j) {
     core::SweepSpec s;
     ObjectReader r(j, "sweep");
-    if (const Json* archs = r.find("archs")) {
-        s.archs.clear();
-        for (const Json& a : archs->as_array()) s.archs.push_back(arch_from_json(a));
-    }
-    if (const Json* grids = r.find("grids")) {
-        s.grids.clear();
-        for (const Json& g : grids->as_array()) s.grids.push_back(grid_from_json(g));
-    }
-    if (const Json* mixes = r.find("mixes")) {
-        s.mixes.clear();
-        for (const Json& m : mixes->as_array()) s.mixes.push_back(mix_from_json(m));
-    }
-    if (const Json* evals = r.find("evals")) {
-        s.evals.clear();
-        for (const Json& e : evals->as_array())
-            s.evals.push_back(eval_config_from_json(e));
-    }
+    r.read_list("archs", s.archs, arch_from_json);
+    r.read_list("grids", s.grids, grid_from_json);
+    r.read_list("mixes", s.mixes, mix_from_json);
+    r.read_list("evals", s.evals, eval_config_from_json);
     r.read("swap_seed", s.swap_seed);
     r.read("greedy_max_gap", s.greedy_max_gap);
     r.read("run_seed", s.run_seed);
@@ -406,11 +429,9 @@ core::SweepPoint sweep_point_from_json(const Json& j) {
     core::SweepPoint p;
     ObjectReader r(j, "point");
     r.read_with("arch", p.arch, arch_from_json);
-    if (const Json* g = r.find("grid")) {
-        const auto [w, h] = grid_from_json(*g);
-        p.width = w;
-        p.height = h;
-    }
+    std::pair grid{p.width, p.height};
+    r.read_with("grid", grid, grid_from_json);
+    std::tie(p.width, p.height) = grid;
     r.read_with("mix", p.mix, mix_from_json);
     r.read_with("eval", p.eval, eval_config_from_json);
     r.read("swap_seed", p.swap_seed);
@@ -515,12 +536,7 @@ serve::RequestClass request_class_from_json(const Json& j) {
     serve::RequestClass c;
     ObjectReader r(j, "class");
     r.read("name", c.name);
-    if (const Json* ids = r.find("workload_ids")) {
-        for (const Json& id : ids->as_array()) {
-            (void)workload::workload_by_id(id.as_string());  // validate
-            c.workload_ids.push_back(id.as_string());
-        }
-    }
+    r.read_list("workload_ids", c.workload_ids, workload_id_from_json);
     r.read("weight", c.weight);
     r.read("slo_cycles", c.slo_cycles);
     r.finish();
@@ -553,13 +569,15 @@ serve::ArrivalConfig arrival_config_from_json(const Json& j) {
     r.read("burst_rate_multiplier", c.burst_rate_multiplier);
     r.read("normal_dwell_cycles", c.normal_dwell_cycles);
     r.read("burst_dwell_cycles", c.burst_dwell_cycles);
-    if (const Json* trace = r.find("trace_cycles")) {
-        for (const Json& t : trace->as_array()) c.trace_cycles.push_back(t.as_double());
-    }
+    r.read_list("trace_cycles", c.trace_cycles,
+                [](const Json& t) { return t.as_double(); });
     r.read("max_requests", c.max_requests);
     r.read("min_rounds", c.min_rounds);
     r.read("max_rounds", c.max_rounds);
     r.finish();
+    if (c.max_requests <= 0)
+        bad("arrivals.max_requests",
+            "must be positive, got " + std::to_string(c.max_requests));
     return c;
 }
 
@@ -586,10 +604,7 @@ serve::ServeConfig serve_config_from_json(const Json& j) {
     serve::ServeConfig c = serve::default_serve_config();
     ObjectReader r(j, "serve");
     r.read_with("arrivals", c.arrivals, arrival_config_from_json);
-    if (const Json* classes = r.find("classes")) {
-        for (const Json& cls : classes->as_array())
-            c.classes.push_back(request_class_from_json(cls));
-    }
+    r.read_list("classes", c.classes, request_class_from_json);
     r.read_with("admission", c.admission, admission_policy_from_json);
     r.read("max_queue", c.max_queue);
     r.read("max_batch", c.max_batch);
@@ -629,17 +644,18 @@ serve::ServeSpec serve_spec_from_json(const Json& j) {
     s.config = serve::default_serve_config();  // see serve_config_from_json
     ObjectReader r(j, "serve_spec");
     r.read_with("arch", s.arch, arch_from_json);
-    if (const Json* g = r.find("grid")) {
-        const auto [w, h] = grid_from_json(*g);
-        s.width = w;
-        s.height = h;
-    }
+    std::pair grid{s.width, s.height};
+    r.read_with("grid", grid, grid_from_json);
+    std::tie(s.width, s.height) = grid;
     r.read("swap_seed", s.swap_seed);
     r.read("greedy_max_gap", s.greedy_max_gap);
     r.read_with("config", s.config, serve_config_from_json);
     r.read("replications", s.replications);
     r.read("base_seed", s.base_seed);
     r.finish();
+    if (s.replications <= 0)
+        bad("serve_spec.replications",
+            "must be positive, got " + std::to_string(s.replications));
     return s;
 }
 
@@ -665,16 +681,11 @@ ServeGridSpec serve_grid_spec_from_json(const Json& j) {
     ServeGridSpec s;
     ObjectReader r(j, "serve_grid");
     r.read_with("base", s.base, serve_spec_from_json);
-    if (const Json* archs = r.find("archs")) {
-        s.archs.clear();
-        for (const Json& a : archs->as_array()) s.archs.push_back(arch_from_json(a));
-    }
-    if (const Json* loads = r.find("loads_per_mcycle")) {
-        s.loads_per_mcycle.clear();
-        for (const Json& l : loads->as_array())
-            s.loads_per_mcycle.push_back(l.as_double());
-    }
+    r.read_list("archs", s.archs, arch_from_json);
+    r.read_list("loads_per_mcycle", s.loads_per_mcycle, positive_double);
     r.finish();
+    if (s.loads_per_mcycle.empty())
+        bad("serve_grid", "\"loads_per_mcycle\" must not be empty");
     return s;
 }
 
@@ -698,35 +709,17 @@ ClusterSpec cluster_spec_from_json(const Json& j) {
     ClusterSpec s;
     ObjectReader r(j, "cluster");
     r.read_with("base", s.base, serve_spec_from_json);
-    if (const Json* sizes = r.find("cluster_sizes")) {
-        s.cluster_sizes.clear();
-        for (const Json& k : sizes->as_array())
-            s.cluster_sizes.push_back(static_cast<std::int32_t>(k.as_int()));
-    }
-    if (const Json* caps = r.find("batch_caps")) {
-        s.batch_caps.clear();
-        for (const Json& b : caps->as_array())
-            s.batch_caps.push_back(static_cast<std::int32_t>(b.as_int()));
-    }
-    if (const Json* loads = r.find("loads_per_mcycle")) {
-        s.loads_per_mcycle.clear();
-        for (const Json& l : loads->as_array())
-            s.loads_per_mcycle.push_back(l.as_double());
-    }
+    r.read_list("cluster_sizes", s.cluster_sizes, positive_int32);
+    r.read_list("batch_caps", s.batch_caps, positive_int32);
+    r.read_list("loads_per_mcycle", s.loads_per_mcycle, positive_double);
     r.read_with("balance", s.balance, balance_policy_from_json);
     r.finish();
     if (s.cluster_sizes.empty())
         bad("cluster", "\"cluster_sizes\" must not be empty");
-    for (const auto k : s.cluster_sizes)
-        if (k < 1) bad("cluster", "cluster sizes must be >= 1 fabrics");
     if (s.batch_caps.empty())
         bad("cluster", "\"batch_caps\" must not be empty");
-    for (const auto b : s.batch_caps)
-        if (b < 1) bad("cluster", "batch caps must be >= 1");
     if (s.loads_per_mcycle.empty())
         bad("cluster", "\"loads_per_mcycle\" must not be empty");
-    for (const double l : s.loads_per_mcycle)
-        if (!(l > 0.0)) bad("cluster", "offered loads must be > 0");
     return s;
 }
 
@@ -796,17 +789,10 @@ Json to_json(const Moo3dSpec& s) {
 Moo3dSpec moo3d_spec_from_json(const Json& j) {
     Moo3dSpec s;
     ObjectReader r(j, "moo3d");
-    if (const Json* workloads = r.find("workloads")) {
-        for (const Json& w : workloads->as_array()) {
-            (void)workload::workload_by_id(w.as_string());  // throws on unknown id
-            s.workloads.push_back(w.as_string());
-        }
-    }
-    if (const Json* g = r.find("grid")) {
-        const auto [w, h] = grid_from_json(*g);
-        s.width = w;
-        s.height = h;
-    }
+    r.read_list("workloads", s.workloads, workload_id_from_json);
+    std::pair grid{s.width, s.height};
+    r.read_with("grid", grid, grid_from_json);
+    std::tie(s.width, s.height) = grid;
     r.read("depth", s.depth);
     r.read_with("routing", s.routing, routing_policy_from_json);
     r.read("iterations", s.iterations);
@@ -814,10 +800,7 @@ Moo3dSpec moo3d_spec_from_json(const Json& j) {
     r.read("w_thermal", s.w_thermal);
     r.read("t_target_k", s.t_target_k);
     r.read("seed", s.seed);
-    if (const Json* variants = r.find("variants")) {
-        for (const Json& v : variants->as_array())
-            s.variants.push_back(moo3d_variant_from_json(v));
-    }
+    r.read_list("variants", s.variants, moo3d_variant_from_json);
     r.finish();
     if (s.workloads.empty()) bad("moo3d", "specs need \"workloads\"");
     if (s.depth <= 0) bad("moo3d", "depth must be positive");
@@ -860,6 +843,8 @@ core::HeteroConfig hetero_config_from_json(const Json& j) {
     r.read("sram_speedup", c.sram_speedup);
     r.read("reram_write_ns_per_elem", c.reram_write_ns_per_elem);
     r.finish();
+    if (c.macro_width <= 0) bad("hetero.macro_width", "must be positive");
+    if (c.macro_height <= 0) bad("hetero.macro_height", "must be positive");
     return c;
 }
 
@@ -878,21 +863,11 @@ Json to_json(const TransformerSpec& s) {
 TransformerSpec transformer_spec_from_json(const Json& j) {
     TransformerSpec s;
     ObjectReader r(j, "transformer");
-    if (const Json* models = r.find("models")) {
-        s.models.clear();
-        for (const Json& m : models->as_array()) {
-            (void)transformer_model_from_name(m.as_string());  // validate
-            s.models.push_back(ascii_lower(m.as_string()));
-        }
-    }
-    if (const Json* batches = r.find("batches")) {
-        s.batches.clear();
-        for (const Json& b : batches->as_array()) {
-            const std::int32_t batch = to_int32(b.as_int(), "batch");
-            if (batch <= 0) bad("transformer.batches", "batches must be positive");
-            s.batches.push_back(batch);
-        }
-    }
+    r.read_list("models", s.models, [](const Json& m) {
+        (void)transformer_model_from_name(m.as_string());  // validate
+        return ascii_lower(m.as_string());
+    });
+    r.read_list("batches", s.batches, positive_int32);
     r.read_with("hetero", s.hetero, hetero_config_from_json);
     r.finish();
     if (s.models.empty()) bad("transformer", "specs need \"models\"");
@@ -924,26 +899,9 @@ Json to_json(const ScalingSpec& s) {
 ScalingSpec scaling_spec_from_json(const Json& j) {
     ScalingSpec s;
     ObjectReader r(j, "scaling");
-    if (const Json* sides = r.find("sides")) {
-        s.sides.clear();
-        for (const Json& side : sides->as_array()) {
-            const std::int32_t v = to_int32(side.as_int(), "side");
-            if (v <= 0) bad("scaling.sides", "sides must be positive");
-            s.sides.push_back(v);
-        }
-    }
-    if (const Json* archs = r.find("archs")) {
-        s.archs.clear();
-        for (const Json& a : archs->as_array()) s.archs.push_back(arch_from_json(a));
-    }
-    if (const Json* lambdas = r.find("lambdas")) {
-        s.lambdas.clear();
-        for (const Json& l : lambdas->as_array()) {
-            const std::int32_t v = to_int32(l.as_int(), "lambda");
-            if (v <= 0) bad("scaling.lambdas", "lambdas must be positive");
-            s.lambdas.push_back(v);
-        }
-    }
+    r.read_list("sides", s.sides, positive_int32);
+    r.read_list("archs", s.archs, arch_from_json);
+    r.read_list("lambdas", s.lambdas, positive_int32);
     r.read_with("eval", s.eval, eval_config_from_json);
     r.read("mix_seed", s.mix_seed);
     r.read("swap_seed", s.swap_seed);

@@ -27,6 +27,11 @@ namespace floretsim::scenario {
 ///     measurement scale as the documented serving numbers);
 ///   * unknown keys are rejected with the offending context in the
 ///     message — a typoed knob must never silently run the default sweep;
+///   * a value outside its field's range (traffic_scale outside (0, 1], a
+///     non-positive load, request count, replication count, cluster size,
+///     batch or macro side) is rejected naming the field. This codec is
+///     the only place values are checked: `--set` overrides are patched
+///     into the JSON and re-parsed here (scenario::apply_override);
 ///   * workload mixes serialize as Table II names ("WL1") whenever they
 ///     match the canonical entry, and custom mixes reference Table I
 ///     workloads by id — specs carry names, not inlined layer tables.
@@ -75,9 +80,9 @@ namespace floretsim::scenario {
 
 // ---- Sweep specs ------------------------------------------------------------
 
-/// Strict "WxH" parser shared by the JSON spec forms and the CLI
-/// --set grid override, so both entry points validate identically.
-/// Throws std::invalid_argument on malformed or out-of-int32-range input.
+/// Strict "WxH" parser of the JSON spec forms (and so of --set grid,
+/// which is re-parsed by this codec). Throws std::invalid_argument on
+/// malformed or out-of-int32-range input.
 [[nodiscard]] std::pair<std::int32_t, std::int32_t> grid_from_string(
     const std::string& s);
 

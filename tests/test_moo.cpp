@@ -86,6 +86,26 @@ TEST(EvaluatePlacement, ThrowsWhenTheThermalSolveDoesNotConverge) {
     }
 }
 
+TEST(EvaluatePlacement, RejectsAThermalGridOfAnotherSize) {
+    // Node ids index both the route table and the thermal grid: a 6x6x4
+    // thermal grid over 5x5x4 routes would read past the route table.
+    Fixture f;
+    f.tcfg.width = 6;
+    f.tcfg.height = 6;
+    const auto order = sfc3d_order(6, 6, 4);
+    EXPECT_THROW((void)evaluate_placement(f.net, f.plan, order, f.routes, f.tcfg,
+                                          f.pcfg, f.rcfg, f.acc, f.perf),
+                 std::invalid_argument);
+    MooConfig moo;
+    moo.iterations = 5;
+    EXPECT_THROW((void)optimize_joint(f.net, f.plan, f.routes, f.tcfg, f.pcfg, f.rcfg,
+                                      f.acc, f.perf, moo),
+                 std::invalid_argument);
+    EXPECT_THROW((void)optimize_perf_only(f.net, f.plan, f.routes, f.tcfg, f.pcfg,
+                                          f.rcfg, f.acc, f.perf, moo),
+                 std::invalid_argument);
+}
+
 TEST(EvaluatePlacement, ScatteredPlacementHasWorseCommCost) {
     Fixture f;
     const auto sfc = sfc3d_order(5, 5, 4);

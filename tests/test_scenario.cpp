@@ -8,6 +8,8 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "src/core/experiment.h"
 #include "src/obs/metrics.h"
@@ -186,6 +188,49 @@ TEST(Overrides, ApplyToClusterSpecs) {
                  std::invalid_argument);
 }
 
+TEST(Overrides, ApplyToMooTransformerAndScalingSpecs) {
+    const Registry& reg = Registry::builtin();
+    SpecVariant moo = reg.at("fig6").spec;
+    EXPECT_TRUE(apply_override(moo, "grid", "6x7"));
+    EXPECT_TRUE(apply_override(moo, "iterations", "40"));
+    EXPECT_TRUE(apply_override(moo, "workloads", "DNN2,DNN3"));
+    EXPECT_TRUE(apply_override(moo, "seed", "18446744073709551615"));
+    const auto& m = std::get<Moo3dSpec>(moo);
+    EXPECT_EQ(m.width, 6);
+    EXPECT_EQ(m.height, 7);
+    EXPECT_EQ(m.iterations, 40);
+    EXPECT_EQ(m.workloads, (std::vector<std::string>{"DNN2", "DNN3"}));
+    EXPECT_EQ(m.seed, UINT64_MAX);  // seeds take the full uint64 range
+    EXPECT_EQ(effective_seed(moo), UINT64_MAX);
+    EXPECT_FALSE(apply_override(moo, "traffic_scale", "1/128"));
+
+    // The transformer's grid is its ReRAM macro, and it has no seed.
+    SpecVariant tf = reg.at("hetero_transformer").spec;
+    EXPECT_TRUE(apply_override(tf, "grid", "6x7"));
+    EXPECT_TRUE(apply_override(tf, "models", "BERT-Tiny"));
+    EXPECT_TRUE(apply_override(tf, "batches", "2,4"));
+    EXPECT_FALSE(apply_override(tf, "seed", "3"));
+    const auto& t = std::get<TransformerSpec>(tf);
+    EXPECT_EQ(t.hetero.macro_width, 6);
+    EXPECT_EQ(t.hetero.macro_height, 7);
+    EXPECT_EQ(t.models, (std::vector<std::string>{"bert-tiny"}));
+    EXPECT_EQ(t.batches, (std::vector<std::int32_t>{2, 4}));
+    EXPECT_EQ(effective_seed(tf), 0u);
+    EXPECT_THROW((void)apply_override(tf, "grid", "6x7,8x8"), std::invalid_argument);
+
+    SpecVariant scaling = reg.at("ablation_scaling").spec;
+    EXPECT_TRUE(apply_override(scaling, "sides", "4,6"));
+    EXPECT_TRUE(apply_override(scaling, "lambdas", "2"));
+    EXPECT_TRUE(apply_override(scaling, "seed", "11"));
+    EXPECT_TRUE(apply_override(scaling, "injection_rate", "0.5"));
+    EXPECT_FALSE(apply_override(scaling, "grid", "8x8"));  // sides define it
+    const auto& sc = std::get<ScalingSpec>(scaling);
+    EXPECT_EQ(sc.sides, (std::vector<std::int32_t>{4, 6}));
+    EXPECT_EQ(sc.lambdas, (std::vector<std::int32_t>{2}));
+    EXPECT_EQ(sc.mix_seed, 11u);
+    EXPECT_DOUBLE_EQ(sc.eval.sim.injection_rate, 0.5);
+}
+
 TEST(Scenario, Fig4RunsThroughTheRegistry) {
     // fig4 is mapping-only (no NoC simulation), so it is cheap enough to
     // execute end to end in a unit test: report function + engine + JSON.
@@ -263,6 +308,43 @@ TEST(Scenario, Fig5AfterFig3BuildsNoFabrics) {
     EXPECT_EQ(resweep_misses, 0) << "fig3's points rebuilt fig3's fabrics";
     EXPECT_GT(resweep_hits, 0) << "fig3's points never touched the fabric cache";
     EXPECT_EQ(resweep_sims, 0) << "fig3's points re-simulated NoI inputs fig3 already ran";
+}
+
+TEST(Scenario, PlacementStudiesRunOnTheSpecsStack) {
+    // fig7 anneals and renders the spec's width x height x depth stack:
+    // at 6x6 each tier map has six rows of six cells.
+    core::SweepEngine engine(2);
+    std::ostringstream out;
+    RunContext ctx{engine, out};
+    Scenario fig7 = Registry::builtin().at("fig7");
+    ASSERT_TRUE(apply_override(fig7.spec, "grid", "6x6"));
+    ASSERT_TRUE(apply_override(fig7.spec, "iterations", "0"));
+    (void)fig7.report(fig7.spec, ctx);
+    std::istringstream lines(out.str());
+    std::int32_t maps = 0;
+    for (std::string line; std::getline(lines, line);) {
+        if (line.rfind("tier z=", 0) != 0) continue;
+        ++maps;
+        for (int row = 0; row < 6; ++row) {
+            ASSERT_TRUE(std::getline(lines, line));
+            EXPECT_EQ(line.size(), 12u) << "row " << row << ": \"" << line << "\"";
+        }
+        ASSERT_TRUE(std::getline(lines, line));
+        EXPECT_EQ(line.rfind("peak ", 0), 0u) << "a seventh row: " << line;
+    }
+    EXPECT_EQ(maps, 2);
+
+    // A stack too small for the partition fails loudly instead of
+    // indexing past the route table.
+    ASSERT_TRUE(apply_override(fig7.spec, "grid", "3x3"));
+    try {
+        (void)fig7.report(fig7.spec, ctx);
+        FAIL() << "fig7 ran on a 3x3x4 stack";
+    } catch (const std::length_error& e) {
+        EXPECT_NE(std::string(e.what()).find("shorter than partition demand"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(Scenario, ReportFunctionsRejectTheWrongSpecKind) {

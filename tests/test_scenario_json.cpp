@@ -12,8 +12,10 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <set>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -464,6 +466,171 @@ TEST(ScenarioJson, TypeMismatchesAreRejected) {
         std::invalid_argument);
     EXPECT_THROW((void)sweep_spec_from_json(json_parse(R"([1, 2, 3])")),
                  std::invalid_argument);
+}
+
+/// `doc` with `value` written at the dot-separated `path` ("*" writes
+/// every element of an array): how a --spec file states a value.
+Json with_value(const Json& doc, std::string_view path, const Json& value) {
+    if (path.empty()) return value;
+    const std::size_t dot = path.find('.');
+    const std::string_view head = path.substr(0, dot);
+    const std::string_view rest =
+        dot == std::string_view::npos ? std::string_view{} : path.substr(dot + 1);
+    if (head == "*") {
+        Json out = Json::array();
+        for (const Json& item : doc.as_array()) out.push_back(with_value(item, rest, value));
+        return out;
+    }
+    Json out = Json::object();
+    for (const auto& [key, child] : doc.as_object())
+        out.set(key, key == head ? with_value(child, rest, value) : child);
+    return out;
+}
+
+TEST(ScenarioJson, OverrideTwinCorpus) {
+    // Every --set key, on every spec kind it applies to: a bad value fails
+    // at parse time through apply_override on a registered spec AND
+    // through spec_from_json on that spec's JSON with the same value at
+    // the key's path, and both messages name the field. One validation
+    // path: no value one input path rejects is accepted by the other.
+    struct Twin {
+        const char* scenario;  ///< A registered scenario of the kind.
+        const char* key;
+        const char* value;     ///< As --set spells it.
+        const char* path;      ///< Where a spec file holds it.
+        const char* json;      ///< As a spec file spells it.
+        const char* field;     ///< Named by both messages.
+    };
+    const std::vector<Twin> corpus = {
+        // Grids: every kind with one; the transformer's is its macro.
+        {"fig3", "grid", "0x6", "grids", R"(["0x6"])", "grid"},
+        {"fig3", "grids", "0x6", "grids", R"(["0x6"])", "grid"},
+        {"serving", "grid", "0x6", "base.grid", R"("0x6")", "grid"},
+        {"serving", "grids", "0x6", "base.grid", R"("0x6")", "grid"},
+        {"cluster", "grid", "0x6", "base.grid", R"("0x6")", "grid"},
+        {"cluster", "grids", "0x6", "base.grid", R"("0x6")", "grid"},
+        {"fig6", "grid", "0x6", "grid", R"("0x6")", "grid"},
+        {"fig6", "grids", "0x6", "grid", R"("0x6")", "grid"},
+        {"hetero_transformer", "grid", "0x6", "hetero.macro_width", "0", "macro_width"},
+        {"hetero_transformer", "grids", "6x0", "hetero.macro_height", "0",
+         "macro_height"},
+        // Names.
+        {"fig3", "archs", "torus", "archs", R"(["torus"])", "archs"},
+        {"serving", "archs", "torus", "archs", R"(["torus"])", "archs"},
+        {"cluster", "archs", "torus", "base.arch", R"("torus")", "arch"},
+        {"ablation_scaling", "archs", "torus", "archs", R"(["torus"])", "archs"},
+        {"fig3", "mixes", "WL9", "mixes", R"(["WL9"])", "mixes"},
+        {"cluster", "balance", "roundrobin", "balance", R"("roundrobin")", "balance"},
+        {"fig6", "workloads", "DNN99", "workloads", R"(["DNN99"])", "workloads"},
+        {"hetero_transformer", "models", "gpt2", "models", R"(["gpt2"])", "models"},
+        // Eval knobs, on every kind that runs the NoC simulator.
+        {"fig3", "traffic_scale", "0", "evals.*.traffic_scale", "0", "traffic_scale"},
+        {"fig3", "traffic_scale", "-1", "evals.*.traffic_scale", "-1", "traffic_scale"},
+        {"fig3", "traffic_scale", "1.5", "evals.*.traffic_scale", "1.5", "traffic_scale"},
+        {"serving", "traffic_scale", "0", "base.config.eval.traffic_scale", "0",
+         "traffic_scale"},
+        {"serving", "traffic_scale", "-1", "base.config.eval.traffic_scale", "-1",
+         "traffic_scale"},
+        {"serving", "traffic_scale", "1.5", "base.config.eval.traffic_scale", "1.5",
+         "traffic_scale"},
+        {"cluster", "traffic_scale", "0", "base.config.eval.traffic_scale", "0",
+         "traffic_scale"},
+        {"cluster", "traffic_scale", "-1", "base.config.eval.traffic_scale", "-1",
+         "traffic_scale"},
+        {"cluster", "traffic_scale", "1.5", "base.config.eval.traffic_scale", "1.5",
+         "traffic_scale"},
+        {"ablation_scaling", "traffic_scale", "0", "eval.traffic_scale", "0",
+         "traffic_scale"},
+        {"ablation_scaling", "traffic_scale", "-1", "eval.traffic_scale", "-1",
+         "traffic_scale"},
+        {"ablation_scaling", "traffic_scale", "1.5", "eval.traffic_scale", "1.5",
+         "traffic_scale"},
+        {"fig3", "max_cycles", "0", "evals.*.sim.max_cycles", "0", "max_cycles"},
+        {"serving", "max_cycles", "0", "base.config.eval.sim.max_cycles", "0",
+         "max_cycles"},
+        {"cluster", "max_cycles", "0", "base.config.eval.sim.max_cycles", "0",
+         "max_cycles"},
+        {"ablation_scaling", "max_cycles", "0", "eval.sim.max_cycles", "0", "max_cycles"},
+        {"fig3", "injection_rate", "0", "evals.*.sim.injection_rate", "0",
+         "injection_rate"},
+        {"serving", "injection_rate", "0", "base.config.eval.sim.injection_rate", "0",
+         "injection_rate"},
+        {"cluster", "injection_rate", "0", "base.config.eval.sim.injection_rate", "0",
+         "injection_rate"},
+        {"ablation_scaling", "injection_rate", "0", "eval.sim.injection_rate", "0",
+         "injection_rate"},
+        // Seeds and fabric-synthesis knobs.
+        {"fig3", "swap_seed", "-1", "swap_seed", "-1", "swap_seed"},
+        {"serving", "swap_seed", "-1", "base.swap_seed", "-1", "swap_seed"},
+        {"cluster", "swap_seed", "-1", "base.swap_seed", "-1", "swap_seed"},
+        {"ablation_scaling", "swap_seed", "-1", "swap_seed", "-1", "swap_seed"},
+        {"fig3", "greedy_max_gap", "4294967297", "greedy_max_gap", "4294967297",
+         "greedy_max_gap"},
+        {"serving", "greedy_max_gap", "4294967297", "base.greedy_max_gap", "4294967297",
+         "greedy_max_gap"},
+        {"cluster", "greedy_max_gap", "4294967297", "base.greedy_max_gap", "4294967297",
+         "greedy_max_gap"},
+        {"ablation_scaling", "greedy_max_gap", "4294967297", "greedy_max_gap",
+         "4294967297", "greedy_max_gap"},
+        {"fig3", "seed", "-1", "run_seed", "-1", "run_seed"},
+        {"serving", "seed", "-1", "base.base_seed", "-1", "base_seed"},
+        {"cluster", "seed", "-1", "base.base_seed", "-1", "base_seed"},
+        {"fig6", "seed", "-1", "seed", "-1", "seed"},
+        {"ablation_scaling", "seed", "-1", "mix_seed", "-1", "mix_seed"},
+        // Serving and cluster sizing.
+        {"serving", "max_requests", "-5", "base.config.arrivals.max_requests", "-5",
+         "max_requests"},
+        {"cluster", "max_requests", "-5", "base.config.arrivals.max_requests", "-5",
+         "max_requests"},
+        {"serving", "replications", "0", "base.replications", "0", "replications"},
+        {"cluster", "replications", "0", "base.replications", "0", "replications"},
+        {"serving", "loads", "0", "loads_per_mcycle", "[0]", "loads_per_mcycle"},
+        {"serving", "loads", "-5", "loads_per_mcycle", "[-5]", "loads_per_mcycle"},
+        {"cluster", "loads", "0", "loads_per_mcycle", "[0]", "loads_per_mcycle"},
+        {"cluster", "loads", "-5", "loads_per_mcycle", "[-5]", "loads_per_mcycle"},
+        {"cluster", "fabrics", "0", "cluster_sizes", "[0]", "cluster_sizes"},
+        {"cluster", "fabrics", "4294967297", "cluster_sizes", "[4294967297]",
+         "cluster_sizes"},
+        {"cluster", "max_batch", "0", "batch_caps", "[0]", "batch_caps"},
+        {"cluster", "max_batch", "4294967297", "batch_caps", "[4294967297]",
+         "batch_caps"},
+        // Study sizes.
+        {"fig6", "iterations", "-1", "iterations", "-1", "iterations"},
+        {"hetero_transformer", "batches", "0", "batches", "[0]", "batches"},
+        {"ablation_scaling", "sides", "0", "sides", "[0]", "sides"},
+        {"ablation_scaling", "lambdas", "0", "lambdas", "[0]", "lambdas"},
+    };
+    const Registry& reg = Registry::builtin();
+    std::set<std::string> keys_covered;
+    for (const auto& t : corpus) {
+        const std::string twin = std::string(t.scenario) + " " + t.key + "=" + t.value;
+        keys_covered.insert(t.key);
+        const SpecVariant original = reg.at(t.scenario).spec;
+        SpecVariant spec = original;
+        try {
+            (void)apply_override(spec, t.key, t.value);
+            ADD_FAILURE() << twin << ": --set accepted it";
+        } catch (const std::invalid_argument& e) {
+            const std::string msg = e.what();
+            EXPECT_EQ(msg.rfind(std::string("--set ") + t.key + "=" + t.value + ": ", 0),
+                      0u)
+                << msg;
+            EXPECT_NE(msg.find(t.field), std::string::npos) << twin << ": " << msg;
+        }
+        EXPECT_EQ(spec == original, true) << twin << ": a failed --set changed the spec";
+        const Json doc = with_value(to_json(original), t.path, json_parse(t.json));
+        try {
+            (void)spec_from_json(doc, spec_kind_name(original));
+            ADD_FAILURE() << twin << ": the spec file accepted it";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find(t.field), std::string::npos)
+                << twin << ": " << e.what();
+        }
+    }
+    // Every key the driver documents has a twin.
+    const std::string help = override_keys_help();
+    EXPECT_EQ(std::count(help.begin(), help.end(), ',') + 1, 22) << help;
+    EXPECT_EQ(keys_covered.size(), 22u);
 }
 
 // ---- Spec hash identity -----------------------------------------------------
