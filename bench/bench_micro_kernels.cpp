@@ -151,10 +151,10 @@ void BM_SimulatorSingleHop(benchmark::State& state) {
 }
 
 void BM_ThermalSolve(benchmark::State& state) {
-    thermal::ThermalConfig cfg;
-    std::vector<double> power(static_cast<std::size_t>(cfg.cells()), 0.8);
+    const thermal::ThermalModel model(thermal::ThermalConfig{});
+    std::vector<double> power(static_cast<std::size_t>(model.config().cells()), 0.8);
     for (auto _ : state) {
-        auto res = thermal::solve_steady_state(cfg, power);
+        auto res = model.solve(power);
         benchmark::DoNotOptimize(res);
     }
 }

@@ -46,10 +46,11 @@ int main(int argc, char** argv) {
     const auto joint =
         core::optimize_joint(net, plan, routes, tcfg, pcfg, rcfg, acc, perf, moo);
 
+    const thermal::ThermalModel stack(tcfg);
     auto report = [&](const char* name, const core::MooResult& r) {
         const auto assign = pim::assign_layers(net, plan, r.pe_order);
         const auto power = thermal::pe_power_map(net, assign, tcfg.cells(), pcfg);
-        const auto tr = thermal::solve_steady_state(tcfg, power);
+        const auto tr = stack.solve(power);
         std::cout << "--- " << name << " ---\n"
                   << "EDP " << r.eval.edp << "  peak " << r.eval.peak_k
                   << " K  accuracy drop " << 100.0 * r.eval.accuracy_drop << "%\n"

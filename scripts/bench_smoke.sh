@@ -88,16 +88,16 @@ if [ "$ran" -eq 0 ]; then
 fi
 
 # Micro-kernel smoke: bench_micro_kernels (built only when google-benchmark
-# is found) runs once, on the two fabric-build kernels, the hotspot drain
-# and the single-hop link traffic, and must exit zero. No
+# is found) runs once, on the two fabric-build kernels, the hotspot drain,
+# the single-hop link traffic and the thermal solve, and must exit zero. No
 # --benchmark_min_time: its syntax differs between google-benchmark 1.7
 # and 1.8.
 micro="$build_dir/bench_micro_kernels"
 if [ -x "$micro" ]; then
     if "$micro" \
-            --benchmark_filter='BM_(SwapSynthesis|FloretTopologyBuild|SimulatorHotspot|SimulatorSingleHop)' \
+            --benchmark_filter='BM_(SwapSynthesis|FloretTopologyBuild|SimulatorHotspot|SimulatorSingleHop|ThermalSolve)' \
             > "$out_dir/micro_kernels.log" 2>&1; then
-        echo "ok   bench_micro_kernels (SWAP synthesis, Floret build, hotspot drain, single hop)"
+        echo "ok   bench_micro_kernels (SWAP synthesis, Floret build, hotspot drain, single hop, thermal solve)"
         ran=$((ran + 1))
     else
         echo "FAIL bench_micro_kernels: non-zero exit" >&2

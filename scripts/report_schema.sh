@@ -44,8 +44,39 @@ cat > "$out_dir/negative_scale.json" <<'JSON'
 JSON
 expect_usage_error "traffic_scale" "$driver" --spec "$out_dir/negative_scale.json"
 expect_usage_error "traffic_scale" "$driver" --only fig3 --set traffic_scale=-1
-echo "report schema ok: unknown cores, the sim_core key, --cache-dir and a" \
-    "negative traffic_scale (--spec and --set) exit 2"
+# The 3D studies' inter-tier conductance has a steady state only when it
+# is positive; the codec rejects zero and negative values at load time.
+for g in -0.5 0; do
+    cat > "$out_dir/g_vertical.json" <<JSON
+{"scenario": "fig7", "spec": {"workloads": ["DNN2"],
+ "variants": [{"name": "M3D", "g_vertical_w_per_k": $g}]}}
+JSON
+    expect_usage_error "g_vertical_w_per_k" "$driver" --spec "$out_dir/g_vertical.json"
+done
+# A variant's vertical pitch is gone (no model priced wire length).
+cat > "$out_dir/tier_pitch.json" <<'JSON'
+{"scenario": "m3d_vs_tsv", "spec": {"workloads": ["DNN1"],
+ "variants": [{"name": "TSV", "tier_pitch_mm": 0.3, "g_vertical_w_per_k": 0.25}]}}
+JSON
+expect_usage_error "unknown key \"tier_pitch_mm\"" "$driver" --spec "$out_dir/tier_pitch.json"
+echo "report schema ok: unknown cores, the sim_core key, --cache-dir, a" \
+    "negative traffic_scale (--spec and --set), a non-positive" \
+    "g_vertical_w_per_k and tier_pitch_mm exit 2"
+
+# Seeds are unsigned 64-bit: the largest one is recorded exactly, in the
+# driver's run_info and in the scenario's.
+"$driver" --only fig4 --seed 18446744073709551615 --json "$out_dir/seed.json" \
+    > "$out_dir/seed.log"
+python3 - "$out_dir/seed.json" <<'EOF'
+import json, sys
+
+doc = json.load(open(sys.argv[1]))
+want = 18446744073709551615
+for where, info in (("driver", doc["driver"]["run_info"]),
+                    ("fig4", doc["scenarios"]["fig4"]["run_info"])):
+    assert info["seed"] == want, f"{where} run_info.seed: {info['seed']!r}"
+print("report schema ok: run_info.seed keeps 2^64-1 in the driver and fig4")
+EOF
 
 "$driver" --only fig3 --set traffic_scale=1/128 --threads 2 \
     --json "$out_dir/fig3.json" --metrics-out "$out_dir/metrics.json" \

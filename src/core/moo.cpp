@@ -32,13 +32,14 @@ std::vector<topo::NodeId> sfc3d_order(std::int32_t width, std::int32_t height,
 PlacementEval evaluate_placement(const dnn::Network& net, const pim::PartitionPlan& plan,
                                  std::span<const topo::NodeId> pe_order,
                                  const noc::RouteTable& routes,
-                                 const thermal::ThermalConfig& tcfg,
+                                 const thermal::ThermalModel& model,
                                  const thermal::PowerParams& pcfg,
                                  const pim::ReramConfig& rcfg,
                                  const pim::ThermalAccuracyModel& acc,
                                  const PerfParams& perf) {
     // The route table and the thermal grid must describe one stack: node
     // ids index both.
+    const thermal::ThermalConfig& tcfg = model.config();
     if (routes.node_count() != tcfg.cells())
         throw std::invalid_argument(
             "placement: route table has " + std::to_string(routes.node_count()) +
@@ -81,8 +82,7 @@ PlacementEval evaluate_placement(const dnn::Network& net, const pim::PartitionPl
 
     // Thermal + accuracy.
     const auto power = thermal::pe_power_map(net, layer_nodes, tcfg.cells(), pcfg);
-    const auto thermal_result = thermal::solve_steady_state(tcfg, power);
-    thermal::require_converged(thermal_result);
+    const auto thermal_result = model.solve(power);
     ev.peak_k = thermal_result.peak_k();
 
     std::vector<double> weight_frac(static_cast<std::size_t>(tcfg.cells()), 0.0);
@@ -146,10 +146,11 @@ MooResult optimize_joint(const dnn::Network& net, const pim::PartitionPlan& plan
                          const thermal::PowerParams& pcfg, const pim::ReramConfig& rcfg,
                          const pim::ThermalAccuracyModel& acc, const PerfParams& perf,
                          const MooConfig& cfg) {
+    const thermal::ThermalModel model(tcfg);
     MooResult res;
     res.pe_order = sfc3d_order(tcfg.width, tcfg.height, tcfg.depth);
 
-    auto base = evaluate_placement(net, plan, res.pe_order, routes, tcfg, pcfg, rcfg,
+    auto base = evaluate_placement(net, plan, res.pe_order, routes, model, pcfg, rcfg,
                                    acc, perf);
     const double edp_norm = std::max(1e-30, base.edp);
     auto scalar = [&](const PlacementEval& ev) {
@@ -166,7 +167,7 @@ MooResult optimize_joint(const dnn::Network& net, const pim::PartitionPlan& plan
     for (const auto& cand : structured_candidates(
              res.pe_order, tcfg.width * tcfg.height, tcfg.depth)) {
         const auto ev =
-            evaluate_placement(net, plan, cand, routes, tcfg, pcfg, rcfg, acc, perf);
+            evaluate_placement(net, plan, cand, routes, model, pcfg, rcfg, acc, perf);
         const double cost = scalar(ev);
         if (cost < cur_cost) {
             cur_cost = cost;
@@ -214,7 +215,7 @@ MooResult optimize_joint(const dnn::Network& net, const pim::PartitionPlan& plan
                 std::swap(prop[rng.below(n)], prop[rng.below(n)]);
             }
         }
-        const auto ev = evaluate_placement(net, plan, prop, routes, tcfg, pcfg, rcfg,
+        const auto ev = evaluate_placement(net, plan, prop, routes, model, pcfg, rcfg,
                                            acc, perf);
         const double cost = scalar(ev);
         const double delta = cost - cur_cost;
@@ -245,7 +246,7 @@ MooResult optimize_joint(const dnn::Network& net, const pim::PartitionPlan& plan
             if (i == j) continue;
             auto prop = best_order;
             std::swap(prop[i], prop[j]);
-            const auto ev = evaluate_placement(net, plan, prop, routes, tcfg, pcfg,
+            const auto ev = evaluate_placement(net, plan, prop, routes, model, pcfg,
                                                rcfg, acc, perf);
             const double cost = scalar(ev);
             if (cost < best_cost - 1e-12) {

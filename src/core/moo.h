@@ -51,12 +51,13 @@ struct PlacementEval {
 
 /// Evaluates a placement (PE order consumed by the partitioner) end to
 /// end: analytical comm/compute latency and energy, steady-state thermal
-/// solve, and ReRAM accuracy impact. Throws std::invalid_argument when
-/// `routes` and `tcfg` describe stacks of different sizes.
+/// solve on `model`, and ReRAM accuracy impact. Throws
+/// std::invalid_argument when `routes` and the model's grid describe
+/// stacks of different sizes.
 [[nodiscard]] PlacementEval evaluate_placement(
     const dnn::Network& net, const pim::PartitionPlan& plan,
     std::span<const topo::NodeId> pe_order, const noc::RouteTable& routes,
-    const thermal::ThermalConfig& tcfg, const thermal::PowerParams& pcfg,
+    const thermal::ThermalModel& model, const thermal::PowerParams& pcfg,
     const pim::ReramConfig& rcfg, const pim::ThermalAccuracyModel& acc,
     const PerfParams& perf);
 
@@ -78,7 +79,8 @@ struct MooResult {
 /// Joint performance-thermal placement: simulated annealing over the PE
 /// order (segment-swap moves), scalarizing normalized EDP and the peak
 /// temperature excess. Starts from the performance-only SFC order of the
-/// `tcfg` stack; throws std::invalid_argument, before any annealing, when
+/// `tcfg` stack, whose conductance matrix is factored once for the whole
+/// anneal; throws std::invalid_argument, before any annealing, when
 /// `routes` was built over a stack of another size.
 [[nodiscard]] MooResult optimize_joint(
     const dnn::Network& net, const pim::PartitionPlan& plan,

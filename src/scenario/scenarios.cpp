@@ -841,11 +841,9 @@ JsonReport fig6_report(const SpecVariant& sv, RunContext& ctx) {
             << "-PE 3D NoC, perf-only (Floret) vs joint "
                "perf-thermal mapping ===\n\n";
 
-    const auto var = first_variant(spec);
-    const auto topo3d = topo::make_mesh3d(spec.width, spec.height, spec.depth,
-                                          1.0, var.tier_pitch_mm);
+    const auto topo3d = topo::make_mesh3d(spec.width, spec.height, spec.depth);
     const auto routes = noc::RouteTable::build(topo3d, spec.routing);
-    const thermal::ThermalConfig tcfg = thermal_config_of(spec, var);
+    const thermal::ThermalConfig tcfg = thermal_config_of(spec, first_variant(spec));
     pim::ReramConfig rcfg;
     pim::ThermalAccuracyModel acc;
     core::PerfParams perf;
@@ -922,11 +920,9 @@ JsonReport fig7_report(const SpecVariant& sv, RunContext& ctx) {
     ctx.out << "=== Fig. 7: bottom-tier thermal maps, " << w.model << " on "
             << spec.width * spec.height * spec.depth << " PEs ===\n\n";
 
-    const auto var = first_variant(spec);
-    const auto topo3d = topo::make_mesh3d(spec.width, spec.height, spec.depth,
-                                          1.0, var.tier_pitch_mm);
+    const auto topo3d = topo::make_mesh3d(spec.width, spec.height, spec.depth);
     const auto routes = noc::RouteTable::build(topo3d, spec.routing);
-    const thermal::ThermalConfig tcfg = thermal_config_of(spec, var);
+    const thermal::ThermalConfig tcfg = thermal_config_of(spec, first_variant(spec));
     thermal::PowerParams pcfg;
     pim::ReramConfig rcfg;
     pim::ThermalAccuracyModel acc;
@@ -947,11 +943,11 @@ JsonReport fig7_report(const SpecVariant& sv, RunContext& ctx) {
                                              perf, moo);
     });
 
+    const thermal::ThermalModel model(tcfg);
     auto render_for = [&](std::span<const topo::NodeId> order, const char* title) {
         const auto assign = pim::assign_layers(net, plan, order);
         const auto power = thermal::pe_power_map(net, assign, tcfg.cells(), pcfg);
-        const auto res = thermal::solve_steady_state(tcfg, power);
-        thermal::require_converged(res);
+        const auto res = model.solve(power);
         ctx.out << title << "\n"
                 << thermal::render_tier(res, 0) << "peak " << res.peak_k()
                 << " K, bottom-tier hotspots >340K: " << res.hotspot_count(0, 340.0)
@@ -998,8 +994,7 @@ JsonReport m3d_report(const SpecVariant& sv, RunContext& ctx) {
             const auto net = dnn::build_model(w.model, w.dataset);
             const auto plan = pim::partition_by_params(net, w.paper_params_m,
                                                        w.paper_params_m / 88.0);
-            const auto topo3d = topo::make_mesh3d(spec.width, spec.height,
-                                                  spec.depth, 1.0, v.tier_pitch_mm);
+            const auto topo3d = topo::make_mesh3d(spec.width, spec.height, spec.depth);
             const auto routes = noc::RouteTable::build(topo3d, spec.routing);
             const thermal::ThermalConfig tcfg = thermal_config_of(spec, v);
             thermal::PowerParams pcfg;
@@ -1349,8 +1344,8 @@ Registry make_builtin() {
                  spec.workloads = {"DNN1", "DNN2", "DNN3"};
                  spec.routing = noc::RoutingPolicy::kXY;
                  spec.iterations = 1200;
-                 spec.variants = {{"TSV", 0.30, 0.25},   // micro-bump + bond layer
-                                  {"M3D", 0.02, 0.80}};  // nano-MIV through thin ILD
+                 spec.variants = {{"TSV", 0.25},   // micro-bump + bond layer
+                                  {"M3D", 0.80}};  // nano-MIV through thin ILD
                  return spec;
              }(),
              m3d_report, /*uses_eval=*/false});

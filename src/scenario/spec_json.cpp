@@ -33,7 +33,7 @@ std::int32_t positive_int32(const Json& j) {
     return v;
 }
 
-/// Offered loads: finite and positive.
+/// Offered loads and conductances: finite and positive.
 double positive_double(const Json& j) {
     const double v = j.as_double();
     if (!(std::isfinite(v) && v > 0.0))
@@ -749,7 +749,6 @@ namespace {
 Json to_json(const Moo3dVariant& v) {
     Json j = Json::object();
     j.set("name", v.name);
-    j.set("tier_pitch_mm", v.tier_pitch_mm);
     j.set("g_vertical_w_per_k", v.g_vertical_w_per_k);
     return j;
 }
@@ -758,8 +757,7 @@ Moo3dVariant moo3d_variant_from_json(const Json& j) {
     Moo3dVariant v;
     ObjectReader r(j, "variant");
     r.read("name", v.name);
-    r.read("tier_pitch_mm", v.tier_pitch_mm);
-    r.read("g_vertical_w_per_k", v.g_vertical_w_per_k);
+    r.read_with("g_vertical_w_per_k", v.g_vertical_w_per_k, positive_double);
     r.finish();
     if (v.name.empty()) bad("variant", "variants need a \"name\"");
     return v;

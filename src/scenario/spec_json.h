@@ -174,13 +174,13 @@ struct ClusterSpec {
 
 /// One 3D-integration variant of the PE stack: the M3D-vs-TSV study runs
 /// the same joint optimization across variants that differ only in
-/// vertical wire length and inter-tier thermal conductance. The defaults
-/// are make_mesh3d's tier pitch and ThermalConfig's vertical conductance,
-/// so a spec with no variants runs the paper's baseline stack.
+/// inter-tier thermal conductance (the placement model prices hops, not
+/// wire length, so vertical pitch would change nothing). The default is
+/// ThermalConfig's vertical conductance, so a spec with no variants runs
+/// the paper's baseline stack.
 struct Moo3dVariant {
     std::string name = "default";
-    double tier_pitch_mm = 0.05;
-    double g_vertical_w_per_k = 0.5;
+    double g_vertical_w_per_k = 0.5;  ///< Finite and > 0 (the codec checks).
 
     [[nodiscard]] bool operator==(const Moo3dVariant&) const = default;
 };

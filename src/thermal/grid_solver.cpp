@@ -4,6 +4,7 @@
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "src/obs/metrics.h"
 
@@ -40,8 +41,62 @@ std::int32_t ThermalResult::hotspot_count(std::int32_t z, double threshold_k) co
     return count;
 }
 
-ThermalResult solve_steady_state(const ThermalConfig& cfg, std::span<const double> power_w) {
+ThermalModel::ThermalModel(const ThermalConfig& cfg) : cfg_(cfg) {
+    if (cfg.width < 1 || cfg.height < 1 || cfg.depth < 1)
+        throw std::invalid_argument(
+            "thermal grid " + std::to_string(cfg.width) + "x" +
+            std::to_string(cfg.height) + "x" + std::to_string(cfg.depth) +
+            ": every dimension must be at least 1");
+    const std::pair<const char*, double> conductances[] = {
+        {"g_lateral_w_per_k", cfg.g_lateral_w_per_k},
+        {"g_vertical_w_per_k", cfg.g_vertical_w_per_k},
+        {"g_sink_w_per_k", cfg.g_sink_w_per_k}};
+    for (const auto& [name, g] : conductances)
+        if (!(std::isfinite(g) && g > 0.0))
+            throw std::invalid_argument(std::string("thermal ") + name +
+                                        " must be finite and > 0, got " +
+                                        std::to_string(g));
+
     const auto n = static_cast<std::size_t>(cfg.cells());
+    const auto w = static_cast<std::size_t>(cfg.width);
+    band_ = w * static_cast<std::size_t>(cfg.height);
+    lower_.assign(n * (band_ + 1), 0.0);
+
+    // Assemble G's lower band. A coupling g between cells i and j < i
+    // puts -g at (i, j) and adds g to both diagonals; a top-tier cell's
+    // sink term adds to its own.
+    for (std::int32_t z = 0; z < cfg.depth; ++z) {
+        for (std::int32_t y = 0; y < cfg.height; ++y) {
+            for (std::int32_t x = 0; x < cfg.width; ++x) {
+                const auto i = static_cast<std::size_t>(cfg.index(x, y, z));
+                auto couple = [&](std::size_t j, double g) {
+                    lower_[slot(i, j)] = -g;
+                    lower_[slot(i, i)] += g;
+                    lower_[slot(j, j)] += g;
+                };
+                if (x > 0) couple(i - 1, cfg.g_lateral_w_per_k);
+                if (y > 0) couple(i - w, cfg.g_lateral_w_per_k);
+                if (z > 0) couple(i - band_, cfg.g_vertical_w_per_k);
+                if (z == cfg.depth - 1) lower_[slot(i, i)] += cfg.g_sink_w_per_k;
+            }
+        }
+    }
+
+    // In-place banded Cholesky, G = L·Lᵀ: the factor keeps G's band, and
+    // for j <= i row j's band starts no later than row i's.
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t lo = first_column(i);
+        for (std::size_t j = lo; j <= i; ++j) {
+            double s = lower_[slot(i, j)];
+            for (std::size_t k = lo; k < j; ++k)
+                s -= lower_[slot(i, k)] * lower_[slot(j, k)];
+            lower_[slot(i, j)] = j == i ? std::sqrt(s) : s / lower_[slot(j, j)];
+        }
+    }
+}
+
+ThermalResult ThermalModel::solve(std::span<const double> power_w) const {
+    const auto n = static_cast<std::size_t>(cfg_.cells());
     if (power_w.size() != n)
         throw std::invalid_argument("power vector size != cell count");
     for (const double p : power_w)
@@ -49,64 +104,25 @@ ThermalResult solve_steady_state(const ThermalConfig& cfg, std::span<const doubl
             throw std::invalid_argument("power entries must be finite and non-negative");
 
     ThermalResult res;
-    res.config = cfg;
-    res.temp_k.assign(n, cfg.t_ambient_k);
-
-    // Gauss-Seidel with successive over-relaxation on the conductance
-    // Laplacian: T_i = (P_i + sum_j G_ij T_j + G_sink T_amb) / sum G_i.
-    for (std::int32_t it = 0; it < cfg.max_iterations; ++it) {
-        double max_delta = 0.0;
-        for (std::int32_t z = 0; z < cfg.depth; ++z) {
-            for (std::int32_t y = 0; y < cfg.height; ++y) {
-                for (std::int32_t x = 0; x < cfg.width; ++x) {
-                    const auto i = static_cast<std::size_t>(cfg.index(x, y, z));
-                    double g_sum = 0.0;
-                    double flux = power_w[i];
-                    auto couple = [&](std::int32_t xx, std::int32_t yy, std::int32_t zz,
-                                      double g) {
-                        g_sum += g;
-                        flux += g * res.temp_k[static_cast<std::size_t>(
-                                    cfg.index(xx, yy, zz))];
-                    };
-                    if (x > 0) couple(x - 1, y, z, cfg.g_lateral_w_per_k);
-                    if (x + 1 < cfg.width) couple(x + 1, y, z, cfg.g_lateral_w_per_k);
-                    if (y > 0) couple(x, y - 1, z, cfg.g_lateral_w_per_k);
-                    if (y + 1 < cfg.height) couple(x, y + 1, z, cfg.g_lateral_w_per_k);
-                    if (z > 0) couple(x, y, z - 1, cfg.g_vertical_w_per_k);
-                    if (z + 1 < cfg.depth) couple(x, y, z + 1, cfg.g_vertical_w_per_k);
-                    if (z == cfg.depth - 1) {
-                        g_sum += cfg.g_sink_w_per_k;
-                        flux += cfg.g_sink_w_per_k * cfg.t_ambient_k;
-                    }
-                    const double updated = flux / g_sum;
-                    const double relaxed =
-                        res.temp_k[i] + cfg.sor_omega * (updated - res.temp_k[i]);
-                    max_delta = std::max(max_delta, std::abs(relaxed - res.temp_k[i]));
-                    res.temp_k[i] = relaxed;
-                }
-            }
-        }
-        res.iterations = it + 1;
-        if (max_delta < cfg.tolerance_k) {
-            res.converged = true;
-            break;
-        }
+    res.config = cfg_;
+    std::vector<double>& t = res.temp_k;
+    t.assign(power_w.begin(), power_w.end());
+    // L·y = P, row by row.
+    for (std::size_t i = 0; i < n; ++i) {
+        double s = t[i];
+        for (std::size_t k = first_column(i); k < i; ++k) s -= lower_[slot(i, k)] * t[k];
+        t[i] = s / lower_[slot(i, i)];
     }
-    auto& m = obs::MetricsRegistry::global();
-    if (m.enabled()) {
-        m.add("thermal.solves");
-        m.add("thermal.sor_iterations", res.iterations);
+    // Lᵀ·θ = y, last row first; each solved θ_i is pushed into the rows
+    // above it, so L is still read along its rows.
+    for (std::size_t i = n; i-- > 0;) {
+        const double theta = t[i] / lower_[slot(i, i)];
+        t[i] = theta;
+        for (std::size_t k = first_column(i); k < i; ++k) t[k] -= lower_[slot(i, k)] * theta;
     }
+    for (double& v : t) v += cfg_.t_ambient_k;
+    obs::MetricsRegistry::global().add("thermal.solves");
     return res;
-}
-
-void require_converged(const ThermalResult& result) {
-    if (result.converged) return;
-    std::ostringstream os;
-    os << "thermal solve did not converge: " << result.iterations
-       << " iterations without every cell update falling below "
-       << result.config.tolerance_k << " K";
-    throw std::runtime_error(os.str());
 }
 
 std::string render_tier(const ThermalResult& result, std::int32_t z) {

@@ -435,6 +435,40 @@ TEST(ScenarioJson, SimConfigAdversarialCorpus) {
     }
 }
 
+TEST(ScenarioJson, Moo3dVariantAdversarialCorpus) {
+    // The inter-tier conductance is the only thermal input a spec sets: a
+    // zero or negative one has no steady state, so the codec rejects it at
+    // load time, naming the field (JSON cannot spell a non-finite number).
+    const auto variant_doc = [](const std::string& variant) {
+        return std::string(R"({"workloads": ["DNN2"], "variants": [)") + variant + "]}";
+    };
+    for (const char* g : {"0", "-0.5"}) {
+        const std::string doc =
+            variant_doc(std::string(R"({"name": "M3D", "g_vertical_w_per_k": )") + g + "}");
+        try {
+            (void)moo3d_spec_from_json(json_parse(doc));
+            ADD_FAILURE() << "expected rejection of " << doc;
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find("g_vertical_w_per_k"), std::string::npos)
+                << e.what();
+        }
+    }
+    // The vertical pitch is gone: the model never priced wire length.
+    try {
+        (void)moo3d_spec_from_json(
+            json_parse(variant_doc(R"({"name": "TSV", "tier_pitch_mm": 0.3})")));
+        FAIL() << "expected unknown-key rejection of tier_pitch_mm";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("tier_pitch_mm"), std::string::npos)
+            << e.what();
+    }
+    const Moo3dSpec ok = moo3d_spec_from_json(
+        json_parse(variant_doc(R"({"name": "M3D", "g_vertical_w_per_k": 0.8})")));
+    ASSERT_EQ(ok.variants.size(), 1u);
+    EXPECT_EQ(ok.variants[0].g_vertical_w_per_k, 0.8);
+    EXPECT_EQ(moo3d_spec_from_json(to_json(ok)), ok);
+}
+
 TEST(ScenarioJson, UnknownKeysAreRejectedAtEveryLevel) {
     EXPECT_THROW((void)sim_config_from_json(json_parse(R"({"flitbytes": 8})")),
                  std::invalid_argument);

@@ -1,11 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cmath>
+#include <limits>
 #include <numeric>
+#include <span>
+#include <stdexcept>
 
 #include "src/dnn/model_zoo.h"
 #include "src/pim/partitioner.h"
 #include "src/thermal/grid_solver.h"
 #include "src/thermal/power.h"
+#include "src/util/rng.h"
 
 namespace floretsim::thermal {
 namespace {
@@ -18,19 +25,99 @@ ThermalConfig small_cfg() {
     return cfg;
 }
 
-TEST(ThermalSolver, ConvergesOnUniformPower) {
-    const auto cfg = small_cfg();
-    const std::vector<double> power(static_cast<std::size_t>(cfg.cells()), 0.8);
-    const auto res = solve_steady_state(cfg, power);
-    EXPECT_TRUE(res.converged);
-    EXPECT_GT(res.iterations, 0);
+ThermalResult solve(const ThermalConfig& cfg, std::span<const double> power) {
+    return ThermalModel(cfg).solve(power);
+}
+
+/// The oracle: plain Gauss-Seidel on the same cell balance,
+/// T_i = (P_i + sum_j g_ij T_j + g_sink T_amb) / sum g, swept until no
+/// cell moves by 1e-12 K.
+std::vector<double> gauss_seidel(const ThermalConfig& cfg, std::span<const double> power) {
+    std::vector<double> t(power.size(), cfg.t_ambient_k);
+    for (std::int64_t sweep = 0; sweep < 10'000'000; ++sweep) {
+        double max_delta = 0.0;
+        for (std::int32_t z = 0; z < cfg.depth; ++z)
+            for (std::int32_t y = 0; y < cfg.height; ++y)
+                for (std::int32_t x = 0; x < cfg.width; ++x) {
+                    const auto i = static_cast<std::size_t>(cfg.index(x, y, z));
+                    double g_sum = 0.0;
+                    double flux = power[i];
+                    auto couple = [&](std::int32_t xx, std::int32_t yy, std::int32_t zz,
+                                      double g) {
+                        g_sum += g;
+                        flux += g * t[static_cast<std::size_t>(cfg.index(xx, yy, zz))];
+                    };
+                    if (x > 0) couple(x - 1, y, z, cfg.g_lateral_w_per_k);
+                    if (x + 1 < cfg.width) couple(x + 1, y, z, cfg.g_lateral_w_per_k);
+                    if (y > 0) couple(x, y - 1, z, cfg.g_lateral_w_per_k);
+                    if (y + 1 < cfg.height) couple(x, y + 1, z, cfg.g_lateral_w_per_k);
+                    if (z > 0) couple(x, y, z - 1, cfg.g_vertical_w_per_k);
+                    if (z + 1 < cfg.depth) couple(x, y, z + 1, cfg.g_vertical_w_per_k);
+                    if (z == cfg.depth - 1) {
+                        g_sum += cfg.g_sink_w_per_k;
+                        flux += cfg.g_sink_w_per_k * cfg.t_ambient_k;
+                    }
+                    const double next = flux / g_sum;
+                    max_delta = std::max(max_delta, std::abs(next - t[i]));
+                    t[i] = next;
+                }
+        if (max_delta < 1e-12) return t;
+    }
+    ADD_FAILURE() << "Gauss-Seidel oracle did not reach 1e-12 K";
+    return t;
+}
+
+TEST(ThermalModel, MatchesGaussSeidelOnRandomStacks) {
+    // Seeded random stacks: 5x5x4 (the paper's) and 8x8x4 always, then
+    // 1-8 x 1-8 x 1-4 grids with every conductance in [0.05, 1] W/K and
+    // every cell's power in [0, 2] W.
+    util::Rng rng(2403190730);
+    for (int c = 0; c < 60; ++c) {
+        ThermalConfig cfg;
+        cfg.width = c == 0 ? 5 : c == 1 ? 8 : static_cast<std::int32_t>(rng.range(1, 8));
+        cfg.height = c == 0 ? 5 : c == 1 ? 8 : static_cast<std::int32_t>(rng.range(1, 8));
+        cfg.depth = c <= 1 ? 4 : static_cast<std::int32_t>(rng.range(1, 4));
+        cfg.g_lateral_w_per_k = rng.uniform(0.05, 1.0);
+        cfg.g_vertical_w_per_k = rng.uniform(0.05, 1.0);
+        cfg.g_sink_w_per_k = rng.uniform(0.05, 1.0);
+        std::vector<double> power(static_cast<std::size_t>(cfg.cells()));
+        for (double& p : power) p = rng.uniform(0.0, 2.0);
+
+        const auto exact = solve(cfg, power);
+        const auto oracle = gauss_seidel(cfg, power);
+        ASSERT_EQ(exact.temp_k.size(), oracle.size());
+        for (std::size_t i = 0; i < oracle.size(); ++i)
+            ASSERT_NEAR(exact.temp_k[i], oracle[i], 1e-9)
+                << "case " << c << ": " << cfg.width << "x" << cfg.height << "x"
+                << cfg.depth << ", cell " << i;
+    }
+}
+
+TEST(ThermalModel, RejectsBadDimensionsAndConductances) {
+    for (auto dims : {std::array{0, 5, 4}, std::array{5, 0, 4}, std::array{5, 5, 0},
+                      std::array{-1, 5, 4}}) {
+        ThermalConfig cfg;
+        cfg.width = dims[0];
+        cfg.height = dims[1];
+        cfg.depth = dims[2];
+        EXPECT_THROW(ThermalModel{cfg}, std::invalid_argument);
+    }
+    for (double ThermalConfig::*g : {&ThermalConfig::g_lateral_w_per_k,
+                                     &ThermalConfig::g_vertical_w_per_k,
+                                     &ThermalConfig::g_sink_w_per_k}) {
+        for (const double bad : {0.0, -0.5, std::numeric_limits<double>::quiet_NaN(),
+                                 std::numeric_limits<double>::infinity()}) {
+            ThermalConfig cfg;
+            cfg.*g = bad;
+            EXPECT_THROW(ThermalModel{cfg}, std::invalid_argument) << bad;
+        }
+    }
 }
 
 TEST(ThermalSolver, ZeroPowerIsAmbient) {
     const auto cfg = small_cfg();
     const std::vector<double> power(static_cast<std::size_t>(cfg.cells()), 0.0);
-    const auto res = solve_steady_state(cfg, power);
-    ASSERT_TRUE(res.converged);
+    const auto res = solve(cfg, power);
     for (const double t : res.temp_k) EXPECT_NEAR(t, cfg.t_ambient_k, 1e-6);
 }
 
@@ -42,8 +129,7 @@ TEST(ThermalSolver, EnergyBalanceAtSink) {
     power[0] = 2.0;
     power[37] = 1.5;
     power[99] = 0.5;
-    const auto res = solve_steady_state(cfg, power);
-    ASSERT_TRUE(res.converged);
+    const auto res = solve(cfg, power);
     double sink_flux = 0.0;
     for (std::int32_t y = 0; y < cfg.height; ++y)
         for (std::int32_t x = 0; x < cfg.width; ++x)
@@ -59,7 +145,7 @@ TEST(ThermalSolver, BottomTierHotterThanTop) {
     // shows its hotspots.
     const auto cfg = small_cfg();
     const std::vector<double> power(static_cast<std::size_t>(cfg.cells()), 0.8);
-    const auto res = solve_steady_state(cfg, power);
+    const auto res = solve(cfg, power);
     EXPECT_GT(res.tier_peak_k(0), res.tier_peak_k(cfg.depth - 1) + 2.0);
 }
 
@@ -67,8 +153,8 @@ TEST(ThermalSolver, MonotoneInPower) {
     const auto cfg = small_cfg();
     std::vector<double> lo(static_cast<std::size_t>(cfg.cells()), 0.5);
     std::vector<double> hi(static_cast<std::size_t>(cfg.cells()), 1.0);
-    const auto rl = solve_steady_state(cfg, lo);
-    const auto rh = solve_steady_state(cfg, hi);
+    const auto rl = solve(cfg, lo);
+    const auto rh = solve(cfg, hi);
     for (std::size_t i = 0; i < rl.temp_k.size(); ++i)
         EXPECT_LT(rl.temp_k[i], rh.temp_k[i]);
 }
@@ -76,8 +162,7 @@ TEST(ThermalSolver, MonotoneInPower) {
 TEST(ThermalSolver, SymmetricPowerGivesSymmetricField) {
     const auto cfg = small_cfg();
     std::vector<double> power(static_cast<std::size_t>(cfg.cells()), 0.3);
-    const auto res = solve_steady_state(cfg, power);
-    ASSERT_TRUE(res.converged);
+    const auto res = solve(cfg, power);
     // Uniform power on a symmetric grid: mirror symmetry in x and y.
     for (std::int32_t z = 0; z < cfg.depth; ++z) {
         for (std::int32_t y = 0; y < cfg.height; ++y) {
@@ -95,7 +180,7 @@ TEST(ThermalSolver, HotspotNearConcentratedPower) {
     const auto cfg = small_cfg();
     std::vector<double> power(static_cast<std::size_t>(cfg.cells()), 0.2);
     power[static_cast<std::size_t>(cfg.index(2, 2, 0))] += 3.0;
-    const auto res = solve_steady_state(cfg, power);
+    const auto res = solve(cfg, power);
     double peak = 0.0;
     std::int32_t px = -1, py = -1, pz = -1;
     for (std::int32_t z = 0; z < cfg.depth; ++z)
@@ -117,25 +202,24 @@ TEST(ThermalSolver, RealisticPowerInReramCriticalRange) {
     // where the paper's accuracy discussion happens.
     const auto cfg = small_cfg();
     const std::vector<double> power(static_cast<std::size_t>(cfg.cells()), 0.8);
-    const auto res = solve_steady_state(cfg, power);
+    const auto res = solve(cfg, power);
     EXPECT_GT(res.peak_k(), 330.0);
     EXPECT_LT(res.peak_k(), 370.0);
 }
 
 TEST(ThermalSolver, RejectsBadInput) {
     const auto cfg = small_cfg();
-    EXPECT_THROW(solve_steady_state(cfg, std::vector<double>(3, 1.0)),
-                 std::invalid_argument);
+    EXPECT_THROW((void)solve(cfg, std::vector<double>(3, 1.0)), std::invalid_argument);
     std::vector<double> neg(static_cast<std::size_t>(cfg.cells()), 0.1);
     neg[5] = -1.0;
-    EXPECT_THROW(solve_steady_state(cfg, neg), std::invalid_argument);
+    EXPECT_THROW((void)solve(cfg, neg), std::invalid_argument);
 }
 
 TEST(ThermalSolver, HotspotCountThreshold) {
     const auto cfg = small_cfg();
     std::vector<double> power(static_cast<std::size_t>(cfg.cells()), 0.2);
     power[static_cast<std::size_t>(cfg.index(0, 0, 0))] += 2.0;
-    const auto res = solve_steady_state(cfg, power);
+    const auto res = solve(cfg, power);
     EXPECT_GE(res.hotspot_count(0, res.tier_peak_k(0) - 0.5), 1);
     EXPECT_EQ(res.hotspot_count(0, res.peak_k() + 1.0), 0);
 }
@@ -143,7 +227,7 @@ TEST(ThermalSolver, HotspotCountThreshold) {
 TEST(ThermalSolver, RenderProducesGrid) {
     const auto cfg = small_cfg();
     const std::vector<double> power(static_cast<std::size_t>(cfg.cells()), 0.5);
-    const auto res = solve_steady_state(cfg, power);
+    const auto res = solve(cfg, power);
     const auto art = render_tier(res, 0);
     EXPECT_NE(art.find("tier z=0"), std::string::npos);
     // 5 rows of glyphs plus header.

@@ -317,9 +317,7 @@ int main(int argc, char** argv) {
                                      : "scenario",
                                  "scenario");
             scenario::JsonReport report = s.report(s.spec, ctx);
-            report.set_run_info(
-                "seed", static_cast<std::int64_t>(
-                            scenario::effective_seed(s.spec)));
+            report.set_run_info("seed", util::Json(scenario::effective_seed(s.spec)));
             report.set_run_info("threads", engine.thread_count());
             report.add_metric(
                 "scenario_seconds",
