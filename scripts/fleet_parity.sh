@@ -5,7 +5,8 @@
 #   the full registry's merged report must be bit-identical whether the
 #   sweeps run in 1 process or on a --pool 4 persistent fleet — and it
 #   must STAY bit-identical when one fleet worker is SIGKILLed mid-run
-#   (the coordinator restarts it and requeues its un-acked points). Only
+#   (the coordinator restarts it and leases its un-acked points to the
+#   new incarnation as one lease). Only
 #   wall-clock-derived metrics (point timings, cache counters, thread
 #   counts) may differ; every table cell and derived metric must match
 #   byte for byte. The full registry runs, so the fleet path is exercised
@@ -18,6 +19,10 @@
 # (a spec edit that silently splits them fails here), and under --pool 4
 # fig5 and table2 send the workers nothing (0 rows and 0 leases in
 # driver.fleet.per_scenario) while their reports still match.
+#
+# A lease is a worker's whole placed share of a sweep, so the clean fleet
+# run issues at most one lease per worker per sweep, and the kill run at
+# most one more per death (the restarted worker's requeued points).
 #
 # A second, smaller pass pins the whole point of a *persistent* fleet:
 # fig3 and a copy of it with another run_seed (a different spec, so the
@@ -154,16 +159,20 @@ for path in (f4_path, f4k_path):
         assert per[name]["rows"] == 0 and per[name]["leases"] == 0, (
             f"{path}: {name} reached the workers: " + json.dumps(per[name]))
 
-# Clean fleet run: nobody died, nothing was reassigned.
+# Clean fleet run: nobody died, nothing was reassigned, and each worker
+# got at most one lease per sweep.
 clean = docs[f4_path]["driver"]["fleet"]
 assert clean["worker_deaths"] == 0, clean
 assert clean["worker_restarts"] == 0, clean
+assert clean["leases_issued"] <= clean["workers"] * clean["sweeps"], clean
 
 # Kill run: the injected death happened AND was recovered from.
 killed = docs[f4k_path]["driver"]["fleet"]
 assert killed["worker_deaths"] >= 1, (
     "FLORETSIM_FLEET_KILL did not fire: " + json.dumps(killed))
 assert killed["worker_restarts"] >= 1, json.dumps(killed)
+assert killed["leases_issued"] <= (
+    killed["workers"] * killed["sweeps"] + killed["worker_deaths"]), killed
 
 # Warm-affinity pass: fig3 (which runs first) builds each of its 4 archs'
 # fabrics exactly once fleetwide, the reseeded copy none — the persistent

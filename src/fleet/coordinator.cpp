@@ -3,7 +3,6 @@
 #include <poll.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -18,6 +17,7 @@
 #include <string>
 #include <system_error>
 #include <tuple>
+#include <utility>
 
 #include "src/fleet/protocol.h"
 #include "src/obs/metrics.h"
@@ -36,11 +36,6 @@ constexpr double kProgressIntervalS = 0.5;
 /// bounded-retry guarantee (a poison point cannot restart workers
 /// forever).
 constexpr std::int32_t kMaxAttemptsPerPoint = 3;
-/// The most points one lease carries.
-constexpr std::size_t kMaxLeasePoints = 32;
-/// Lease sizing aims for about this many leases per worker over the
-/// sweep, so a worker's threads stay busy while its next lease is queued.
-constexpr std::size_t kLeasesPerWorker = 4;
 /// Stderr lines kept per worker for its death report.
 constexpr std::size_t kStderrTailLines = 20;
 
@@ -114,13 +109,13 @@ void absorb_worker_obs(const std::string& trace_path,
 struct Coordinator::WorkerState {
     bool ready = false;
     bool retired = false;
-    bool sweep_sent = false;
-    bool loaded = false;
     std::int32_t restarts = 0;
-    std::int32_t leases_in_flight = 0;
-    std::deque<std::size_t> queue;        ///< Placed here, not yet leased.
-    std::vector<std::size_t> outstanding;  ///< Leased, not yet acked.
-    std::set<FabricKey> affinity;          ///< Fabrics placed on this worker.
+    /// The sweep of this worker's one outstanding lease (0 = none). It
+    /// outlives a failed sweep: the next lease waits for its done frame.
+    std::int64_t lease_sweep = 0;
+    std::vector<std::size_t> queue;  ///< Placed here, not yet leased.
+    std::vector<std::size_t> lease;  ///< This sweep's outstanding lease.
+    std::set<FabricKey> affinity;    ///< Fabrics placed on this worker.
     std::string out_buf, err_buf;
     std::deque<std::string> stderr_tail;
     /// ArchCache counters: cumulative within the current process
@@ -142,7 +137,6 @@ struct Coordinator::SweepRun {
     std::vector<bool> acked;
     std::vector<std::int32_t> attempts;
     std::size_t n_acked = 0;
-    std::size_t lease_size = 1;
     Clock::time_point t0 = Clock::now();
 
     SweepRun() = default;
@@ -339,24 +333,27 @@ void Coordinator::handle_death(std::size_t w, SweepRun& run) {
     ws.prev_fabric_misses += ws.gen_fabric_misses;
     ws.gen_fabric_hits = ws.gen_fabric_misses = 0;
 
-    // Every un-acked point this worker held goes back to the front of its
-    // queue, in lease order. Bounded retry: a point that has been leased
+    // Every un-acked point of this worker's lease goes back to the front of
+    // its queue, in lease order. Bounded retry: a point that has been leased
     // kMaxAttemptsPerPoint times and still has no row fails the sweep — a
     // poison point must not restart workers forever.
-    for (const std::size_t i : ws.outstanding)
+    std::vector<std::size_t> requeue;
+    for (const std::size_t i : ws.lease) {
+        if (run.acked[i]) continue;
         if (run.attempts[i] >= kMaxAttemptsPerPoint)
             throw std::runtime_error(
                 "fleet: point " + std::to_string(i) + " lost " +
                 std::to_string(run.attempts[i]) +
                 " times to worker deaths; giving up");
-    ws.queue.insert(ws.queue.begin(), ws.outstanding.begin(),
-                    ws.outstanding.end());
-    const auto requeued = static_cast<std::int64_t>(ws.outstanding.size());
+        requeue.push_back(i);
+    }
+    ws.queue.insert(ws.queue.begin(), requeue.begin(), requeue.end());
+    const auto requeued = static_cast<std::int64_t>(requeue.size());
     stats_.points_reassigned += requeued;
     obs::MetricsRegistry::global().add("fleet.points_reassigned", requeued);
-    ws.outstanding.clear();
-    ws.leases_in_flight = 0;
-    ws.ready = ws.loaded = ws.sweep_sent = false;
+    ws.lease.clear();
+    ws.lease_sweep = 0;
+    ws.ready = false;
     ws.out_buf.clear();
 
     if (ws.restarts < opt_.max_restarts_per_worker) {
@@ -381,43 +378,40 @@ void Coordinator::handle_death(std::size_t w, SweepRun& run) {
             "fleet: every worker exhausted its restart budget (" +
             std::to_string(opt_.max_restarts_per_worker) + " restarts each)");
     // The retired worker's queue is placed on the live workers.
-    const std::vector<std::size_t> orphans(ws.queue.begin(), ws.queue.end());
-    ws.queue.clear();
-    place(run, orphans);
+    place(run, std::exchange(ws.queue, {}));
 }
 
-void Coordinator::send_lease(std::size_t w, SweepRun& run,
-                             std::vector<std::size_t> idx) {
+void Coordinator::send_lease(std::size_t w, SweepRun& run) {
     WorkerState& ws = workers_[w];
+    // One outstanding lease per worker, across sweeps (see protocol.h).
+    if (!live(w) || !ws.ready || ws.lease_sweep != 0 || ws.queue.empty())
+        return;
     LeaseFrame lease;
-    lease.id = next_lease_id_++;
     lease.sweep = run.id;
-    lease.indices = std::move(idx);
-    for (const std::size_t i : lease.indices) {
-        ++run.attempts[i];
-        ws.outstanding.push_back(i);
-    }
+    lease.indices = std::exchange(ws.queue, {});
+    for (const std::size_t i : lease.indices) ++run.attempts[i];
+    ws.lease = lease.indices;
+    ws.lease_sweep = run.id;
     ws.leased += lease.indices.size();
-    ++ws.leases_in_flight;
     ++stats_.leases_issued;
     obs::MetricsRegistry::global().add("fleet.leases_issued");
-    if (!pool_->send(w, lease_line(lease))) handle_death(w, run);
+    // Each lease follows its sweep frame, so a restarted worker (or one a
+    // retired worker's points were re-placed on) always has the points.
+    SweepFrame sf;
+    sf.id = run.id;
+    sf.points_file = run.points_path;
+    sf.n_points = run.points->size();
+    if (!pool_->send(w, sweep_line(sf)) || !pool_->send(w, lease_line(lease)))
+        handle_death(w, run);
 }
 
-void Coordinator::top_up(std::size_t w, SweepRun& run) {
+void Coordinator::handle_stdout_lines(std::size_t w, SweepRun& run) {
     WorkerState& ws = workers_[w];
-    while (live(w) && ws.loaded && ws.leases_in_flight < 2 &&
-           !ws.queue.empty()) {
-        // One lease: the front of the worker's queue, at most lease_size
-        // points, all of one fabric group.
-        const FabricKey key = key_of((*run.points)[ws.queue.front()]);
-        std::vector<std::size_t> idx;
-        while (!ws.queue.empty() && idx.size() < run.lease_size &&
-               key_of((*run.points)[ws.queue.front()]) == key) {
-            idx.push_back(ws.queue.front());
-            ws.queue.pop_front();
-        }
-        send_lease(w, run, std::move(idx));
+    std::size_t nl;
+    while (live(w) && (nl = ws.out_buf.find('\n')) != std::string::npos) {
+        std::string line = ws.out_buf.substr(0, nl);
+        ws.out_buf.erase(0, nl + 1);
+        handle_stdout_line(w, line, run);
     }
 }
 
@@ -446,21 +440,7 @@ void Coordinator::handle_stdout_line(std::size_t w, std::string_view line,
             return;
         }
         ws.ready = true;
-        if (!ws.sweep_sent && run.points) {
-            SweepFrame sf;
-            sf.id = run.id;
-            sf.points_file = run.points_path;
-            sf.n_points = run.points->size();
-            ws.sweep_sent = pool_->send(w, sweep_line(sf));
-        }
-        return;
-    }
-    if (frame.loaded) {
-        if (frame.loaded->sweep != run.id ||
-            frame.loaded->n_points != run.points->size())
-            return;  // ack for a superseded sweep; the current one follows
-        ws.loaded = true;
-        top_up(w, run);
+        send_lease(w, run);
         return;
     }
     if (frame.row) {
@@ -482,7 +462,6 @@ void Coordinator::handle_stdout_line(std::size_t w, std::string_view line,
         ++stats_.rows;
         obs::MetricsRegistry::global().add("fleet.rows");
         run.rows[i] = std::move(frame.row->row);
-        std::erase(ws.outstanding, i);
         ++ws.acked;
         if (opt_.progress &&
             (ws.acked == 1 || run.n_acked == run.acked.size() ||
@@ -499,7 +478,14 @@ void Coordinator::handle_stdout_line(std::size_t w, std::string_view line,
         return;
     }
     if (frame.done) {
-        if (ws.leases_in_flight > 0) --ws.leases_in_flight;
+        // A done frame acks the worker's one outstanding lease, which may
+        // belong to an earlier sweep that failed.
+        if (ws.lease_sweep == 0 || frame.done->sweep != ws.lease_sweep) {
+            handle_death(w, run);
+            return;
+        }
+        ws.lease.clear();
+        ws.lease_sweep = 0;
         ws.gen_fabric_hits = frame.done->fabric_hits;
         ws.gen_fabric_misses = frame.done->fabric_misses;
         std::int64_t hits = 0, misses = 0;
@@ -509,10 +495,11 @@ void Coordinator::handle_stdout_line(std::size_t w, std::string_view line,
         }
         stats_.fleet_fabric_hits = hits;
         stats_.fleet_fabric_misses = misses;
-        top_up(w, run);
+        send_lease(w, run);
         return;
     }
-    if (frame.perr)
+    // A perr of a sweep that already failed is moot.
+    if (frame.perr && frame.perr->sweep == run.id)
         throw std::runtime_error("fleet: point " +
                                  std::to_string(frame.perr->index) +
                                  " failed: " + frame.perr->what);
@@ -541,46 +528,28 @@ std::vector<core::SweepRow> Coordinator::run_sweep(
     run.acked.assign(points.size(), false);
     run.attempts.assign(points.size(), 0);
 
-    std::size_t n_live = 0;
-    for (std::size_t w = 0; w < workers_.size(); ++w) {
-        WorkerState& ws = workers_[w];
+    // A lease of a failed sweep stays outstanding (see protocol.h); only
+    // this sweep's per-worker state starts over.
+    for (WorkerState& ws : workers_) {
         ws.queue.clear();
-        ws.outstanding.clear();
-        ws.leases_in_flight = 0;
-        ws.loaded = ws.sweep_sent = false;
+        ws.lease.clear();
         ws.leased = ws.acked = 0;
-        if (live(w)) ++n_live;
     }
-    if (n_live == 0)
-        throw std::runtime_error("fleet: no live workers left");
-    const std::size_t denom = n_live * kLeasesPerWorker;
-    run.lease_size = std::clamp<std::size_t>((points.size() + denom - 1) / denom,
-                                             1, kMaxLeasePoints);
     std::vector<std::size_t> all(points.size());
     for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
     place(run, all);
+    // Lines a failed sweep left unread (its done frames among them).
+    for (std::size_t w = 0; w < workers_.size(); ++w) handle_stdout_lines(w, run);
 
-    // Announce the sweep to every worker that is already ready; workers
-    // mid-(re)spawn get it when their ready frame arrives.
-    for (std::size_t w = 0; w < workers_.size(); ++w) {
-        WorkerState& ws = workers_[w];
-        if (!live(w) || !ws.ready) continue;
-        SweepFrame sf;
-        sf.id = run.id;
-        sf.points_file = run.points_path;
-        sf.n_points = points.size();
-        ws.sweep_sent = pool_->send(w, sweep_line(sf));
-    }
-
-    // The coordinator's whole job from here is this drain loop: keep every
-    // worker leased from its own queue, keep each point's row, and react
-    // to EOF (restart + requeue). The sweep ends once every point is acked
-    // and every lease's done frame is in, so the fleet's fabric counters
-    // are current when the next sweep starts.
+    // The coordinator's whole job from here is this drain loop: lease each
+    // worker its queue, keep each point's row, and react to EOF (restart +
+    // requeue). The sweep ends once every point is acked and every lease's
+    // done frame is in, so the fleet's fabric counters are current when
+    // the next sweep starts.
     const auto busy = [&] {
         if (run.n_acked < points.size()) return true;
         for (const auto& ws : workers_)
-            if (ws.leases_in_flight > 0) return true;
+            if (ws.lease_sweep == run.id) return true;
         return false;
     };
     while (busy()) {
@@ -588,7 +557,7 @@ std::vector<core::SweepRow> Coordinator::run_sweep(
         for (std::size_t w = 0; w < workers_.size(); ++w) {
             if (!live(w)) continue;
             any_live = true;
-            if (workers_[w].loaded) top_up(w, run);
+            send_lease(w, run);
         }
         if (!any_live) throw std::runtime_error("fleet: no live workers left");
 
@@ -617,15 +586,8 @@ std::vector<core::SweepRow> Coordinator::run_sweep(
             char chunk[4096];
             const ssize_t n = ::read(pool_->stdout_fd(w), chunk, sizeof chunk);
             if (n > 0) {
-                WorkerState& ws = workers_[w];
-                ws.out_buf.append(chunk, static_cast<std::size_t>(n));
-                std::size_t nl;
-                while (live(w) &&
-                       (nl = ws.out_buf.find('\n')) != std::string::npos) {
-                    std::string line = ws.out_buf.substr(0, nl);
-                    ws.out_buf.erase(0, nl + 1);
-                    handle_stdout_line(w, line, run);
-                }
+                workers_[w].out_buf.append(chunk, static_cast<std::size_t>(n));
+                handle_stdout_lines(w, run);
             } else if (n == 0 || (n < 0 && errno != EINTR && errno != EAGAIN)) {
                 handle_death(w, run);
             }

@@ -61,12 +61,16 @@ struct FleetStats {
 ///   scenario over the same arch grid evaluates with zero fabric-cache
 ///   misses anywhere in the fleet, and where a point runs never depends
 ///   on timing.
-/// - Leases. A worker is leased only from its own queue: at most
-///   lease_size points of one fabric group per lease, two leases in
-///   flight.
+/// - Leases. A ready worker that holds no lease is leased its whole
+///   queue at once, which may span fabric groups, and runs it with one
+///   engine map: its threads never stop at a lease boundary and its
+///   fabrics build side by side. So a sweep leases each worker once, plus
+///   once more per requeue. A worker has at most one outstanding lease,
+///   counted across sweeps (protocol.h says why).
 /// - Recovery. A dead worker is restarted and its un-acked points go back
-///   to the front of its queue (bounded per-point retry); a worker out of
-///   restarts retires and its queue is placed on the live workers.
+///   to the front of its queue (bounded per-point retry) and out again as
+///   one lease; a worker out of restarts retires and its queue is placed
+///   on the live workers.
 ///
 /// Each row frame is parsed once and kept at its point index (a row for
 /// an already-acked index is a protocol violation; rows of a superseded
@@ -119,8 +123,11 @@ private:
     /// Appends `indices` to the live workers' queues (see the class comment).
     void place(SweepRun& run, const std::vector<std::size_t>& indices);
     void handle_death(std::size_t w, SweepRun& run);
-    void top_up(std::size_t w, SweepRun& run);
-    void send_lease(std::size_t w, SweepRun& run, std::vector<std::size_t> idx);
+    /// Sends worker `w` the sweep frame and a lease of its whole queue,
+    /// once the worker is ready and holds no lease.
+    void send_lease(std::size_t w, SweepRun& run);
+    /// Handles every complete line buffered from the worker's stdout.
+    void handle_stdout_lines(std::size_t w, SweepRun& run);
     void handle_stdout_line(std::size_t w, std::string_view line,
                             SweepRun& run);
     void drain_stderr(std::size_t w);
@@ -131,7 +138,6 @@ private:
     std::vector<WorkerState> workers_;
     std::string scratch_;
     std::int64_t sweep_counter_ = 0;
-    std::int64_t next_lease_id_ = 0;
     FleetStats stats_;
     bool shut_down_ = false;
 };

@@ -116,7 +116,6 @@ std::string sweep_line(const SweepFrame& f) {
 
 std::string lease_line(const LeaseFrame& f) {
     util::Json inner = util::Json::object();
-    inner.set("id", f.id);
     inner.set("sweep", f.sweep);
     util::Json idx = util::Json::array();
     for (const std::size_t i : f.indices)
@@ -160,9 +159,8 @@ WorkerBound worker_bound_from_line(std::string_view line) {
         if (f.n_points == 0) bad("sweep.n_points must be >= 1");
         out.sweep = std::move(f);
     } else if (const util::Json* v3 = j.find("lease")) {
-        expect_keys(*v3, 3, "lease");
+        expect_keys(*v3, 2, "lease");
         LeaseFrame f;
-        f.id = need_nonneg_i64(*v3, "id", "lease");
         f.sweep = need_nonneg_i64(*v3, "sweep", "lease");
         const util::Json& idx = need(*v3, "indices", "lease");
         for (const auto& e : idx.as_array())
@@ -188,16 +186,9 @@ std::string ready_line(const ReadyFrame& f) {
     return util::json_serialize_compact(obj1("ready", std::move(inner)));
 }
 
-std::string loaded_line(const LoadedFrame& f) {
-    util::Json inner = util::Json::object();
-    inner.set("sweep", f.sweep);
-    inner.set("n_points", static_cast<std::uint64_t>(f.n_points));
-    return util::json_serialize_compact(obj1("loaded", std::move(inner)));
-}
-
 std::string done_line(const DoneFrame& f) {
     util::Json inner = util::Json::object();
-    inner.set("lease", f.lease);
+    inner.set("sweep", f.sweep);
     inner.set("fabric_hits", f.fabric_hits);
     inner.set("fabric_misses", f.fabric_misses);
     return util::json_serialize_compact(obj1("done", std::move(inner)));
@@ -251,25 +242,19 @@ CoordinatorBound coordinator_bound_from_line(std::string_view line) {
         if (f.worker < 0) bad("ready.worker must be >= 0");
         if (f.gen < 0) bad("ready.gen must be >= 0");
         out.ready = f;
-    } else if (const util::Json* v2 = j.find("loaded")) {
-        expect_keys(*v2, 2, "loaded");
-        LoadedFrame f;
-        f.sweep = need_nonneg_i64(*v2, "sweep", "loaded");
-        f.n_points = need_size(*v2, "n_points", "loaded");
-        out.loaded = f;
-    } else if (const util::Json* v3 = j.find("done")) {
-        expect_keys(*v3, 3, "done");
+    } else if (const util::Json* v2 = j.find("done")) {
+        expect_keys(*v2, 3, "done");
         DoneFrame f;
-        f.lease = need_nonneg_i64(*v3, "lease", "done");
-        f.fabric_hits = need_nonneg_i64(*v3, "fabric_hits", "done");
-        f.fabric_misses = need_nonneg_i64(*v3, "fabric_misses", "done");
+        f.sweep = need_nonneg_i64(*v2, "sweep", "done");
+        f.fabric_hits = need_nonneg_i64(*v2, "fabric_hits", "done");
+        f.fabric_misses = need_nonneg_i64(*v2, "fabric_misses", "done");
         out.done = f;
-    } else if (const util::Json* v4 = j.find("perr")) {
-        expect_keys(*v4, 3, "perr");
+    } else if (const util::Json* v3 = j.find("perr")) {
+        expect_keys(*v3, 3, "perr");
         PointErrorFrame f;
-        f.sweep = need_nonneg_i64(*v4, "sweep", "perr");
-        f.index = need_size(*v4, "index", "perr");
-        f.what = need(*v4, "what", "perr").as_string();
+        f.sweep = need_nonneg_i64(*v3, "sweep", "perr");
+        f.index = need_size(*v3, "index", "perr");
+        f.what = need(*v3, "what", "perr").as_string();
         out.perr = std::move(f);
     } else {
         bad("unknown frame \"" + j.as_object().front().first + "\"");
@@ -381,18 +366,13 @@ int serve_worker(std::istream& in, std::ostream& out, std::ostream& err,
                 return 3;
             }
             sweep_id = frame.sweep->id;
-            LoadedFrame loaded;
-            loaded.sweep = sweep_id;
-            loaded.n_points = points.size();
-            out << loaded_line(loaded) << "\n" << std::flush;
             continue;
         }
         if (frame.lease) {
             const LeaseFrame& lease = *frame.lease;
             if (lease.sweep != sweep_id) {
-                err << "fleet worker: lease " << lease.id << " targets sweep "
-                    << lease.sweep << " but current sweep is " << sweep_id
-                    << "\n";
+                err << "fleet worker: lease targets sweep " << lease.sweep
+                    << " but current sweep is " << sweep_id << "\n";
                 return 3;
             }
             for (const std::size_t i : lease.indices) {
@@ -432,7 +412,7 @@ int serve_worker(std::istream& in, std::ostream& out, std::ostream& err,
                 return 0;
             });
             DoneFrame done;
-            done.lease = lease.id;
+            done.sweep = sweep_id;
             done.fabric_hits = engine.cache().hits();
             done.fabric_misses = engine.cache().misses();
             const std::lock_guard<std::mutex> lock(out_mu);

@@ -16,8 +16,8 @@ namespace floretsim::fleet {
 /// *persistent* workers. Points go down by file and rows come back as
 /// frames on the worker's stdout. One `floretsim_run --worker --serve`
 /// process handles many sweeps over its lifetime, keeping its ArchCache
-/// warm across them — the coordinator streams lease frames down the
-/// worker's stdin and reads rows and acks back from its stdout.
+/// warm across them — the coordinator sends sweep and lease frames down
+/// the worker's stdin and reads rows and acks back from its stdout.
 ///
 /// Every frame is one compact JSON object per line (NDJSON), dispatched
 /// on its single distinguishing top-level key. Parsing is strict in both
@@ -28,27 +28,36 @@ namespace floretsim::fleet {
 /// Coordinator -> worker (stdin):
 ///   {"init":  {"worker": i, "n_workers": N, "gen": g}}
 ///   {"sweep": {"id": S, "points_file": PATH, "n_points": n}}
-///   {"lease": {"id": L, "sweep": S, "indices": [..]}}
+///   {"lease": {"sweep": S, "indices": [..]}}
 ///   {"quit":  {}}
 ///
 /// Worker -> coordinator (stdout):
 ///   {"ready":  {"worker": i, "gen": g, "pid": p}}
-///   {"loaded": {"sweep": S, "n_points": n}}
 ///   {"sweep": S, "index": i, "row": {..}}          (one per finished point)
-///   {"done":   {"lease": L, "fabric_hits": H, "fabric_misses": M}}
+///   {"done":   {"sweep": S, "fabric_hits": H, "fabric_misses": M}}
 ///   {"perr":   {"sweep": S, "index": i, "what": ".."}}
 ///
-/// The coordinator leases each point to one worker at a time, parses each
-/// row frame once and keeps it at its point's index, so a sweep's rows
-/// come back in point order; its live progress lines count those rows.
-/// The points file is removed when the sweep ends.
+/// A lease is a worker's whole placed share of a sweep, so a sweep sends
+/// each worker a sweep frame and a lease, back to back; a further pair
+/// goes out only for points requeued after a worker death or re-placed
+/// from a retired worker. The coordinator parses each row frame once and
+/// keeps it at its point's index, so a sweep's rows come back in point
+/// order; its live progress lines count those rows. The points file is
+/// removed when the sweep ends.
 ///
 /// Points travel by file (the sweep frame names a points file on
 /// shared disk), not through the stdin pipe: a pipe holds ~64KB, and a
 /// coordinator blocked writing a million points to one worker while
-/// another worker's stdout fills is a deadlock. Lease frames are small
-/// and bounded-in-flight, so stdin never backs up; rows flow up the
-/// stdout pipe because the coordinator's poll loop drains it continuously.
+/// another worker's stdout fills is a deadlock. A lease frame can be as
+/// long, so a worker has at most one outstanding lease, counted across
+/// sweeps: the coordinator sends a sweep and lease frame only to a worker
+/// whose last lease's `done` frame is in, and a failed sweep's lease
+/// stays outstanding until its `done` arrives or the worker dies. A lease
+/// of any size therefore reaches only a worker that is blocked reading
+/// stdin, never one blocked writing rows to a full stdout pipe while the
+/// coordinator blocks on its full stdin pipe. The init and quit frames
+/// are small and never block; rows flow up the stdout pipe because the
+/// coordinator's poll loop drains it continuously.
 
 // ---- Points -----------------------------------------------------------------
 
@@ -89,11 +98,11 @@ struct SweepFrame {
     friend bool operator==(const SweepFrame&, const SweepFrame&) = default;
 };
 
-/// A small batch of global point indices to evaluate from the current
-/// sweep, all of one fabric group. The coordinator hands a worker its
-/// placed points a few at a time, two leases in flight.
+/// Global point indices to evaluate from the current sweep: a worker's
+/// whole placed share, which may span fabric groups, or the points
+/// requeued on it later in the sweep. The worker evaluates them with one
+/// engine map, so its threads never wait at a lease boundary.
 struct LeaseFrame {
-    std::int64_t id = 0;
     std::int64_t sweep = 0;
     std::vector<std::size_t> indices;
 
@@ -132,18 +141,11 @@ struct ReadyFrame {
     friend bool operator==(const ReadyFrame&, const ReadyFrame&) = default;
 };
 
-/// Ack of a sweep frame: the points file parsed and the count matched.
-struct LoadedFrame {
-    std::int64_t sweep = 0;
-    std::size_t n_points = 0;
-
-    friend bool operator==(const LoadedFrame&, const LoadedFrame&) = default;
-};
-
-/// Ack of a finished lease, carrying the worker's cumulative ArchCache
+/// Ack of a finished lease, naming the lease's sweep (a worker holds at
+/// most one lease) and carrying the worker's cumulative ArchCache
 /// counters — the warm-across-scenarios signal the fleet stats surface.
 struct DoneFrame {
-    std::int64_t lease = 0;
+    std::int64_t sweep = 0;
     std::int64_t fabric_hits = 0;
     std::int64_t fabric_misses = 0;
 
@@ -173,14 +175,12 @@ struct FleetRow {
 /// The parse result for a worker's stdout: exactly one member is set.
 struct CoordinatorBound {
     std::optional<ReadyFrame> ready;
-    std::optional<LoadedFrame> loaded;
     std::optional<DoneFrame> done;
     std::optional<PointErrorFrame> perr;
     std::optional<FleetRow> row;
 };
 
 [[nodiscard]] std::string ready_line(const ReadyFrame& f);
-[[nodiscard]] std::string loaded_line(const LoadedFrame& f);
 [[nodiscard]] std::string done_line(const DoneFrame& f);
 [[nodiscard]] std::string perr_line(const PointErrorFrame& f);
 [[nodiscard]] std::string fleet_row_line(const FleetRow& r);
@@ -193,13 +193,14 @@ struct CoordinatorBound {
 // ---- The worker loop --------------------------------------------------------
 
 /// Runs the persistent worker side of the protocol over (in, out): init
-/// -> ready, sweep -> loaded, lease -> rows + done, quit (or
-/// orderly EOF) -> return 0. Lease points are evaluated on the engine's
-/// pool via core::evaluate_point, so the engine's ArchCache stays warm
-/// for every later lease and sweep — the whole reason the process
-/// persists. A point that throws emits a perr frame (the coordinator
-/// decides; the worker keeps serving). A malformed frame prints to `err`
-/// and returns 3: the coordinator treats that exit as a protocol bug.
+/// -> ready, sweep -> load its points file (no reply), lease -> rows +
+/// done, quit (or orderly EOF) -> return 0. Lease points are evaluated
+/// on the engine's pool via core::evaluate_point, so the engine's
+/// ArchCache stays warm for every later lease and sweep — the whole
+/// reason the process persists. A point that throws emits a perr frame
+/// (the coordinator decides; the worker keeps serving). A malformed
+/// frame or an unreadable points file prints to `err` and returns 3: the
+/// coordinator treats that exit as a protocol bug.
 ///
 /// Fault injection for the fleet tests, read from the environment at
 /// init time (production runs never set these):

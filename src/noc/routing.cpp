@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <map>
-#include <queue>
 #include <stdexcept>
 #include <tuple>
 
@@ -50,9 +49,16 @@ bool is_up_move(const std::vector<std::int32_t>& level, NodeId from, NodeId to) 
     return lt < lf || (lt == lf && to < from);
 }
 
-std::vector<NodeId> reverse_path(std::vector<NodeId> p) {
-    std::reverse(p.begin(), p.end());
-    return p;
+/// Every node's neighbour ids in ascending order, sorted once per build:
+/// the BFS visit order that breaks ties toward the lowest neighbour id.
+std::vector<std::vector<NodeId>> sorted_neighbours(const topo::Topology& t) {
+    std::vector<std::vector<NodeId>> nbrs(static_cast<std::size_t>(t.node_count()));
+    for (NodeId n = 0; n < t.node_count(); ++n) {
+        auto& ids = nbrs[static_cast<std::size_t>(n)];
+        for (const auto& [nbr, lid] : t.adjacency(n)) ids.push_back(nbr);
+        std::sort(ids.begin(), ids.end());
+    }
+    return nbrs;
 }
 
 }  // namespace
@@ -99,67 +105,65 @@ RouteTable RouteTable::build(const topo::Topology& t, RoutingPolicy policy,
         return rt;
     }
 
+    const auto nbrs = sorted_neighbours(t);
+    const auto n = static_cast<std::size_t>(rt.n_);
     if (policy == RoutingPolicy::kShortestPath) {
         // BFS from every destination, recording parent pointers toward it;
-        // ties broken toward the lowest neighbor id for determinism.
+        // ties broken toward the lowest neighbor id for determinism. The
+        // buffers serve every destination in turn.
+        std::vector<NodeId> parent(n);
+        std::vector<std::int32_t> dist(n);
+        std::vector<NodeId> queue(n);
         for (NodeId dst = 0; dst < rt.n_; ++dst) {
-            std::vector<NodeId> parent(static_cast<std::size_t>(rt.n_), -1);
-            std::vector<std::int32_t> dist(static_cast<std::size_t>(rt.n_), -1);
-            std::queue<NodeId> q;
+            std::fill(dist.begin(), dist.end(), -1);
             dist[static_cast<std::size_t>(dst)] = 0;
-            q.push(dst);
-            while (!q.empty()) {
-                const NodeId cur = q.front();
-                q.pop();
-                auto nbrs = t.adjacency(cur);
-                std::sort(nbrs.begin(), nbrs.end());
-                for (const auto& [nbr, lid] : nbrs) {
+            std::size_t head = 0, tail = 0;
+            queue[tail++] = dst;
+            while (head < tail) {
+                const NodeId cur = queue[head++];
+                for (const NodeId nbr : nbrs[static_cast<std::size_t>(cur)]) {
                     if (dist[static_cast<std::size_t>(nbr)] < 0) {
                         dist[static_cast<std::size_t>(nbr)] =
                             dist[static_cast<std::size_t>(cur)] + 1;
                         parent[static_cast<std::size_t>(nbr)] = cur;
-                        q.push(nbr);
+                        queue[tail++] = nbr;
                     }
                 }
             }
             for (NodeId src = 0; src < rt.n_; ++src) {
+                const std::int32_t d = dist[static_cast<std::size_t>(src)];
+                if (d < 0) continue;  // unreachable
                 auto& route = rt.routes_[rt.index(src, dst)];
-                if (src == dst) {
-                    route = {src};
-                    continue;
-                }
-                if (dist[static_cast<std::size_t>(src)] < 0) continue;  // unreachable
+                route.resize(static_cast<std::size_t>(d) + 1);
                 NodeId cur = src;
-                route.push_back(cur);
-                while (cur != dst) {
+                for (auto& hop : route) {
+                    hop = cur;
                     cur = parent[static_cast<std::size_t>(cur)];
-                    route.push_back(cur);
                 }
             }
         }
         return rt;
     }
 
-    // Up*/down*: BFS over the state graph (node, has-gone-down).
+    // Up*/down*: BFS over the state graph (node, has-gone-down), whose
+    // buffers serve every source in turn.
     const NodeId r = root >= 0 ? root : central_node(t);
     const auto level = bfs_levels(t, r);
-    const auto n = static_cast<std::size_t>(rt.n_);
+    // State: node * 2 + phase (0 = still ascending, 1 = descending).
+    std::vector<std::int32_t> dist(n * 2);
+    std::vector<std::int32_t> prev(n * 2);  // previous state index
+    std::vector<std::int32_t> queue(n * 2);
     for (NodeId src = 0; src < rt.n_; ++src) {
-        // State: node * 2 + phase (0 = still ascending, 1 = descending).
-        std::vector<std::int32_t> dist(n * 2, -1);
-        std::vector<std::int32_t> prev(n * 2, -1);  // previous state index
-        std::queue<std::int32_t> q;
+        std::fill(dist.begin(), dist.end(), -1);
         const std::int32_t start = static_cast<std::int32_t>(src) * 2;
         dist[static_cast<std::size_t>(start)] = 0;
-        q.push(start);
-        while (!q.empty()) {
-            const std::int32_t st = q.front();
-            q.pop();
+        std::size_t head = 0, tail = 0;
+        queue[tail++] = start;
+        while (head < tail) {
+            const std::int32_t st = queue[head++];
             const NodeId cur = st / 2;
             const std::int32_t phase = st % 2;
-            auto nbrs = t.adjacency(cur);
-            std::sort(nbrs.begin(), nbrs.end());
-            for (const auto& [nbr, lid] : nbrs) {
+            for (const NodeId nbr : nbrs[static_cast<std::size_t>(cur)]) {
                 const bool up = is_up_move(level, cur, nbr);
                 if (phase == 1 && up) continue;  // down -> up forbidden
                 const std::int32_t nphase = up ? phase : 1;
@@ -168,17 +172,13 @@ RouteTable RouteTable::build(const topo::Topology& t, RoutingPolicy policy,
                     dist[static_cast<std::size_t>(nst)] =
                         dist[static_cast<std::size_t>(st)] + 1;
                     prev[static_cast<std::size_t>(nst)] = st;
-                    q.push(nst);
+                    queue[tail++] = nst;
                 }
             }
         }
         for (NodeId dst = 0; dst < rt.n_; ++dst) {
-            auto& route = rt.routes_[rt.index(src, dst)];
-            if (src == dst) {
-                route = {src};
-                continue;
-            }
-            // Prefer the shorter of the two terminal phases.
+            // Prefer the shorter of the two terminal phases (src == dst
+            // ends in phase 0 at distance 0: the route [src]).
             std::int32_t best_state = -1;
             for (const std::int32_t phase : {0, 1}) {
                 const std::int32_t st = static_cast<std::int32_t>(dst) * 2 + phase;
@@ -188,11 +188,15 @@ RouteTable RouteTable::build(const topo::Topology& t, RoutingPolicy policy,
                     best_state = st;
             }
             if (best_state < 0) continue;  // unreachable
-            std::vector<NodeId> rev;
-            for (std::int32_t st = best_state; st >= 0;
-                 st = prev[static_cast<std::size_t>(st)])
-                rev.push_back(st / 2);
-            route = reverse_path(std::move(rev));
+            // Walk the prev chain back from dst, writing the path in place.
+            auto& route = rt.routes_[rt.index(src, dst)];
+            route.resize(static_cast<std::size_t>(
+                             dist[static_cast<std::size_t>(best_state)]) + 1);
+            std::int32_t st = best_state;
+            for (auto hop = route.rbegin(); hop != route.rend(); ++hop) {
+                *hop = st / 2;
+                st = prev[static_cast<std::size_t>(st)];
+            }
         }
     }
     return rt;

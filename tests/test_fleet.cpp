@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <signal.h>
 #include <unistd.h>
 
@@ -156,7 +157,6 @@ TEST(FleetProtocol, WorkerBoundFramesRoundTrip) {
     EXPECT_EQ(*got_sweep.sweep, sweep);
 
     LeaseFrame lease;
-    lease.id = 5;
     lease.sweep = 17;
     lease.indices = {7, 0, 39};
     const WorkerBound got_lease = worker_bound_from_line(lease_line(lease));
@@ -178,16 +178,8 @@ TEST(FleetProtocol, CoordinatorBoundFramesRoundTrip) {
     ASSERT_TRUE(got_ready.ready.has_value());
     EXPECT_EQ(*got_ready.ready, ready);
 
-    LoadedFrame loaded;
-    loaded.sweep = 9;
-    loaded.n_points = 12;
-    const CoordinatorBound got_loaded =
-        coordinator_bound_from_line(loaded_line(loaded));
-    ASSERT_TRUE(got_loaded.loaded.has_value());
-    EXPECT_EQ(*got_loaded.loaded, loaded);
-
     DoneFrame done;
-    done.lease = 31;
+    done.sweep = 31;
     done.fabric_hits = 100;
     done.fabric_misses = 4;
     const CoordinatorBound got_done =
@@ -282,12 +274,13 @@ TEST(FleetProtocol, WorkerBoundRejectsMalformedFrames) {
              "\"n_points\": 0}}",                   // zero points
              "{\"sweep\": {\"id\": 0, \"points_file\": \"p\", "
              "\"n_points\": -4}}",                  // negative count
-             "{\"lease\": {\"id\": 0, \"sweep\": 0, \"indices\": []}}",
-             "{\"lease\": {\"id\": -1, \"sweep\": 0, \"indices\": [0]}}",
-             "{\"lease\": {\"id\": 0, \"sweep\": -2, \"indices\": [0]}}",
-             "{\"lease\": {\"id\": 0, \"sweep\": 0, \"indices\": 3}}",
-             "{\"lease\": {\"id\": 0, \"sweep\": 0, \"indices\": [-1]}}",
-             "{\"lease\": {\"id\": 0, \"indices\": [0]}}",  // missing sweep
+             "{\"lease\": {\"sweep\": 0, \"indices\": []}}",
+             "{\"lease\": {\"sweep\": -2, \"indices\": [0]}}",
+             "{\"lease\": {\"sweep\": 0, \"indices\": 3}}",
+             "{\"lease\": {\"sweep\": 0, \"indices\": [-1]}}",
+             "{\"lease\": {\"indices\": [0]}}",  // missing sweep
+             // Leases carry no id: a worker holds at most one.
+             "{\"lease\": {\"id\": 0, \"sweep\": 0, \"indices\": [0]}}",
              "{\"quit\": {\"now\": true}}",         // quit carries no payload
          })
         EXPECT_THROW((void)worker_bound_from_line(bad), std::invalid_argument)
@@ -303,11 +296,14 @@ TEST(FleetProtocol, CoordinatorBoundRejectsMalformedFrames) {
              "{\"ready\": {\"worker\": -1, \"gen\": 0, \"pid\": 1}}",
              "{\"ready\": {\"worker\": 0, \"gen\": -1, \"pid\": 1}}",
              "{\"ready\": {\"worker\": 0, \"gen\": 0, \"pid\": -1}}",
-             "{\"loaded\": {\"sweep\": -1, \"n_points\": 1}}",
-             "{\"loaded\": {\"sweep\": 0}}",        // missing n_points
-             "{\"done\": {\"lease\": 0, \"fabric_hits\": -1, "
+             "{\"done\": {\"sweep\": 0, \"fabric_hits\": -1, "
              "\"fabric_misses\": 0}}",              // negative counter
-             "{\"done\": {\"lease\": 0, \"fabric_hits\": 0}}",
+             "{\"done\": {\"sweep\": -1, \"fabric_hits\": 0, "
+             "\"fabric_misses\": 0}}",              // negative sweep
+             "{\"done\": {\"sweep\": 0, \"fabric_hits\": 0}}",
+             // A done frame names its sweep, not a lease id.
+             "{\"done\": {\"lease\": 0, \"fabric_hits\": 0, "
+             "\"fabric_misses\": 0}}",
              "{\"perr\": {\"sweep\": 0, \"index\": 0, \"what\": 3}}",
              "{\"perr\": {\"sweep\": 0, \"what\": \"x\"}}",  // missing index
              "{",                                   // truncated
@@ -319,9 +315,10 @@ TEST(FleetProtocol, CoordinatorBoundRejectsMalformedFrames) {
              "{\"sweep\": 0, \"index\": 0, \"row\": 3}",   // row not an object
              "{\"sweep\": 0, \"index\": 0, \"row\": {}, \"x\": 1}",
              "{\"rows\": []}",                      // unknown frame
-             // `hb` is not a frame of the protocol.
+             // `hb` and `loaded` are not frames of the protocol.
              "{\"hb\":{\"worker\":2,\"n_workers\":4,\"done\":3,\"total\":9,"
              "\"seconds\":1.5}}",
+             "{\"loaded\": {\"sweep\": 0, \"n_points\": 1}}",
          })
         EXPECT_THROW((void)coordinator_bound_from_line(bad),
                      std::invalid_argument)
@@ -362,7 +359,6 @@ TEST(FleetServeWorker, ServesInitSweepLeaseQuit) {
     sweep.points_file = write_points_file(tmp, 1);
     sweep.n_points = points.size();
     LeaseFrame lease;
-    lease.id = 11;
     lease.sweep = 7;
     lease.indices = {0, 1};
     std::istringstream in(protocol_script({init_line(init), sweep_line(sweep),
@@ -374,7 +370,8 @@ TEST(FleetServeWorker, ServesInitSweepLeaseQuit) {
 
     std::vector<core::SweepRow> rows(points.size());
     std::size_t n_rows = 0;
-    bool saw_ready = false, saw_loaded = false, saw_done = false;
+    // The sweep frame gets no reply: ready, the rows, then one done.
+    bool saw_ready = false, saw_done = false;
     std::istringstream lines(out.str());
     for (std::string line; std::getline(lines, line);) {
         const CoordinatorBound frame = coordinator_bound_from_line(line);
@@ -384,18 +381,16 @@ TEST(FleetServeWorker, ServesInitSweepLeaseQuit) {
             EXPECT_EQ(frame.ready->gen, 0);
             EXPECT_GT(frame.ready->pid, 0);
             saw_ready = true;
-        } else if (frame.loaded) {
-            EXPECT_TRUE(saw_ready) << "loaded before ready";
-            EXPECT_EQ(frame.loaded->sweep, 7);
-            EXPECT_EQ(frame.loaded->n_points, points.size());
-            saw_loaded = true;
         } else if (frame.row) {
+            EXPECT_TRUE(saw_ready) << "row before ready";
+            EXPECT_FALSE(saw_done) << "row after done";
             EXPECT_EQ(frame.row->sweep, 7);
             ASSERT_LT(frame.row->index, rows.size());
             rows[frame.row->index] = frame.row->row;
             ++n_rows;
         } else if (frame.done) {
-            EXPECT_EQ(frame.done->lease, 11);
+            EXPECT_FALSE(saw_done) << "done emitted twice";
+            EXPECT_EQ(frame.done->sweep, 7);
             // Two points, two fabrics: both were cold in this process.
             EXPECT_EQ(frame.done->fabric_misses, 2);
             saw_done = true;
@@ -403,7 +398,7 @@ TEST(FleetServeWorker, ServesInitSweepLeaseQuit) {
             FAIL() << "unexpected frame: " << line;
         }
     }
-    EXPECT_TRUE(saw_ready && saw_loaded && saw_done);
+    EXPECT_TRUE(saw_ready && saw_done);
     EXPECT_EQ(n_rows, points.size());
     expect_rows_bit_identical(rows, expected_rows(1));
 }
@@ -426,7 +421,6 @@ TEST(FleetServeWorker, MalformedFrameIsAProtocolError) {
 
 TEST(FleetServeWorker, FrameBeforeInitIsAProtocolError) {
     LeaseFrame lease;
-    lease.id = 0;
     lease.sweep = 0;
     lease.indices = {0};
     std::istringstream in(protocol_script({lease_line(lease)}));
@@ -446,7 +440,6 @@ TEST(FleetServeWorker, LeaseValidationIsAProtocolError) {
     // A lease targeting the wrong sweep.
     {
         LeaseFrame lease;
-        lease.id = 0;
         lease.sweep = 8;
         lease.indices = {0};
         std::istringstream in(protocol_script(
@@ -460,7 +453,6 @@ TEST(FleetServeWorker, LeaseValidationIsAProtocolError) {
     // A lease index past the end of the loaded sweep.
     {
         LeaseFrame lease;
-        lease.id = 0;
         lease.sweep = 7;
         lease.indices = {5};
         std::istringstream in(protocol_script(
@@ -502,7 +494,6 @@ TEST_F(FleetEnv, FailingPointEmitsPerrAndKeepsServing) {
     sweep.points_file = write_points_file(tmp, 1);
     sweep.n_points = 2;
     LeaseFrame lease;
-    lease.id = 4;
     lease.sweep = 2;
     lease.indices = {0, 1};
     std::istringstream in(protocol_script({init_line(init), sweep_line(sweep),
@@ -547,6 +538,8 @@ TEST_F(FleetEnv, SweepMatchesInProcessRunAndStaysWarmAcrossSweeps) {
     EXPECT_EQ(fleet.stats().fleet_fabric_misses, 2);
     EXPECT_EQ(fleet.stats().affinity_misses, 6);
     EXPECT_EQ(fleet.stats().affinity_hits, 0);
+    // A lease is a worker's whole share: one per worker per sweep.
+    EXPECT_EQ(fleet.stats().leases_issued, 2);
 
     // Same points again on the now-warm fleet: every point stays with the
     // worker that holds its fabric.
@@ -558,7 +551,18 @@ TEST_F(FleetEnv, SweepMatchesInProcessRunAndStaysWarmAcrossSweeps) {
         << "a worker rebuilt a fabric its ArchCache already had";
     EXPECT_EQ(fleet.stats().affinity_misses, 6);
     EXPECT_EQ(fleet.stats().affinity_hits, 6);
-    EXPECT_GT(fleet.stats().leases_issued, 0);
+    EXPECT_EQ(fleet.stats().leases_issued, 4);
+}
+
+TEST_F(FleetEnv, OneWorkerLeasesBothFabricGroupsAtOnce) {
+    // The only worker holds both fabric groups: the sweep sends it one
+    // lease spanning both, and it builds each fabric once.
+    const auto points = fleet_spec(3).expand();
+    Coordinator fleet(self_fleet_options(1));
+    expect_rows_bit_identical(fleet.run_sweep(points), expected_rows(3));
+    EXPECT_EQ(fleet.stats().leases_issued, 1);
+    EXPECT_EQ(fleet.stats().fleet_fabric_misses, 2);
+    EXPECT_EQ(fleet.stats().rows, 6);
 }
 
 TEST_F(FleetEnv, OneFabricSweepIsSplitAcrossWorkers) {
@@ -599,8 +603,8 @@ TEST_F(FleetEnv, KilledWorkerIsRestartedAndReportIsBitIdentical) {
     // The only worker owns all 6 points, so its first incarnation always
     // reaches its 2nd row and SIGKILLs itself there, holding un-acked
     // leased work: the coordinator must reap it, surface the death,
-    // restart it, requeue the un-acked remainder of its leases, and still
-    // produce the exact in-process rows.
+    // restart it, requeue the 4 un-acked points of its lease as one new
+    // lease, and still produce the exact in-process rows.
     setenv("FLORETSIM_FLEET_KILL", "0:0:2", 1);
     const auto points = fleet_spec(3).expand();
     std::ostringstream progress;
@@ -611,7 +615,8 @@ TEST_F(FleetEnv, KilledWorkerIsRestartedAndReportIsBitIdentical) {
                               expected_rows(3));
     EXPECT_EQ(fleet.stats().worker_deaths, 1);
     EXPECT_EQ(fleet.stats().worker_restarts, 1);
-    EXPECT_GE(fleet.stats().points_reassigned, 1);
+    EXPECT_EQ(fleet.stats().points_reassigned, 4);
+    EXPECT_EQ(fleet.stats().leases_issued, 2);
     EXPECT_EQ(fleet.stats().rows, 6);
     EXPECT_NE(progress.str().find("died on signal 9"), std::string::npos)
         << progress.str();
@@ -623,6 +628,7 @@ TEST_F(FleetEnv, KilledWorkerIsRestartedAndReportIsBitIdentical) {
     expect_rows_bit_identical(fleet.run_sweep(points),
                               expected_rows(3));
     EXPECT_EQ(fleet.stats().worker_deaths, 1) << "the gen-1 worker died too";
+    EXPECT_EQ(fleet.stats().leases_issued, 3);
 }
 
 TEST_F(FleetEnv, PointFailureFailsTheSweepNamingThePoint) {
@@ -643,6 +649,53 @@ TEST_F(FleetEnv, PointFailureFailsTheSweepNamingThePoint) {
     // The failed sweep removed its points file on the way out.
     EXPECT_TRUE(std::filesystem::is_empty(fleet.scratch_dir()))
         << "a failed sweep left files in " << fleet.scratch_dir();
+}
+
+TEST_F(FleetEnv, FailedSweepDoesNotLeakIntoTheNext) {
+    // Sweep 1 fails on its first point while the only worker still holds
+    // the other 5 points of its lease. Sweep 2 must wait for that lease's
+    // done frame before it leases: the worker runs in checked mode, which
+    // exits 4 (a death) if a frame reaches its stdin before it has sent
+    // its done frame. Sweep 1's late rows are dropped as stale. Only the
+    // first incarnation fails a point, so a death shows as a death.
+    setenv("FLORETSIM_FLEET_PERR", "0:0:1", 1);
+    const auto points = fleet_spec(3).expand();
+    auto opt = self_fleet_options(1);
+    opt.worker_args = {"--fleet-worker", "--check-done"};
+    Coordinator fleet(opt);
+    try {
+        (void)fleet.run_sweep(points);
+        FAIL() << "a failing point completed the sweep";
+    } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("injected fleet fault"),
+                  std::string::npos)
+            << e.what();
+    }
+    expect_rows_bit_identical(fleet.run_sweep(points), expected_rows(3));
+    EXPECT_EQ(fleet.stats().worker_deaths, 0)
+        << "sweep 2 leased before sweep 1's done frame";
+    EXPECT_EQ(fleet.stats().sweeps, 1);
+    EXPECT_EQ(fleet.stats().leases_issued, 2);
+    EXPECT_EQ(fleet.stats().rows, 6);
+    EXPECT_EQ(fleet.stats().stale_rows, 5);
+}
+
+TEST_F(FleetEnv, DoneReadWithAFailedPointReachesTheNextSweep) {
+    // The only worker fails its first point and writes the lease's perr,
+    // row and done frames in one write (--one-write; ~1.3 KB, so one pipe
+    // read), so sweep 1 fails on the perr with the row and the done frame
+    // read but unhandled. Sweep 2 must handle them (one stale row, the old
+    // lease acked) before it can lease the worker again.
+    setenv("FLORETSIM_FLEET_PERR", "0:0:1", 1);
+    const auto points = fleet_spec(1).expand();
+    auto opt = self_fleet_options(1);
+    opt.worker_args = {"--fleet-worker", "--one-write"};
+    Coordinator fleet(opt);
+    EXPECT_THROW((void)fleet.run_sweep(points), std::runtime_error);
+    expect_rows_bit_identical(fleet.run_sweep(points), expected_rows(1));
+    EXPECT_EQ(fleet.stats().worker_deaths, 0);
+    EXPECT_EQ(fleet.stats().stale_rows, 1);
+    EXPECT_EQ(fleet.stats().leases_issued, 2);
 }
 
 TEST_F(FleetEnv, UnspawnableWorkerExeFailsTheSweep) {
@@ -743,14 +796,74 @@ TEST(FleetPool, ValidatesItsOptions) {
 }  // namespace
 }  // namespace floretsim::fleet
 
+namespace {
+
+/// The worker's stdout in the coordinator tests, written with ::write.
+/// --check-done holds each done frame for 100 ms, watching stdin: while a
+/// worker holds a lease the coordinator sends it nothing (one outstanding
+/// lease per worker, and its next sweep and lease wait for this done
+/// frame), so input arriving there exits 4, which the coordinator sees as
+/// a worker death. --one-write keeps a lease's row and perr lines until
+/// its done frame and writes them all in one write.
+class TestWorkerBuf final : public std::streambuf {
+public:
+    TestWorkerBuf(bool check_done, bool one_write)
+        : check_done_(check_done), one_write_(one_write) {}
+
+protected:
+    int_type overflow(int_type c) override {
+        if (!traits_type::eq_int_type(c, traits_type::eof()))
+            line_ += traits_type::to_char_type(c);
+        return traits_type::not_eof(c);
+    }
+    std::streamsize xsputn(const char* s, std::streamsize n) override {
+        line_.append(s, static_cast<std::size_t>(n));
+        return n;
+    }
+    int sync() override {
+        const bool done = line_.starts_with("{\"done\"");
+        if (done && check_done_) {
+            pollfd in{STDIN_FILENO, POLLIN, 0};
+            if (::poll(&in, 1, 100) > 0 && (in.revents & POLLIN)) {
+                std::cerr << "fleet worker: input while holding a lease\n";
+                std::_Exit(4);
+            }
+        }
+        held_ += line_;
+        line_.clear();
+        if (one_write_ && !done && !held_.starts_with("{\"ready\"")) return 0;
+        for (std::size_t off = 0; off < held_.size();) {
+            const ssize_t n =
+                ::write(STDOUT_FILENO, held_.data() + off, held_.size() - off);
+            if (n < 0 && errno != EINTR) return -1;
+            if (n > 0) off += static_cast<std::size_t>(n);
+        }
+        held_.clear();
+        return 0;
+    }
+
+private:
+    bool check_done_, one_write_;
+    std::string line_, held_;
+};
+
+}  // namespace
+
 /// In worker mode this binary IS the fleet worker (serve_worker over
-/// stdin/stdout) — the Coordinator tests spawn it with --fleet-worker.
-/// Otherwise: plain gtest main (this file links gtest, not gtest_main).
+/// stdin/stdout) — the Coordinator tests spawn it with --fleet-worker
+/// [--check-done] [--one-write]. Otherwise: plain gtest main (this file
+/// links gtest, not gtest_main).
 int main(int argc, char** argv) {
     if (argc > 1 && std::string_view(argv[1]) == "--fleet-worker") {
+        bool check_done = false, one_write = false;
+        for (int i = 2; i < argc; ++i) {
+            check_done |= std::string_view(argv[i]) == "--check-done";
+            one_write |= std::string_view(argv[i]) == "--one-write";
+        }
+        TestWorkerBuf buf(check_done, one_write);
+        std::ostream out(&buf);
         floretsim::core::SweepEngine engine(1);
-        return floretsim::fleet::serve_worker(std::cin, std::cout, std::cerr,
-                                              engine);
+        return floretsim::fleet::serve_worker(std::cin, out, std::cerr, engine);
     }
     g_self_exe = floretsim::fleet::self_exe_path(argv[0]);
     ::testing::InitGoogleTest(&argc, argv);

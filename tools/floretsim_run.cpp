@@ -17,10 +17,10 @@
 ///
 ///   floretsim_run --only fig3,fig5 --pool 4   # persistent coordinator:
 ///       spawns 4 long-lived --worker --serve processes ONCE, places each
-///       sweep's fabric groups on them, streams leases from each worker's
-///       own queue, restarts dead workers — workers keep their ArchCache
-///       warm across scenarios, and reports stay bit-identical to 1
-///       process
+///       sweep's fabric groups on them, leases each worker its whole
+///       placed share at once, restarts dead workers — workers keep their
+///       ArchCache warm across scenarios, and reports stay bit-identical
+///       to 1 process
 ///   floretsim_run --worker --serve             # one persistent worker:
 ///       speaks the framed NDJSON fleet protocol on stdin/stdout
 
@@ -278,8 +278,8 @@ int main(int argc, char** argv) {
         // fig3's fabrics builds none of them anywhere in the fleet, and
         // fig5 and table2 (fig3's spec) send the workers nothing. The
         // coordinator places each sweep's fabric groups on the workers
-        // that hold them before leasing, leases each worker from its own
-        // queue, and restarts dead workers with bounded retry. The report
+        // that hold them, leases each worker its whole placed share in
+        // one lease, and restarts dead workers with bounded retry. The report
         // functions are unchanged and rows stay bit-identical (pinned by
         // the fleet_parity ctest); map()-based work (fig4, serving
         // replications) stays in this process.
